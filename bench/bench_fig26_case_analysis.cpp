@@ -6,6 +6,8 @@
 // reevaluation (sec. 2.7: "only those parts of the circuit that are
 // affected by the case analysis are reevaluated").
 #include "bench_util.hpp"
+#include "core/cone.hpp"
+#include "core/snapshot.hpp"
 #include "core/verifier.hpp"
 
 using namespace tv;
@@ -51,15 +53,25 @@ double settle_delay(const Waveform& w) {
 
 int main() {
   Circuit c = build();
-  Evaluator ev(c.nl, c.opts);
-  ev.initialize();
-  std::size_t base_events = ev.propagate();
-  double no_cases = settle_delay(ev.wave(c.output));
+  Verifier v(c.nl, c.opts);
+  std::size_t base_events = v.verify().base_events;
+  double no_cases = settle_delay(c.nl.signal(c.output).wave);
 
-  std::size_t ev1 = ev.apply_case(CaseSpec{"CONTROL=1", {{c.control, Value::One}}});
-  double case1 = settle_delay(ev.wave(c.output));
-  std::size_t ev0 = ev.apply_case(CaseSpec{"CONTROL=0", {{c.control, Value::Zero}}});
-  double case0 = settle_delay(ev.wave(c.output));
+  // Each case runs on its own cone-scoped snapshot of the baseline -- the
+  // per-case engine of Verifier::verify -- and its event count (pin
+  // included) is the incremental cost of the case.
+  const Evaluator& ev = v.evaluator();
+  ConeIndex cones(c.nl);
+  auto run_case = [&](const CaseSpec& spec, double& delay) {
+    EvalSnapshot snap(c.nl, cones.cone_of({c.control}), ev.intern_context().get(),
+                      &ev.wave_refs());
+    std::size_t events = run_case_on_snapshot(snap, spec, c.opts).events;
+    delay = settle_delay(snap.wave(c.output));
+    return events;
+  };
+  double case1 = 0, case0 = 0;
+  std::size_t ev1 = run_case(CaseSpec{"CONTROL=1", {{c.control, Value::One}}}, case1);
+  std::size_t ev0 = run_case(CaseSpec{"CONTROL=0", {{c.control, Value::Zero}}}, case0);
 
   bench::header("Fig 2-6: circuit requiring case analysis");
   bench::row("delay without case analysis [ns]", 40.0, no_cases, "%.0f");

@@ -5,6 +5,8 @@
 #include <chrono>
 
 #include "bench_util.hpp"
+#include "core/cone.hpp"
+#include "core/snapshot.hpp"
 #include "core/storage_stats.hpp"
 #include "core/verifier.hpp"
 #include "gen/s1_design.hpp"
@@ -50,14 +52,19 @@ int main() {
     p.stages = 32;
     p.clock_tree_bufs = 0;
     hdl::ElaboratedDesign d = gen::build_s1_design(p);
-    Evaluator ev(d.netlist, d.options);
-    ev.initialize();
-    std::size_t base = ev.propagate();
+    Verifier v(d.netlist, d.options);
+    std::size_t base = v.verify().base_events;
 
-    // Case on one stage's control input: only its cone reevaluates.
+    // Case on one stage's control input, on a cone-scoped snapshot of the
+    // baseline: only its cone reevaluates.
     SignalId ctl = d.netlist.find("S10 CTL0 .S4-8.5");
+    const Evaluator& ev = v.evaluator();
+    ConeIndex cones(d.netlist);
+    EvalSnapshot snap(d.netlist, cones.cone_of({ctl}), ev.intern_context().get(),
+                      &ev.wave_refs());
     std::size_t case_events =
-        ev.apply_case(CaseSpec{"S10 CTL0 = 1", {{ctl, Value::One}}});
+        run_case_on_snapshot(snap, CaseSpec{"S10 CTL0 = 1", {{ctl, Value::One}}}, d.options)
+            .events;
     std::printf("  base evaluation events:        %zu\n", base);
     std::printf("  incremental case events:       %zu (%.2f%% of base)\n", case_events,
                 100.0 * static_cast<double>(case_events) / base);

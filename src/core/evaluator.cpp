@@ -1,7 +1,6 @@
 #include "core/evaluator.hpp"
 
 #include <chrono>
-#include <stdexcept>
 
 #include "core/scc.hpp"
 #include "util/fault.hpp"
@@ -52,7 +51,6 @@ Evaluator::Evaluator(Netlist& nl, VerifierOptions opts) : nl_(nl), opts_(opts) {
   if (!nl.finalized()) nl.finalize();
   in_worklist_.assign(nl.num_prims(), 0);
   eval_count_.assign(nl.num_prims(), 0);
-  case_map_.assign(nl.num_signals(), -1);
   if (opts_.interning) {
     intern_ = std::make_shared<InternContext>(opts_.max_waveforms_per_shard);
   }
@@ -108,19 +106,12 @@ void Evaluator::store_wave(SignalId id, Waveform w) {
 
 void Evaluator::seed_signal(SignalId id) {
   Signal& s = nl_.signal(id);
-  Waveform w = apply_case_map(id, seed_waveform(s, opts_));
+  Waveform w = seed_waveform(s, opts_);
   // Seeds are canonicalized in both modes so evaluation -- and every report
   // downstream -- is byte-identical with interning on or off.
   w.canonicalize();
   store_wave(id, std::move(w));
   s.eval_str.clear();
-}
-
-Waveform Evaluator::apply_case_map(SignalId id, Waveform w) const {
-  if (case_map_[id] < 0) return w;
-  // Sec. 2.7.1: the signal's STABLE values are mapped to the case value
-  // "whenever the circuit would normally set it to the value STABLE".
-  return w.replaced(Value::Stable, static_cast<Value>(case_map_[id]));
 }
 
 void Evaluator::initialize() {
@@ -134,8 +125,6 @@ void Evaluator::initialize() {
   worklist_.clear();
   in_worklist_.assign(nl_.num_prims(), 0);
   eval_count_.assign(nl_.num_prims(), 0);
-  case_map_.assign(nl_.num_signals(), -1);
-  case_pins_.clear();
   wave_refs_.assign(nl_.num_signals(), kNoWaveform);
   for (SignalId id = 0; id < nl_.num_signals(); ++id) seed_signal(id);
   for (PrimId pid = 0; pid < nl_.num_prims(); ++pid) {
@@ -150,7 +139,7 @@ void Evaluator::restore_fixpoint(const std::vector<Waveform>& waves,
   // Mirror of initialize()'s reset, with the snapshot's settled state in
   // place of seeding: after this the evaluator is indistinguishable (to
   // reverify and the checkers) from one that just ran propagate() to this
-  // fixpoint -- empty worklist, fresh oscillation budget, no active case.
+  // fixpoint -- empty worklist, fresh oscillation budget.
   events_ = 0;
   evals_ = 0;
   converged_ = converged;
@@ -161,8 +150,6 @@ void Evaluator::restore_fixpoint(const std::vector<Waveform>& waves,
   worklist_.clear();
   in_worklist_.assign(nl_.num_prims(), 0);
   eval_count_.assign(nl_.num_prims(), 0);
-  case_map_.assign(nl_.num_signals(), -1);
-  case_pins_.clear();
   track_touched_ = false;
   touched_.clear();
   touched_mark_.clear();
@@ -215,7 +202,6 @@ bool Evaluator::build_memo_key(const Primitive& p, MemoKey& key) const {
 
 void Evaluator::assign(SignalId id, Waveform w, std::string eval_str, bool& changed) {
   Signal& s = nl_.signal(id);
-  w = apply_case_map(id, std::move(w));
   // Canonical form in both modes: the convergence test below is then the
   // same predicate whether expressed as a ref compare or a deep compare
   // (Waveform::equivalent), and reports match byte-for-byte across modes.
@@ -295,8 +281,6 @@ std::size_t Evaluator::run_worklist() {
     bool keyed = intern_ && build_memo_key(p, key);
     if (keyed) {
       if (std::optional<MemoResult> hit = intern_->memo.lookup(key)) {
-        // The memo stores the raw evaluation result (pre case-mapping);
-        // assign() re-applies the active case map, which is case-local.
         assign(p.output, intern_->table.get(hit->wave), hit->eval_str, changed);
         if (changed) {
           ++events_;
@@ -410,39 +394,6 @@ std::vector<std::vector<std::string>> Evaluator::feedback_cycles() const {
 
 std::size_t Evaluator::propagate() { return run_worklist(); }
 
-std::size_t Evaluator::apply_case(const CaseSpec& c) {
-  // Only the affected parts of the circuit are reevaluated (sec. 2.7):
-  // reseed the named signals, requeue their drivers and fanout, propagate.
-  eval_count_.assign(nl_.num_prims(), 0);
-  // A case may name a signal created after this Evaluator sized its flat
-  // per-signal/per-primitive maps (Netlist::ref makes signals on demand).
-  if (case_map_.size() < nl_.num_signals()) case_map_.resize(nl_.num_signals(), -1);
-  if (in_worklist_.size() < nl_.num_prims()) in_worklist_.resize(nl_.num_prims(), 0);
-  for (SignalId sig : case_pins_) case_map_[sig] = -1;
-  case_pins_.clear();
-  for (const auto& [sig, val] : c.pins) {
-    if (val != Value::Zero && val != Value::One) {
-      throw std::invalid_argument("case values must be 0 or 1");
-    }
-    if (case_map_[sig] < 0) case_pins_.push_back(sig);
-    case_map_[sig] = static_cast<std::int8_t>(val);
-  }
-  for (const auto& [sig, val] : c.pins) {
-    const Signal& s = nl_.signal(sig);
-    Waveform before = s.wave;
-    if (s.driver != kNoPrim) {
-      enqueue(s.driver);  // driver recomputes; assign() applies the mapping
-    } else {
-      seed_signal(sig);
-    }
-    if (!(nl_.signal(sig).wave == before)) {
-      ++events_;
-      enqueue_fanout(sig);
-    }
-  }
-  return run_worklist();
-}
-
 void Evaluator::note_touched(SignalId id) {
   if (!track_touched_) return;
   if (touched_mark_.size() < nl_.num_signals()) touched_mark_.resize(nl_.num_signals(), 0);
@@ -454,10 +405,10 @@ void Evaluator::note_touched(SignalId id) {
 
 std::size_t Evaluator::propagate_incremental(const std::vector<SignalId>& reseed,
                                              const std::vector<PrimId>& reeval) {
-  // Mirrors apply_case: fresh oscillation budget, defensively resized flat
-  // maps, reseed-or-requeue the edited signals, run the shared worklist.
+  // Fresh oscillation budget, defensively resized flat maps (an edit may
+  // have created signals), reseed-or-requeue the edited signals, run the
+  // shared worklist.
   eval_count_.assign(nl_.num_prims(), 0);
-  if (case_map_.size() < nl_.num_signals()) case_map_.resize(nl_.num_signals(), -1);
   if (in_worklist_.size() < nl_.num_prims()) in_worklist_.resize(nl_.num_prims(), 0);
   if (seg_degraded_.size() < nl_.num_signals()) seg_degraded_.resize(nl_.num_signals(), 0);
   if (intern_ && wave_refs_.size() < nl_.num_signals()) {
@@ -487,27 +438,6 @@ std::size_t Evaluator::propagate_incremental(const std::vector<SignalId>& reseed
   std::size_t n = run_worklist();
   track_touched_ = false;
   return n;
-}
-
-std::size_t Evaluator::clear_case() {
-  eval_count_.assign(nl_.num_prims(), 0);
-  std::vector<SignalId> mapped = std::move(case_pins_);
-  case_pins_.clear();
-  for (SignalId sig : mapped) case_map_[sig] = -1;
-  for (SignalId sig : mapped) {
-    const Signal& s = nl_.signal(sig);
-    Waveform before = s.wave;
-    if (s.driver != kNoPrim) {
-      enqueue(s.driver);
-    } else {
-      seed_signal(sig);
-    }
-    if (!(nl_.signal(sig).wave == before)) {
-      ++events_;
-      enqueue_fanout(sig);
-    }
-  }
-  return run_worklist();
 }
 
 }  // namespace tv

@@ -5,9 +5,11 @@
 // on a cross-reference for the designer), everything else starts UNKNOWN.
 // Step 2 repeatedly evaluates primitives whose inputs changed -- each output
 // change is an *event* that enqueues the output's call list -- until all
-// signals stop changing. Case analysis (sec. 2.7) then changes only the
-// signals named in the case specification and incrementally reevaluates the
-// affected cone.
+// signals stop changing. That base fixpoint (and its incremental updates
+// after netlist edits, core/incremental.hpp) is all the Evaluator computes:
+// case analysis (sec. 2.7) runs elsewhere, on cone-scoped overlays of this
+// fixpoint -- the per-case worklist of core/snapshot.hpp and the lockstep
+// sweep of core/batch_eval.hpp -- so the shared netlist never holds a case.
 #pragma once
 
 #include <cstddef>
@@ -157,13 +159,6 @@ class Evaluator {
   /// guard tripped.
   std::size_t propagate();
 
-  /// Applies a case specification: reseeds the named signals with their
-  /// STABLE values mapped, reevaluates affected primitives incrementally,
-  /// and propagates. Returns events processed for this case.
-  std::size_t apply_case(const CaseSpec& c);
-  /// Removes any active case mapping and re-propagates.
-  std::size_t clear_case();
-
   /// Incremental re-propagation for netlist deltas (core/incremental.hpp),
   /// run against the current fixpoint: reseeds the listed signals (their
   /// seed function changed -- assertion edits), enqueues the listed
@@ -186,7 +181,7 @@ class Evaluator {
   /// (core/fixpoint.hpp) without evaluating anything: writes each signal's
   /// settled waveform and evaluation string back, re-interns every
   /// waveform so refs and the memo behave exactly as after a real run,
-  /// and resets the worklist/oscillation/case state the way a completed
+  /// and resets the worklist/oscillation state the way a completed
   /// propagate() leaves it. Effort counters restart at zero (reverify
   /// accounts in deltas, re-based on the restored report's cumulative
   /// counters). `waves`/`eval_strs` must be sized to the netlist.
@@ -242,7 +237,6 @@ class Evaluator {
 
  private:
   void seed_signal(SignalId id);
-  Waveform apply_case_map(SignalId id, Waveform w) const;
   void enqueue(PrimId pid);
   void enqueue_fanout(SignalId id);
   std::size_t run_worklist();
@@ -268,11 +262,6 @@ class Evaluator {
   std::deque<PrimId> worklist_;
   std::vector<char> in_worklist_;
   std::vector<std::size_t> eval_count_;
-  /// Active case mapping, flat-indexed by SignalId: -1 = unmapped, else the
-  /// Value the signal's STABLE regions map to. (A hash map here made
-  /// clear_case iterate in hash order and cost a lookup per assign.)
-  std::vector<std::int8_t> case_map_;
-  std::vector<SignalId> case_pins_;  // mapped signals, for O(pins) clearing
   std::size_t events_ = 0;
   std::size_t evals_ = 0;
   bool converged_ = true;

@@ -889,23 +889,8 @@ VerifyResult Verifier::reverify(const NetlistDelta& delta, ReverifyStats* stats)
 
     if (rerun) {
       ++st.cases_reevaluated;
-      EvalSnapshot snap(nl, ccone, ev_.intern_context().get(), &ev_.wave_refs());
-      CaseRunStats cstats = run_case_on_snapshot(snap, new_cases[i], opts);
-      VerifyResult::CaseResult cr;
-      cr.name = new_cases[i].name;
-      cr.events = snap.disturbed_signals();
-      cr.converged = r.converged && cstats.converged;
-      cr.degraded = cstats.degraded;
-      case_degradations[i] = std::move(cstats.degradations);
-      EvalView view(snap, opts, cr.converged);
-      std::vector<Degradation> cdegs;
-      cr.violations = run_checks_scoped(view, *ccone, r.violations, &cdegs);
-      for (Degradation& d : cdegs) {
-        cr.degraded = true;
-        case_degradations[i].push_back(std::move(d));
-      }
-      sort_violations(cr.violations);
-      r.cases[i] = std::move(cr);
+      r.cases[i] = run_case(new_cases[i], ccone, r.violations, r.converged,
+                            case_degradations[i]);
     } else {
       ++st.cases_spliced;
       const VerifyResult::CaseResult& pc = prior.cases[static_cast<std::size_t>(origin)];
@@ -930,12 +915,7 @@ VerifyResult Verifier::reverify(const NetlistDelta& delta, ReverifyStats* stats)
       r.cases[i] = std::move(cr);
     }
   }
-  for (std::size_t i = 0; i < new_cases.size(); ++i) {
-    if (r.cases[i].degraded) r.partial = true;
-    for (Degradation& d : case_degradations[i]) {
-      r.degradations.push_back(std::move(d));
-    }
-  }
+  merge_case_degradations(r, case_degradations);
 
   st.incremental = true;
   last_ = r;

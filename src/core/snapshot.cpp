@@ -9,9 +9,6 @@
 
 namespace tv {
 
-EvalSnapshot::EvalSnapshot(const Netlist& nl, std::shared_ptr<const Cone> cone)
-    : EvalSnapshot(nl, std::move(cone), nullptr, nullptr) {}
-
 EvalSnapshot::EvalSnapshot(const Netlist& nl, std::shared_ptr<const Cone> cone,
                            InternContext* ctx,
                            const std::vector<WaveformRef>* base_refs)

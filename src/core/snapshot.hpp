@@ -26,13 +26,12 @@ namespace tv {
 /// snapshot on it is alive (reads are lock-free const access).
 class EvalSnapshot {
  public:
-  EvalSnapshot(const Netlist& nl, std::shared_ptr<const Cone> cone);
-  /// Interning-aware snapshot: `ctx` is the evaluator's shared arena + memo
-  /// (shard-locked, so concurrent case workers may intern through it) and
-  /// `base_refs` the baseline's per-signal refs. Interned storage is never
-  /// mutated -- the snapshot only writes its own cone-local slots -- so
-  /// copy-on-write semantics are preserved. Both pointers must outlive the
-  /// snapshot; pass nullptr to run without interning.
+  /// `ctx` is the evaluator's shared arena + memo (shard-locked, so
+  /// concurrent case workers may intern through it) and `base_refs` the
+  /// baseline's per-signal refs. Interned storage is never mutated -- the
+  /// snapshot only writes its own cone-local slots -- so copy-on-write
+  /// semantics are preserved. Both pointers must outlive the snapshot;
+  /// pass nullptr to run without interning.
   EvalSnapshot(const Netlist& nl, std::shared_ptr<const Cone> cone,
                InternContext* ctx, const std::vector<WaveformRef>* base_refs);
 

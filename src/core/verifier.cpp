@@ -30,7 +30,75 @@ unsigned effective_jobs(unsigned requested, std::size_t num_units) {
   return requested ? requested : 1;
 }
 
+/// Runs fn(0) .. fn(n-1) on effective_jobs(requested_jobs, n) workers:
+/// inline when that is one, otherwise each thread claims the next unit in
+/// order from a shared counter. The first exception drains the queue so
+/// siblings stop claiming units, and is rethrown once every worker joined.
+/// Callers write each unit's result into its own slot, so the merge is
+/// deterministic for every job count.
+template <class Fn>
+void for_each_unit(std::size_t n, unsigned requested_jobs, const Fn& fn) {
+  const unsigned jobs = effective_jobs(requested_jobs, n);
+  if (jobs <= 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  std::atomic<std::size_t> next{0};
+  std::vector<std::exception_ptr> errors(jobs);
+  std::vector<std::thread> pool;
+  pool.reserve(jobs);
+  for (unsigned t = 0; t < jobs; ++t) {
+    pool.emplace_back([&, t] {
+      try {
+        for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) fn(i);
+      } catch (...) {
+        errors[t] = std::current_exception();
+        next.store(n);
+      }
+    });
+  }
+  for (std::thread& th : pool) th.join();
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+}
+
 }  // namespace
+
+VerifyResult::CaseResult Verifier::run_case(const CaseSpec& spec,
+                                            const std::shared_ptr<const Cone>& cone,
+                                            const std::vector<Violation>& base_violations,
+                                            bool base_converged,
+                                            std::vector<Degradation>& degradations) const {
+  const VerifierOptions& opts = ev_.options();
+  // Workers share the evaluator's shard-locked arena + memo; the baseline
+  // refs let the snapshot start from ref compares without re-interning.
+  EvalSnapshot snap(ev_.netlist(), cone, ev_.intern_context().get(), &ev_.wave_refs());
+  CaseRunStats stats = run_case_on_snapshot(snap, spec, opts);
+  VerifyResult::CaseResult cr;
+  cr.name = spec.name;
+  cr.events = snap.disturbed_signals();
+  cr.converged = base_converged && stats.converged;
+  cr.degraded = stats.degraded;
+  degradations = std::move(stats.degradations);
+  std::vector<Degradation> check_degs;
+  cr.violations = run_checks_scoped(EvalView(snap, opts, cr.converged), *cone,
+                                    base_violations, &check_degs);
+  for (Degradation& d : check_degs) {
+    cr.degraded = true;
+    degradations.push_back(std::move(d));
+  }
+  sort_violations(cr.violations);
+  return cr;
+}
+
+void Verifier::merge_case_degradations(VerifyResult& r,
+                                       std::vector<std::vector<Degradation>>& per_case) {
+  for (std::size_t i = 0; i < r.cases.size(); ++i) {
+    if (r.cases[i].degraded) r.partial = true;
+    for (Degradation& d : per_case[i]) r.degradations.push_back(std::move(d));
+  }
+}
 
 VerifyResult Verifier::verify(const std::vector<CaseSpec>& cases) {
   // Any exception leaves no baseline: a half-evaluated netlist must not be
@@ -142,49 +210,13 @@ VerifyResult Verifier::verify_impl(const std::vector<CaseSpec>& cases) {
   }
 
   // Each case evaluates on its own copy-on-write snapshot of the baseline
-  // fixpoint: workers share only the immutable netlist, and results land in
-  // their input slot, so the merge is deterministic by construction.
+  // fixpoint: workers share only the immutable netlist, and results (and
+  // their degradation records) land in their input slot, merging after the
+  // pool joins in input order -- deterministic by construction.
   r.cases.resize(cases.size());
-  // Per-case degradation records land in their input slot and merge into the
-  // result after the pool joins, so the aggregate order is deterministic.
   std::vector<std::vector<Degradation>> case_degradations(cases.size());
-
-  // Checking and reporting are shared by both engines: a finished snapshot
-  // (from the per-case worklist or materialized from a batch sweep) holds
-  // exactly the case's divergences from the baseline, and everything below
-  // is a pure function of that final state.
-  auto finish_case = [&](std::size_t i, EvalSnapshot& snap, bool converged,
-                         bool degraded, std::vector<Degradation> degs) {
-    VerifyResult::CaseResult cr;
-    cr.name = cases[i].name;
-    cr.events = snap.disturbed_signals();
-    cr.converged = r.converged && converged;
-    cr.degraded = degraded;
-    case_degradations[i] = std::move(degs);
-    EvalView view(snap, opts, cr.converged);
-    std::vector<Degradation> check_degs;
-    cr.violations = run_checks_scoped(view, *cones[i], r.violations, &check_degs);
-    for (Degradation& d : check_degs) {
-      cr.degraded = true;
-      case_degradations[i].push_back(std::move(d));
-    }
-    sort_violations(cr.violations);
-    r.cases[i] = std::move(cr);
-  };
   auto run_one = [&](std::size_t i) {
-    // Workers share the evaluator's shard-locked arena + memo; the baseline
-    // refs let the snapshot start from ref compares without re-interning.
-    EvalSnapshot snap(nl, cones[i], ev_.intern_context().get(), &ev_.wave_refs());
-    CaseRunStats stats = run_case_on_snapshot(snap, cases[i], opts);
-    finish_case(i, snap, stats.converged, stats.degraded, std::move(stats.degradations));
-  };
-  auto merge_degradations = [&] {
-    for (std::size_t i = 0; i < cases.size(); ++i) {
-      if (r.cases[i].degraded) r.partial = true;
-      for (Degradation& d : case_degradations[i]) {
-        r.degradations.push_back(std::move(d));
-      }
-    }
+    r.cases[i] = run_case(cases[i], cones[i], r.violations, r.converged, case_degradations[i]);
   };
 
   // Batch engine eligibility (docs/batch_eval.md): the lockstep sweep
@@ -244,64 +276,11 @@ VerifyResult Verifier::verify_impl(const std::vector<CaseSpec>& cases) {
         r.cases[first + l] = std::move(cr);
       }
     };
-    unsigned jobs = effective_jobs(opts.jobs, num_blocks);
-    if (jobs <= 1) {
-      for (std::size_t b = 0; b < num_blocks; ++b) run_block(b);
-    } else {
-      std::atomic<std::size_t> next{0};
-      std::vector<std::exception_ptr> errors(jobs);
-      std::vector<std::thread> pool;
-      pool.reserve(jobs);
-      for (unsigned t = 0; t < jobs; ++t) {
-        pool.emplace_back([&, t] {
-          try {
-            for (std::size_t b = next.fetch_add(1); b < num_blocks;
-                 b = next.fetch_add(1)) {
-              run_block(b);
-            }
-          } catch (...) {
-            errors[t] = std::current_exception();
-            next.store(num_blocks);
-          }
-        });
-      }
-      for (std::thread& th : pool) th.join();
-      for (const std::exception_ptr& e : errors) {
-        if (e) std::rethrow_exception(e);
-      }
-    }
-    merge_degradations();
-    return r;
+    for_each_unit(num_blocks, opts.jobs, run_block);
+  } else {
+    for_each_unit(cases.size(), opts.jobs, run_one);
   }
-
-  unsigned jobs = effective_jobs(opts.jobs, cases.size());
-  if (jobs <= 1) {
-    for (std::size_t i = 0; i < cases.size(); ++i) run_one(i);
-    merge_degradations();
-    return r;
-  }
-  std::atomic<std::size_t> next{0};
-  std::vector<std::exception_ptr> errors(jobs);
-  std::vector<std::thread> pool;
-  pool.reserve(jobs);
-  for (unsigned t = 0; t < jobs; ++t) {
-    pool.emplace_back([&, t] {
-      try {
-        for (std::size_t i = next.fetch_add(1); i < cases.size(); i = next.fetch_add(1)) {
-          run_one(i);
-        }
-      } catch (...) {
-        errors[t] = std::current_exception();
-        // Drain the queue so sibling workers stop picking up new cases.
-        next.store(cases.size());
-      }
-    });
-  }
-  for (std::thread& th : pool) th.join();
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-  merge_degradations();
+  merge_case_degradations(r, case_degradations);
   return r;
 }
 

@@ -22,6 +22,7 @@
 
 namespace tv {
 
+struct Cone;
 class ConeIndex;
 struct NetlistDelta;
 struct ReverifyStats;
@@ -127,6 +128,21 @@ class Verifier {
 
  private:
   VerifyResult verify_impl(const std::vector<CaseSpec>& cases);
+  /// One case against the fixpoint the netlist holds (sec. 2.7): the
+  /// per-case worklist on a cone-scoped snapshot, cone-scoped checks that
+  /// reuse `base_violations` outside the cone, sorted findings. The case's
+  /// resource-guard records replace `degradations`. verify()'s per-case
+  /// path, its batch-abort fallback and reverify()'s re-run branch all go
+  /// through here; safe to call concurrently.
+  VerifyResult::CaseResult run_case(const CaseSpec& spec,
+                                    const std::shared_ptr<const Cone>& cone,
+                                    const std::vector<Violation>& base_violations,
+                                    bool base_converged,
+                                    std::vector<Degradation>& degradations) const;
+  /// Folds per-case degradation records (one slot per case, input order)
+  /// into `r`, marking it partial when any case degraded.
+  static void merge_case_degradations(VerifyResult& r,
+                                      std::vector<std::vector<Degradation>>& per_case);
   /// The memoized cone index for the current fanout graph, rebuilt when a
   /// structural edit bumped the netlist's structure version.
   const ConeIndex& cone_index();

@@ -5,6 +5,7 @@
 // separately gives 30 ns for both.
 #include <gtest/gtest.h>
 
+#include "case_harness.hpp"
 #include "core/verifier.hpp"
 
 namespace tv {
@@ -70,17 +71,13 @@ TEST(CaseAnalysis, WithoutCasesDelayIs40ns) {
 
 TEST(CaseAnalysis, EachCaseGives30ns) {
   Fig26Circuit c = build_fig26();
-  Evaluator ev(c.nl, c.opts);
-  ev.initialize();
-  ev.propagate();
+  CaseHarness h(c.nl, c.opts);
 
-  CaseSpec case1{"CONTROL SIGNAL = 1", {{c.control, V::One}}};
-  ev.apply_case(case1);
-  EXPECT_EQ(settle_time(ev.wave(c.output)), from_ns(40));
+  h.run(CaseSpec{"CONTROL SIGNAL = 1", {{c.control, V::One}}});
+  EXPECT_EQ(settle_time(h.wave(c.output)), from_ns(40));
 
-  CaseSpec case0{"CONTROL SIGNAL = 0", {{c.control, V::Zero}}};
-  ev.apply_case(case0);
-  EXPECT_EQ(settle_time(ev.wave(c.output)), from_ns(40));
+  h.run(CaseSpec{"CONTROL SIGNAL = 0", {{c.control, V::Zero}}});
+  EXPECT_EQ(settle_time(h.wave(c.output)), from_ns(40));
 }
 
 TEST(CaseAnalysis, CaseMappingOnlyAffectsStableValues) {
@@ -95,55 +92,38 @@ TEST(CaseAnalysis, CaseMappingOnlyAffectsStableValues) {
   Ref out = nl.ref("OUT");
   nl.buf("B", 0, 0, sig, out);
   nl.finalize();
-  Evaluator ev(nl, opts);
-  ev.initialize();
-  ev.propagate();
-  ev.apply_case(CaseSpec{"CTL=1", {{sig.id, V::One}}});
-  EXPECT_EQ(ev.wave(sig.id).at(from_ns(50)), V::One);     // was STABLE
-  EXPECT_EQ(ev.wave(sig.id).at(from_ns(95)), V::Change);  // still changing
-  EXPECT_EQ(ev.wave(out.id).at(from_ns(50)), V::One);     // propagated
+  CaseHarness h(nl, opts);
+  h.run(CaseSpec{"CTL=1", {{sig.id, V::One}}});
+  EXPECT_EQ(h.wave(sig.id).at(from_ns(50)), V::One);     // was STABLE
+  EXPECT_EQ(h.wave(sig.id).at(from_ns(95)), V::Change);  // still changing
+  EXPECT_EQ(h.wave(out.id).at(from_ns(50)), V::One);     // propagated
 }
 
 TEST(CaseAnalysis, IncrementalReevaluationIsCheap) {
-  // Sec. 2.7/3.3.2: going case-to-case reevaluates only the affected cone.
+  // Sec. 2.7/3.3.2: a case reevaluates only its affected cone.
   Fig26Circuit c = build_fig26();
-  Evaluator ev(c.nl, c.opts);
-  ev.initialize();
-  ev.propagate();
-  std::size_t evals_base = ev.evals_performed();
+  CaseHarness h(c.nl, c.opts);
 
-  // A case on a signal nothing depends on: no primitive reevaluation moves
-  // the result.
+  // A case on a signal nothing depends on, created after the baseline (the
+  // snapshot must not read past the baseline's per-signal arrays): the
+  // pin's own STABLE -> 1 is the only change, no primitive reevaluates.
   Ref unrelated = c.nl.ref("UNRELATED");
-  (void)unrelated;
-  std::size_t events = ev.apply_case(CaseSpec{"noop", {{unrelated.id, V::One}}});
-  EXPECT_EQ(events, 0u);
+  c.nl.finalize();
+  CaseRunStats noop = h.run(CaseSpec{"noop", {{unrelated.id, V::One}}});
+  EXPECT_EQ(noop.evals, 0u);
+  EXPECT_EQ(noop.events, 1u);
+  EXPECT_EQ(h.snapshot().disturbed_signals(), 1u);
 
   // A case on CONTROL touches the two muxes (and their fanout) only.
-  ev.apply_case(CaseSpec{"CONTROL=1", {{c.control, V::One}}});
-  std::size_t evals_case = ev.evals_performed() - evals_base;
-  EXPECT_LE(evals_case, 8u);  // far less than re-evaluating from scratch
-}
+  CaseRunStats control = h.run(CaseSpec{"CONTROL=1", {{c.control, V::One}}});
+  EXPECT_LE(control.evals, 8u);  // far less than re-evaluating from scratch
 
-TEST(CaseAnalysis, ClearCaseRestoresBase) {
-  Fig26Circuit c = build_fig26();
-  Evaluator ev(c.nl, c.opts);
-  ev.initialize();
-  ev.propagate();
-  Waveform base_out = ev.wave(c.output);
-  ev.apply_case(CaseSpec{"CONTROL=1", {{c.control, V::One}}});
-  EXPECT_FALSE(ev.wave(c.output) == base_out);
-  ev.clear_case();
-  EXPECT_EQ(ev.wave(c.output), base_out);
-}
-
-TEST(CaseAnalysis, RejectsNonBooleanCaseValues) {
-  Fig26Circuit c = build_fig26();
-  Evaluator ev(c.nl, c.opts);
-  ev.initialize();
-  ev.propagate();
-  EXPECT_THROW(ev.apply_case(CaseSpec{"bad", {{c.control, V::Change}}}),
-               std::invalid_argument);
+  // The same pin through verify(): one disturbed signal, nothing else.
+  Verifier v(c.nl, c.opts);
+  VerifyResult r = v.verify({CaseSpec{"noop", {{unrelated.id, V::One}}}});
+  ASSERT_EQ(r.cases.size(), 1u);
+  EXPECT_EQ(r.cases[0].events, 1u);
+  EXPECT_TRUE(r.cases[0].converged);
 }
 
 TEST(CaseAnalysis, VerifierRunsAllSpecifiedCases) {

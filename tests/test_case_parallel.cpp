@@ -4,8 +4,11 @@
 // netlist must be left holding the baseline fixpoint.
 #include <gtest/gtest.h>
 
+#include "case_harness.hpp"
+#include "core/export.hpp"
 #include "core/verifier.hpp"
 #include "gen/regfile_example.hpp"
+#include "util/fault.hpp"
 
 namespace tv {
 namespace {
@@ -143,11 +146,11 @@ TEST(ParallelCases, CaseViolationsMatchAnUnscopedFullCheck) {
 
   for (std::size_t i = 0; i < cases.size(); ++i) {
     Fig26 fresh = build_fig26();
-    Evaluator ev(fresh.nl, fresh.opts);
-    ev.initialize();
-    ev.propagate();
-    ev.apply_case(cases[i]);  // same pins resolve to same ids in the clone
-    std::vector<Violation> expect = run_checks(ev);
+    CaseHarness h(fresh.nl, fresh.opts);
+    CaseRunStats stats = h.run(cases[i]);  // same pins resolve to same ids in the clone
+    // Unscoped: every checker re-examined through the case's view.
+    EvalView view(h.snapshot(), fresh.opts, h.baseline().converged && stats.converged);
+    std::vector<Violation> expect = run_checks(view);
     sort_violations(expect);
     ASSERT_EQ(r.cases[i].violations.size(), expect.size()) << cases[i].name;
     for (std::size_t j = 0; j < expect.size(); ++j) {
@@ -175,6 +178,36 @@ TEST(ParallelCases, RejectsBadCaseValuesBeforeSpawningWorkers) {
   std::vector<CaseSpec> cases = {{"ok", {{c.control.id, V::Zero}}},
                                  {"bad", {{c.control.id, V::Change}}}};
   EXPECT_THROW(v.verify(cases), std::invalid_argument);
+}
+
+TEST(ParallelCases, WorkerFaultSurfacesAfterJoinAndLeavesVerifierReusable) {
+  // A fault thrown inside a pool worker must drain the queue, surface from
+  // verify() once every worker joined (no hang), and leave no baseline to
+  // splice against; the next clean verify() on the same Verifier must then
+  // render exactly like a fresh run. Both engines share the one pool.
+  for (bool batch : {true, false}) {
+    SCOPED_TRACE(batch ? "batch sweep" : "per-case worklist");
+    Fig26 c = build_fig26();
+    std::vector<CaseSpec> cases = fig26_cases(c);
+    c.opts.jobs = 4;
+    c.opts.batch_eval = batch;
+    c.opts.batch_lanes = 2;  // four blocks, so the batch pool runs 4 workers
+    Verifier v(c.nl, c.opts);
+    ASSERT_TRUE(fault::configure("snapshot.case@3:fail"));
+    EXPECT_THROW(v.verify(cases), fault::InjectedFault);
+    fault::reset();
+    EXPECT_FALSE(v.has_baseline());
+
+    VerifyResult again = v.verify(cases);
+    EXPECT_TRUE(v.has_baseline());
+    Fig26 fresh = build_fig26();
+    Verifier fv(fresh.nl, c.opts);
+    VerifyResult cold = fv.verify(cases);
+    expect_same_result(cold, again, "after fault");
+    EXPECT_EQ(export_json(c.nl, again, c.opts.period),
+              export_json(fresh.nl, cold, c.opts.period));
+    EXPECT_EQ(timing_summary(c.nl), timing_summary(fresh.nl));
+  }
 }
 
 TEST(ParallelCases, SortedViolationRegression) {

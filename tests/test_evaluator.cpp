@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "case_harness.hpp"
 #include "core/verifier.hpp"
 
 namespace tv {
@@ -133,31 +134,14 @@ TEST(Evaluator, CaseOnUndrivenSignalReseedsCone) {
   Ref out = nl.ref("OUT");
   nl.and_gate("G", 0, 0, {a, ctl}, out);
   nl.finalize();
-  Evaluator ev(nl, opts());
-  ev.initialize();
-  ev.propagate();
-  EXPECT_EQ(ev.wave(out.id).at(from_ns(15)), V::Stable);  // 1 AND S
-  ev.apply_case(CaseSpec{"CTL=1", {{ctl.id, V::One}}});
-  EXPECT_EQ(ev.wave(out.id).at(from_ns(15)), V::One);
-  EXPECT_EQ(ev.wave(out.id).at(from_ns(5)), V::Zero);
-  ev.apply_case(CaseSpec{"CTL=0", {{ctl.id, V::Zero}}});
-  EXPECT_TRUE(ev.wave(out.id).is_constant());
-  EXPECT_EQ(ev.wave(out.id).at(0), V::Zero);
-}
-
-TEST(Evaluator, ReinitializeClearsCaseState) {
-  Netlist nl;
-  Ref ctl = nl.ref("CTL");
-  Ref out = nl.ref("OUT");
-  nl.buf("B", 0, 0, ctl, out);
-  nl.finalize();
-  Evaluator ev(nl, opts());
-  ev.initialize();
-  ev.propagate();
-  ev.apply_case(CaseSpec{"CTL=1", {{ctl.id, V::One}}});
-  EXPECT_EQ(ev.wave(out.id).at(0), V::One);
-  ev.clear_case();
-  EXPECT_EQ(ev.wave(out.id).at(0), V::Stable);
+  CaseHarness h(nl, opts());
+  EXPECT_EQ(h.wave(out.id).at(from_ns(15)), V::Stable);  // 1 AND S
+  h.run(CaseSpec{"CTL=1", {{ctl.id, V::One}}});
+  EXPECT_EQ(h.wave(out.id).at(from_ns(15)), V::One);
+  EXPECT_EQ(h.wave(out.id).at(from_ns(5)), V::Zero);
+  h.run(CaseSpec{"CTL=0", {{ctl.id, V::Zero}}});
+  EXPECT_TRUE(h.wave(out.id).is_constant());
+  EXPECT_EQ(h.wave(out.id).at(0), V::Zero);
 }
 
 TEST(Evaluator, ConvergedFlagAndEventCap) {

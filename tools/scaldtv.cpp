@@ -34,8 +34,6 @@
 //     --batch-lanes N  lanes per block in the batch case evaluator
 //                      (default 64, clamped to [1, 4096]; reports are
 //                      identical for every N)
-//     --no-batch       evaluate cases one at a time instead of in lockstep
-//                      lane blocks (slower; reports are identical)
 //     --fault SPEC     deterministic fault injection (docs/serving.md);
 //                      also read from the TV_FAULT environment variable
 //
@@ -76,7 +74,7 @@ int usage() {
                "[--stdlib] [--compiled] [--slack] [--waves] [--where-used] [--explain] "
                "[--reverify FILE] [--write-snapshot FILE] [--from-snapshot FILE] "
                "[--vcd FILE] [--json FILE] [--diag-json FILE] [--max-errors N] [--werror] "
-               "[--time-limit SECONDS] [--jobs N] [--batch-lanes N] [--no-batch] "
+               "[--time-limit SECONDS] [--jobs N] [--batch-lanes N] "
                "[--fault SPEC] <design.shdl | design.tvc>\n");
   return 2;
 }
@@ -119,7 +117,6 @@ int main(int argc, char** argv) {
   const char* path = nullptr;
   long jobs = 1;
   long batch_lanes = 64;
-  bool batch_eval = true;
   long max_errors = 20;
   bool werror = false;
   double time_limit = 0;
@@ -176,8 +173,6 @@ int main(int argc, char** argv) {
       char* end = nullptr;
       batch_lanes = std::strtol(argv[++i], &end, 10);
       if (!end || *end != '\0' || batch_lanes < 1 || batch_lanes > 4096) return usage();
-    } else if (std::strcmp(argv[i], "--no-batch") == 0) {
-      batch_eval = false;
     } else if (std::strcmp(argv[i], "--fault") == 0 && i + 1 < argc) {
       std::string error;
       if (!tv::fault::configure(argv[++i], &error)) {
@@ -267,7 +262,6 @@ int main(int argc, char** argv) {
 
     design.options.jobs = static_cast<unsigned>(jobs);
     design.options.batch_lanes = static_cast<unsigned>(batch_lanes);
-    design.options.batch_eval = batch_eval;
     design.options.time_limit_seconds = time_limit;
     tv::Verifier verifier(design.netlist, design.options);
     if (compiled && verifier.evaluator().intern_context()) {
