@@ -3,7 +3,9 @@
 // For each seeded random circuit it replays a K-step random edit script two
 // ways: incrementally (one long-lived Verifier, Verifier::reverify per
 // step) and cold (a fresh build with the delta prefix applied wholesale,
-// then a from-scratch verify). After every step the two worlds must agree
+// then a from-scratch verify; on odd circuit seeds the cold world runs its
+// cases on the per-case reference engine instead of the batch sweep). After
+// every step the two worlds must agree
 // byte-for-byte on everything observable -- waveforms, evaluation strings,
 // violation reports, case blocks, convergence verdicts, the cross-reference
 // -- except the cumulative evaluation-effort counters

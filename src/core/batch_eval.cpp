@@ -27,6 +27,7 @@ BatchSchedule build_batch_schedule(const Netlist& nl) {
   std::vector<std::vector<std::uint32_t>> comps = strongly_connected_components(adj);
   BatchSchedule sched;
   sched.components.reserve(comps.size());
+  sched.in_cycle.assign(nl.num_prims(), 0);
   // Tarjan emits reverse topological order; the sweep wants sources first.
   for (auto it = comps.rbegin(); it != comps.rend(); ++it) {
     if (it->size() == 1) {
@@ -34,7 +35,7 @@ BatchSchedule build_batch_schedule(const Netlist& nl) {
       if (prim_is_checker(p.kind) || p.output == kNoSignal) continue;
     }
     BatchSchedule::Component comp;
-    comp.prims.assign(it->begin(), it->end());
+    comp.prims = std::move(*it);
     std::sort(comp.prims.begin(), comp.prims.end());
     comp.cyclic = comp.prims.size() > 1;
     if (!comp.cyclic) {
@@ -44,6 +45,9 @@ BatchSchedule build_batch_schedule(const Netlist& nl) {
           break;
         }
       }
+    }
+    if (comp.cyclic) {
+      for (PrimId pid : comp.prims) sched.in_cycle[pid] = 1;
     }
     sched.components.push_back(std::move(comp));
   }

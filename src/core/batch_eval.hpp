@@ -28,7 +28,7 @@
 // non-degraded runs the batch path's reports are byte-identical to the
 // per-case path's. Degradation-prone runs (armed wall-clock budgets,
 // degraded or non-convergent base fixpoints, a full intern table) are not
-// batched -- Verifier::verify silently defers those to the per-case path,
+// batched -- Verifier::run_cases silently defers those to the per-case path,
 // and run_case_block aborts a block (completed = false) if the table fills
 // mid-sweep so the caller can re-run it per-case. See docs/batch_eval.md.
 #pragma once
@@ -48,14 +48,17 @@ namespace tv {
 /// the primitive graph (checkers excluded -- they drive nothing) in
 /// topological order. Acyclic components are single primitives evaluated
 /// exactly once per sweep; cyclic ones (register feedback) iterate to an
-/// intra-component fixpoint. Built once per verify run and shared by every
-/// case block and worker thread.
+/// intra-component fixpoint. Verifier caches one per netlist structure
+/// version and shares it with every case block and worker thread.
 struct BatchSchedule {
   struct Component {
     std::vector<PrimId> prims;  // ascending netlist order within the component
     bool cyclic = false;        // more than one primitive, or a self-loop
   };
   std::vector<Component> components;  // topological order
+  /// Per primitive: 1 iff it belongs to a cyclic component (a feedback
+  /// loop, where the fixpoint can depend on evaluation history).
+  std::vector<char> in_cycle;
 };
 
 BatchSchedule build_batch_schedule(const Netlist& nl);

@@ -7,9 +7,9 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "core/batch_eval.hpp"
 #include "core/checker.hpp"
 #include "core/cone.hpp"
-#include "core/snapshot.hpp"
 #include "core/verifier.hpp"
 #include "util/fault.hpp"
 
@@ -777,9 +777,9 @@ VerifyResult Verifier::reverify(const NetlistDelta& delta, ReverifyStats* stats)
                        st.dirty_prims.end());
 
   if (potential) {
-    const std::vector<char>& scc = scc_mask();
+    const std::vector<char>& in_cycle = batch_schedule().in_cycle;
     for (PrimId pid : potential->prims) {
-      if (scc[pid]) {
+      if (in_cycle[pid]) {
         // Inside an unclocked feedback loop the fixpoint may depend on the
         // order values arrived (a combinational latch can hold a transient);
         // re-propagating from final upstream values is not provably
@@ -847,9 +847,13 @@ VerifyResult Verifier::reverify(const NetlistDelta& delta, ReverifyStats* stats)
   // (either a case-cone primitive reads a changed signal, or the base
   // findings its block copied in the check-cone region changed). Disjoint
   // clean cases splice: drop the block's copied check-cone findings, merge
-  // in the new ones, re-sort.
+  // in the new ones, re-sort. The re-run cases are collected and go through
+  // verify()'s case phase together, then scatter back by index.
   r.cases.resize(new_cases.size());
   std::vector<std::vector<Degradation>> case_degradations(new_cases.size());
+  std::vector<std::size_t> rerun_at;
+  std::vector<CaseSpec> rerun_specs;
+  std::vector<std::shared_ptr<const Cone>> rerun_cones;
   const ConeIndex& cidx = cone_index();
   auto in_check_cone = [&](const Violation& v) {
     if (v.type == Violation::Type::StableAssertionViolated) {
@@ -888,9 +892,9 @@ VerifyResult Verifier::reverify(const NetlistDelta& delta, ReverifyStats* stats)
     }
 
     if (rerun) {
-      ++st.cases_reevaluated;
-      r.cases[i] = run_case(new_cases[i], ccone, r.violations, r.converged,
-                            case_degradations[i]);
+      rerun_at.push_back(i);
+      rerun_specs.push_back(new_cases[i]);
+      rerun_cones.push_back(std::move(ccone));
     } else {
       ++st.cases_spliced;
       const VerifyResult::CaseResult& pc = prior.cases[static_cast<std::size_t>(origin)];
@@ -914,6 +918,15 @@ VerifyResult Verifier::reverify(const NetlistDelta& delta, ReverifyStats* stats)
       sort_violations(cr.violations);
       r.cases[i] = std::move(cr);
     }
+  }
+  st.cases_reevaluated = rerun_at.size();
+  std::vector<VerifyResult::CaseResult> rerun_results;
+  std::vector<std::vector<Degradation>> rerun_degradations;
+  run_cases(rerun_specs, rerun_cones, r.violations, r.converged, r.partial, rerun_results,
+            rerun_degradations);
+  for (std::size_t k = 0; k < rerun_at.size(); ++k) {
+    r.cases[rerun_at[k]] = std::move(rerun_results[k]);
+    case_degradations[rerun_at[k]] = std::move(rerun_degradations[k]);
   }
   merge_case_degradations(r, case_degradations);
 

@@ -223,8 +223,9 @@ class Netlist {
                 const std::vector<diag::SourceLoc>* prim_locs = nullptr);
   bool finalized() const { return finalized_; }
   /// Monotone counter bumped every time finalize() succeeds: derived
-  /// structures (ConeIndex, SCC masks) capture it and compare to detect a
-  /// changed fanout graph. Starts at 0 (never finalized).
+  /// structures (ConeIndex, the Verifier's batch schedule) capture it and
+  /// compare to detect a changed fanout graph. Starts at 0 (never
+  /// finalized).
   std::uint64_t structure_version() const { return structure_version_; }
 
   /// Signals that are read by some primitive but neither driven nor

@@ -8,7 +8,6 @@
 
 #include "core/batch_eval.hpp"
 #include "core/cone.hpp"
-#include "core/scc.hpp"
 #include "core/snapshot.hpp"
 
 namespace tv {
@@ -118,39 +117,13 @@ const ConeIndex& Verifier::cone_index() {
   return *cone_index_;
 }
 
-const std::vector<char>& Verifier::scc_mask() {
+const BatchSchedule& Verifier::batch_schedule() {
   const Netlist& nl = ev_.netlist();
-  if (!scc_valid_ || scc_version_ != nl.structure_version()) {
-    // Nontrivial SCCs of the non-checker fanout graph: inside an unclocked
-    // feedback loop the fixpoint can depend on the order values arrived
-    // (e.g. a combinational latch holding a transient), so incremental
-    // propagation from the *final* upstream values is not provably
-    // equivalent to a cold run -- reverify() falls back when its dirty cone
-    // touches one of these primitives.
-    std::vector<std::vector<std::uint32_t>> adj(nl.num_prims());
-    for (PrimId pid = 0; pid < nl.num_prims(); ++pid) {
-      const Primitive& p = nl.prim(pid);
-      if (prim_is_checker(p.kind) || p.output == kNoSignal) continue;
-      for (PrimId consumer : nl.signal(p.output).fanout) {
-        if (!prim_is_checker(nl.prim(consumer).kind)) adj[pid].push_back(consumer);
-      }
-    }
-    scc_mask_.assign(nl.num_prims(), 0);
-    for (const auto& comp : strongly_connected_components(adj)) {
-      bool self_loop = false;
-      if (comp.size() == 1) {
-        for (std::uint32_t succ : adj[comp[0]]) {
-          if (succ == comp[0]) self_loop = true;
-        }
-      }
-      if (comp.size() > 1 || self_loop) {
-        for (std::uint32_t pid : comp) scc_mask_[pid] = 1;
-      }
-    }
-    scc_version_ = nl.structure_version();
-    scc_valid_ = true;
+  if (!schedule_ || schedule_version_ != nl.structure_version()) {
+    schedule_ = std::make_shared<const BatchSchedule>(build_batch_schedule(nl));
+    schedule_version_ = nl.structure_version();
   }
-  return scc_mask_;
+  return *schedule_;
 }
 
 VerifyResult Verifier::verify_impl(const std::vector<CaseSpec>& cases) {
@@ -192,8 +165,6 @@ VerifyResult Verifier::verify_impl(const std::vector<CaseSpec>& cases) {
   // Validate every case up front (so no worker throws mid-flight) and
   // resolve each pin set to its affected cone. Cones are memoized: a case
   // file sweeping one control bus costs a single BFS.
-  const Netlist& nl = ev_.netlist();
-  const VerifierOptions& opts = ev_.options();
   const ConeIndex& cone_idx = cone_index();
   std::vector<std::shared_ptr<const Cone>> cones;
   cones.reserve(cases.size());
@@ -209,14 +180,28 @@ VerifyResult Verifier::verify_impl(const std::vector<CaseSpec>& cases) {
     cones.push_back(cone_idx.cone_of(std::move(pins)));
   }
 
+  std::vector<std::vector<Degradation>> case_degradations;
+  run_cases(cases, cones, r.violations, r.converged, r.partial, r.cases, case_degradations);
+  merge_case_degradations(r, case_degradations);
+  return r;
+}
+
+void Verifier::run_cases(const std::vector<CaseSpec>& cases,
+                         const std::vector<std::shared_ptr<const Cone>>& cones,
+                         const std::vector<Violation>& base_violations, bool base_converged,
+                         bool base_partial, std::vector<VerifyResult::CaseResult>& results,
+                         std::vector<std::vector<Degradation>>& degradations) {
   // Each case evaluates on its own copy-on-write snapshot of the baseline
   // fixpoint: workers share only the immutable netlist, and results (and
   // their degradation records) land in their input slot, merging after the
   // pool joins in input order -- deterministic by construction.
-  r.cases.resize(cases.size());
-  std::vector<std::vector<Degradation>> case_degradations(cases.size());
+  results.assign(cases.size(), VerifyResult::CaseResult{});
+  degradations.assign(cases.size(), {});
+  if (cases.empty()) return;
+  const Netlist& nl = ev_.netlist();
+  const VerifierOptions& opts = ev_.options();
   auto run_one = [&](std::size_t i) {
-    r.cases[i] = run_case(cases[i], cones[i], r.violations, r.converged, case_degradations[i]);
+    results[i] = run_case(cases[i], cones[i], base_violations, base_converged, degradations[i]);
   };
 
   // Batch engine eligibility (docs/batch_eval.md): the lockstep sweep
@@ -224,15 +209,15 @@ VerifyResult Verifier::verify_impl(const std::vector<CaseSpec>& cases) {
   // budget (deadline-degradation points are inherently order-dependent, so
   // those runs keep the reference path's exact behavior).
   InternContext* ctx = ev_.intern_context().get();
-  const bool use_batch = opts.batch_eval && ctx != nullptr && !r.partial &&
-                         r.converged && !opts.deadline.armed() &&
+  const bool use_batch = opts.batch_eval && ctx != nullptr && !base_partial &&
+                         base_converged && !opts.deadline.armed() &&
                          opts.time_limit_seconds <= 0 &&
                          opts.max_evals_per_prim > 0;
   if (use_batch) {
     const std::size_t lanes =
         std::clamp<std::size_t>(opts.batch_lanes ? opts.batch_lanes : 64, 1, 4096);
     const std::size_t num_blocks = (cases.size() + lanes - 1) / lanes;
-    BatchSchedule sched = build_batch_schedule(nl);
+    const BatchSchedule& sched = batch_schedule();
     auto run_block = [&](std::size_t b) {
       const std::size_t first = b * lanes;
       const std::size_t count = std::min(lanes, cases.size() - first);
@@ -259,10 +244,10 @@ VerifyResult Verifier::verify_impl(const std::vector<CaseSpec>& cases) {
       for (std::size_t l = 0; l < count; ++l) {
         snap_ptrs[l] = &snaps[l];
         cone_ptrs[l] = cones[first + l].get();
-        conv[l] = static_cast<char>(r.converged && br.lanes[l].converged);
+        conv[l] = static_cast<char>(base_converged && br.lanes[l].converged);
       }
       std::vector<std::vector<Violation>> lane_violations = run_checks_batch(
-          opts, snap_ptrs, cone_ptrs, conv, ev_.wave_refs(), r.violations);
+          opts, snap_ptrs, cone_ptrs, conv, ev_.wave_refs(), base_violations);
       for (std::size_t l = 0; l < count; ++l) {
         BatchLaneStats& ls = br.lanes[l];
         VerifyResult::CaseResult cr;
@@ -270,18 +255,16 @@ VerifyResult Verifier::verify_impl(const std::vector<CaseSpec>& cases) {
         cr.events = snaps[l].disturbed_signals();
         cr.converged = static_cast<bool>(conv[l]);
         cr.degraded = ls.degraded;
-        case_degradations[first + l] = std::move(ls.degradations);
+        degradations[first + l] = std::move(ls.degradations);
         cr.violations = std::move(lane_violations[l]);
         sort_violations(cr.violations);
-        r.cases[first + l] = std::move(cr);
+        results[first + l] = std::move(cr);
       }
     };
     for_each_unit(num_blocks, opts.jobs, run_block);
   } else {
     for_each_unit(cases.size(), opts.jobs, run_one);
   }
-  merge_case_degradations(r, case_degradations);
-  return r;
 }
 
 std::string timing_summary(const Netlist& nl) {

@@ -22,6 +22,7 @@
 
 namespace tv {
 
+struct BatchSchedule;
 struct Cone;
 class ConeIndex;
 struct NetlistDelta;
@@ -128,12 +129,24 @@ class Verifier {
 
  private:
   VerifyResult verify_impl(const std::vector<CaseSpec>& cases);
-  /// One case against the fixpoint the netlist holds (sec. 2.7): the
-  /// per-case worklist on a cone-scoped snapshot, cone-scoped checks that
-  /// reuse `base_violations` outside the cone, sorted findings. The case's
-  /// resource-guard records replace `degradations`. verify()'s per-case
-  /// path, its batch-abort fallback and reverify()'s re-run branch all go
-  /// through here; safe to call concurrently.
+  /// The case phase (sec. 2.7) against the fixpoint the netlist holds, for
+  /// both verify() (every case) and reverify() (the cases it must re-run):
+  /// lane blocks of the batch sweep plus lane-batched checks when the
+  /// baseline is eligible, run_case per case otherwise and for any block
+  /// that aborted, spread over options().jobs workers. `cones[i]` is
+  /// cases[i]'s affected cone. Case i's result lands in results[i] and its
+  /// resource-guard records in degradations[i], identical for every job
+  /// count and lane width.
+  void run_cases(const std::vector<CaseSpec>& cases,
+                 const std::vector<std::shared_ptr<const Cone>>& cones,
+                 const std::vector<Violation>& base_violations, bool base_converged,
+                 bool base_partial, std::vector<VerifyResult::CaseResult>& results,
+                 std::vector<std::vector<Degradation>>& degradations);
+  /// One case on the per-case worklist: a cone-scoped snapshot, cone-scoped
+  /// checks that reuse `base_violations` outside the cone, sorted findings.
+  /// The case's resource-guard records replace `degradations`. Only
+  /// run_cases calls it (ineligible runs and aborted blocks); safe to call
+  /// concurrently.
   VerifyResult::CaseResult run_case(const CaseSpec& spec,
                                     const std::shared_ptr<const Cone>& cone,
                                     const std::vector<Violation>& base_violations,
@@ -146,19 +159,19 @@ class Verifier {
   /// The memoized cone index for the current fanout graph, rebuilt when a
   /// structural edit bumped the netlist's structure version.
   const ConeIndex& cone_index();
-  /// Per-prim mask: member of a nontrivial SCC of the non-checker fanout
-  /// graph (an unclocked feedback loop, where the fixpoint can depend on
-  /// evaluation history). Cached per structure version.
-  const std::vector<char>& scc_mask();
+  /// The batch sweep's schedule for the current fanout graph: built on
+  /// first use and rebuilt only when a structural edit bumped the
+  /// netlist's structure version. Its in_cycle mask is also reverify()'s
+  /// feedback-loop gate.
+  const BatchSchedule& batch_schedule();
 
   Evaluator ev_;
   bool has_baseline_ = false;
   VerifyResult last_;                 // previous report, splice baseline
   std::vector<CaseSpec> last_cases_;  // cases last_ was computed with
   std::shared_ptr<ConeIndex> cone_index_;
-  std::vector<char> scc_mask_;
-  std::uint64_t scc_version_ = 0;
-  bool scc_valid_ = false;
+  std::shared_ptr<const BatchSchedule> schedule_;
+  std::uint64_t schedule_version_ = 0;  // structure version schedule_ was built for
 };
 
 // --- report formatting (Figs 3-10 / 3-11) ----------------------------------

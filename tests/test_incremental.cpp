@@ -12,7 +12,10 @@
 //    back to a cold run -- and still renders identically;
 //  * ConeIndex::is_current() goes stale when fanout edges change, and a
 //    retargeted checker input is actually re-checked (the staleness
-//    regression: a stale spliced verdict must never survive a retarget).
+//    regression: a stale spliced verdict must never survive a retarget);
+//  * re-run cases render identically on either case engine, for every job
+//    count and lane width, and the verifier's cached sweep schedule follows
+//    retargets (edge order and feedback-loop gate alike).
 //
 // Identity comparisons exclude the cumulative base_events/base_evals
 // counters -- those are the speedup itself (see incremental.hpp).
@@ -81,16 +84,26 @@ struct IncrFixture {
   }
 };
 
-// Builds a second pristine fixture, applies the same delta wholesale, and
+// Two more cases upstream of the checker, so an edit on the A/C side
+// re-runs three cases (a1, c1, c0) and splices only x0.
+void add_upstream_cases(IncrFixture& f) {
+  f.cases.push_back(CaseSpec{"a1", {{f.a.id, V::One}}});
+  f.cases.push_back(CaseSpec{"c0", {{f.c.id, V::Zero}}});
+}
+
+// Builds a second pristine fixture, applies the deltas wholesale, and
 // cold-verifies: the incremental render must match these bytes.
-std::string cold_render(const NetlistDelta& delta) {
+std::string cold_render(const std::vector<NetlistDelta>& deltas, bool upstream_cases = false) {
   IncrFixture f;
-  apply_delta(f.nl, f.cases, delta);
+  if (upstream_cases) add_upstream_cases(f);
+  for (const NetlistDelta& delta : deltas) apply_delta(f.nl, f.cases, delta);
   if (!f.nl.finalized()) f.nl.finalize();
   Verifier v(f.nl, f.opts);
   VerifyResult r = v.verify(f.cases);
   return render(f.nl, r);
 }
+
+std::string cold_render(const NetlistDelta& delta) { return cold_render(std::vector{delta}); }
 
 TEST(Incremental, EmptyDeltaSplicesTheCachedReportVerbatim) {
   IncrFixture f;
@@ -314,6 +327,78 @@ TEST(Incremental, RetargetedCheckerInputIsRechecked) {
   EXPECT_EQ(r.violations[0].type, Violation::Type::Setup);
   EXPECT_EQ(r.violations[0].missed_by, from_ns(1.5));
   EXPECT_EQ(render(f.nl, r), cold_render(delta));
+}
+
+// reverify() re-runs its cases through verify()'s case phase: the batch
+// sweep or the per-case worklist, any lane width, any job count -- all must
+// give the cold report. A G1 delay that moves D across CK's setup/hold
+// window makes the cases disagree (c1 holds D at 1 and is clean, the
+// others keep the setup and hold violations); a retarget of G2's side
+// input re-runs the cases whose cone gained or lost G2.
+TEST(Incremental, ReRunCasesRenderIdenticallyOnEveryCaseEngine) {
+  const IncrFixture ids;
+  NetlistDelta slow;
+  slow.prims.push_back({ids.g1, std::nullopt, std::make_pair(from_ns(20), from_ns(25))});
+  NetlistDelta retarget;
+  retarget.pins.push_back({ids.g2, 1, ids.y.id, false, ""});
+
+  for (const NetlistDelta& delta : {slow, retarget}) {
+    const std::string cold = cold_render({delta}, true);
+    for (bool batch : {true, false}) {
+      for (unsigned jobs : {1u, 4u}) {
+        for (unsigned lanes : {64u, 1u}) {
+          IncrFixture f;
+          add_upstream_cases(f);
+          f.opts.batch_eval = batch;
+          f.opts.jobs = jobs;
+          f.opts.batch_lanes = lanes;
+          Verifier v(f.nl, f.opts);
+          v.verify(f.cases);
+          ReverifyStats st;
+          VerifyResult r = v.reverify(delta, &st);
+          const std::string config = std::string(delta.structural() ? "retarget" : "delay") +
+                                     " batch=" + (batch ? "on" : "off") +
+                                     " jobs=" + std::to_string(jobs) +
+                                     " lanes=" + std::to_string(lanes);
+          ASSERT_TRUE(st.incremental) << config << ": " << st.fallback_reason;
+          EXPECT_GE(st.cases_reevaluated, 2u) << config;
+          EXPECT_EQ(render(f.nl, r), cold) << config;
+        }
+      }
+    }
+  }
+}
+
+// The sweep's schedule is cached per structure version. A retarget of G3's
+// input onto D hangs X's island below G2, so the sweep must now evaluate
+// G3 after G2 -- for the retarget's own re-run cases and for a later G1
+// delay edit upstream of both; and a retarget that closes a loop through
+// G3 must show up in the schedule's feedback-loop gate at once.
+TEST(Incremental, CachedScheduleFollowsRetargets) {
+  IncrFixture f;
+  Verifier v(f.nl, f.opts);
+  v.verify(f.cases);
+
+  NetlistDelta retarget;
+  retarget.pins.push_back({f.g3, 0, f.d.id, false, ""});
+  ReverifyStats st;
+  VerifyResult r = v.reverify(retarget, &st);
+  ASSERT_TRUE(st.incremental) << st.fallback_reason;
+  EXPECT_GE(st.cases_reevaluated, 1u);
+  EXPECT_EQ(render(f.nl, r), cold_render({retarget}));
+
+  NetlistDelta slow;
+  slow.prims.push_back({f.g1, std::nullopt, std::make_pair(from_ns(20), from_ns(25))});
+  r = v.reverify(slow, &st);
+  ASSERT_TRUE(st.incremental) << st.fallback_reason;
+  EXPECT_GE(st.cases_reevaluated, 1u);
+  EXPECT_EQ(render(f.nl, r), cold_render({retarget, slow}));
+
+  NetlistDelta loop;
+  loop.pins.push_back({f.g1, 0, f.y.id, false, ""});
+  v.reverify(loop, &st);
+  EXPECT_FALSE(st.incremental);
+  EXPECT_EQ(st.fallback_reason, "dirty cone touches an unclocked feedback loop");
 }
 
 }  // namespace
