@@ -5,9 +5,35 @@
 
 namespace tv {
 
+void SlotMap::finish(std::vector<std::uint32_t>& members) {
+  members.clear();
+  for (std::size_t w = 0; w < bits_.size(); ++w) {
+    rank_[w] = static_cast<std::uint32_t>(members.size());
+    for (std::uint64_t word = bits_[w]; word != 0; word &= word - 1) {
+      members.push_back(static_cast<std::uint32_t>(w * 64 + std::countr_zero(word)));
+    }
+  }
+}
+
 ConeIndex::ConeIndex(const Netlist& nl) : nl_(nl), version_(nl.structure_version()) {
   if (!nl.finalized()) {
     throw std::logic_error("ConeIndex requires a finalized netlist");
+  }
+  fanout_begin_.reserve(nl.num_signals() + 1);
+  driver_.reserve(nl.num_signals());
+  fanout_begin_.push_back(0);
+  for (SignalId id = 0; id < nl.num_signals(); ++id) {
+    const Signal& s = nl.signal(id);
+    fanout_.insert(fanout_.end(), s.fanout.begin(), s.fanout.end());
+    fanout_begin_.push_back(static_cast<std::uint32_t>(fanout_.size()));
+    driver_.push_back(s.driver);
+  }
+  // A checker consumes cone signals but drives nothing; a functional
+  // primitive propagates the disturbance to its output signal.
+  drives_.reserve(nl.num_prims());
+  for (PrimId id = 0; id < nl.num_prims(); ++id) {
+    const Primitive& p = nl.prim(id);
+    drives_.push_back(prim_is_checker(p.kind) ? kNoSignal : p.output);
   }
 }
 
@@ -26,51 +52,33 @@ std::shared_ptr<const Cone> ConeIndex::cone_of(std::vector<SignalId> pins) const
 }
 
 std::shared_ptr<const Cone> ConeIndex::compute(const std::vector<SignalId>& pins) const {
-  auto cone = std::make_shared<Cone>();
-  cone->signal_slot.assign(nl_.num_signals(), -1);
-  cone->prim_slot.assign(nl_.num_prims(), -1);
+  auto cone = std::make_shared<Cone>(driver_.size(), drives_.size());
 
   std::vector<SignalId> stack;
   auto mark_signal = [&](SignalId id) {
-    if (cone->signal_slot[id] >= 0) return;
-    cone->signal_slot[id] = 0;  // slot assigned after the sweep
-    stack.push_back(id);
+    if (cone->signal_slot.mark(id)) stack.push_back(id);
   };
   auto mark_prim = [&](PrimId id) {
-    if (cone->prim_slot[id] >= 0) return;
-    cone->prim_slot[id] = 0;
-    // A checker consumes cone signals but drives nothing; a functional
-    // primitive propagates the disturbance to its output signal.
-    const Primitive& p = nl_.prim(id);
-    if (!prim_is_checker(p.kind) && p.output != kNoSignal) mark_signal(p.output);
+    if (cone->prim_slot.mark(id) && drives_[id] != kNoSignal) mark_signal(drives_[id]);
   };
 
   for (SignalId id : pins) {
-    if (id >= nl_.num_signals()) throw std::out_of_range("case pins unknown signal");
+    if (id >= driver_.size()) throw std::out_of_range("case pins unknown signal");
     mark_signal(id);
     // The driver re-evaluates so the case mapping is applied to its output;
     // its inputs are untouched, so marking it does not widen the cone.
-    if (nl_.signal(id).driver != kNoPrim) mark_prim(nl_.signal(id).driver);
+    if (driver_[id] != kNoPrim) mark_prim(driver_[id]);
   }
   while (!stack.empty()) {
     SignalId id = stack.back();
     stack.pop_back();
-    for (PrimId pid : nl_.signal(id).fanout) mark_prim(pid);
+    for (std::uint32_t e = fanout_begin_[id]; e < fanout_begin_[id + 1]; ++e) {
+      mark_prim(fanout_[e]);
+    }
   }
 
-  // Assign dense slots in id order so cone-local arrays iterate ascending.
-  for (SignalId id = 0; id < nl_.num_signals(); ++id) {
-    if (cone->signal_slot[id] >= 0) {
-      cone->signal_slot[id] = static_cast<std::int32_t>(cone->signals.size());
-      cone->signals.push_back(id);
-    }
-  }
-  for (PrimId id = 0; id < nl_.num_prims(); ++id) {
-    if (cone->prim_slot[id] >= 0) {
-      cone->prim_slot[id] = static_cast<std::int32_t>(cone->prims.size());
-      cone->prims.push_back(id);
-    }
-  }
+  cone->signal_slot.finish(cone->signals);
+  cone->prim_slot.finish(cone->prims);
   return cone;
 }
 

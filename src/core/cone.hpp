@@ -8,11 +8,20 @@
 // included, since their checks must be re-run), and O(1) slot maps that let
 // a snapshot store per-cone evaluation state in dense cone-local arrays.
 //
+// A cone costs its own size, not the netlist's. Each slot map is a bitmap
+// with one bit per id plus one 32-bit prefix count per 64-bit word (12 bytes
+// per 64 ids, a 21st of an int32 array); a member's slot is its rank among
+// the set bits. The index keeps a compact CSR copy of the fanout graph
+// (signal -> consumer primitives, primitive -> the signal it drives), so a
+// BFS touches only cone members and the ascending member lists fall out of
+// one scan over the set bits: O(|cone| + N/64) time and memory per cone.
+//
 // Cones are memoized by pin set: the common case file pins the same control
 // signals over and over with different values (CONTROL=0 / CONTROL=1), so
 // one BFS serves every case on that pin set.
 #pragma once
 
+#include <bit>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -22,8 +31,47 @@
 
 namespace tv {
 
+/// Membership and cone-local slot of ids drawn from [0, n). Ids are
+/// marked first; finish() then fixes the ranks and lists the members, after
+/// which a member's slot is its index in that ascending list.
+class SlotMap {
+ public:
+  explicit SlotMap(std::size_t n) : bits_((n + 63) / 64, 0), rank_(bits_.size(), 0) {}
+
+  /// Sets `id`'s bit; true when it was clear. Only valid before finish().
+  bool mark(std::uint32_t id) {
+    std::uint64_t& word = bits_[id >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (id & 63);
+    if (word & bit) return false;
+    word |= bit;
+    return true;
+  }
+
+  bool contains(std::uint32_t id) const { return (bits_[id >> 6] >> (id & 63)) & 1; }
+
+  /// Cone-local slot of `id`, or -1 outside the set.
+  std::int32_t operator[](std::uint32_t id) const {
+    const std::uint64_t word = bits_[id >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (id & 63);
+    if (!(word & bit)) return -1;
+    return static_cast<std::int32_t>(rank_[id >> 6]) + std::popcount(word & (bit - 1));
+  }
+
+  /// Fixes every word's prefix count and replaces `members` with the
+  /// marked ids, ascending.
+  void finish(std::vector<std::uint32_t>& members);
+
+ private:
+  std::vector<std::uint64_t> bits_;
+  std::vector<std::uint32_t> rank_;  // set bits in all earlier words
+};
+
 /// The transitive affected cone of one pin set.
 struct Cone {
+  /// An empty cone over a netlist of this size, ready for marking.
+  Cone(std::size_t num_signals, std::size_t num_prims)
+      : signal_slot(num_signals), prim_slot(num_prims) {}
+
   /// Affected signals, ascending. Includes the pinned signals.
   std::vector<SignalId> signals;
   /// Affected primitives, ascending: the pinned signals' drivers, every
@@ -31,13 +79,13 @@ struct Cone {
   /// constraints must be re-examined) but are never enqueued for evaluation.
   std::vector<PrimId> prims;
 
-  /// Dense cone-local slot of each signal/primitive, or -1 outside the cone.
-  /// Sized to the full netlist so membership tests are a single load.
-  std::vector<std::int32_t> signal_slot;
-  std::vector<std::int32_t> prim_slot;
+  /// Cone-local slot of each signal/primitive (its index in `signals` /
+  /// `prims`), or -1 outside the cone.
+  SlotMap signal_slot;
+  SlotMap prim_slot;
 
-  bool contains_signal(SignalId id) const { return signal_slot[id] >= 0; }
-  bool contains_prim(PrimId id) const { return prim_slot[id] >= 0; }
+  bool contains_signal(SignalId id) const { return signal_slot.contains(id); }
+  bool contains_prim(PrimId id) const { return prim_slot.contains(id); }
 };
 
 class ConeIndex {
@@ -54,8 +102,9 @@ class ConeIndex {
 
   /// False once the netlist's fanout graph changed after construction (it
   /// was re-finalized, bumping structure_version(), or definalized by an
-  /// edit). A stale index must be discarded -- its memoized cones describe
-  /// the old graph and would silently skip retargeted connections.
+  /// edit). A stale index must be discarded -- its fanout copy and memoized
+  /// cones describe the old graph and would silently skip retargeted
+  /// connections.
   bool is_current() const {
     return nl_.finalized() && nl_.structure_version() == version_;
   }
@@ -65,6 +114,12 @@ class ConeIndex {
 
   const Netlist& nl_;
   std::uint64_t version_ = 0;
+  // The fanout graph as of construction, in CSR form: the consumers of
+  // signal s are fanout_[fanout_begin_[s] .. fanout_begin_[s + 1]).
+  std::vector<std::uint32_t> fanout_begin_;
+  std::vector<PrimId> fanout_;
+  std::vector<PrimId> driver_;      // SignalId -> driving primitive or kNoPrim
+  std::vector<SignalId> drives_;    // PrimId -> output, kNoSignal for checkers
   mutable std::mutex mu_;
   mutable std::map<std::vector<SignalId>, std::shared_ptr<const Cone>> cache_;
 };

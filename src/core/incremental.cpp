@@ -809,30 +809,15 @@ VerifyResult Verifier::reverify(const NetlistDelta& delta, ReverifyStats* stats)
   // wire/assertion-edited signals (their checking context changed even when
   // their waveform did not), plus every edited primitive and every consumer
   // of an in-cone signal (their prepared inputs changed).
-  std::vector<char> sig_in(nl.num_signals(), 0);
-  std::vector<char> prim_in(nl.num_prims(), 0);
-  for (SignalId s : ev_.touched_signals()) sig_in[s] = 1;
-  for (SignalId s : recheck_signals) sig_in[s] = 1;
-  for (PrimId pid : edited_prims) prim_in[pid] = 1;
-  for (SignalId s = 0; s < nl.num_signals(); ++s) {
-    if (!sig_in[s]) continue;
-    for (PrimId pid : nl.signal(s).fanout) prim_in[pid] = 1;
+  Cone check_cone(nl.num_signals(), nl.num_prims());
+  for (SignalId s : ev_.touched_signals()) check_cone.signal_slot.mark(s);
+  for (SignalId s : recheck_signals) check_cone.signal_slot.mark(s);
+  check_cone.signal_slot.finish(check_cone.signals);
+  for (PrimId pid : edited_prims) check_cone.prim_slot.mark(pid);
+  for (SignalId s : check_cone.signals) {
+    for (PrimId pid : nl.signal(s).fanout) check_cone.prim_slot.mark(pid);
   }
-  Cone check_cone;
-  check_cone.signal_slot.assign(nl.num_signals(), -1);
-  check_cone.prim_slot.assign(nl.num_prims(), -1);
-  for (SignalId s = 0; s < nl.num_signals(); ++s) {
-    if (sig_in[s]) {
-      check_cone.signal_slot[s] = static_cast<std::int32_t>(check_cone.signals.size());
-      check_cone.signals.push_back(s);
-    }
-  }
-  for (PrimId pid = 0; pid < nl.num_prims(); ++pid) {
-    if (prim_in[pid]) {
-      check_cone.prim_slot[pid] = static_cast<std::int32_t>(check_cone.prims.size());
-      check_cone.prims.push_back(pid);
-    }
-  }
+  check_cone.prim_slot.finish(check_cone.prims);
 
   // Base findings: recheck inside the cone, splice the prior findings
   // everywhere else (their inputs are bit-identical to the prior fixpoint).
@@ -857,9 +842,9 @@ VerifyResult Verifier::reverify(const NetlistDelta& delta, ReverifyStats* stats)
   const ConeIndex& cidx = cone_index();
   auto in_check_cone = [&](const Violation& v) {
     if (v.type == Violation::Type::StableAssertionViolated) {
-      return v.signal != kNoSignal && sig_in[v.signal] != 0;
+      return v.signal != kNoSignal && check_cone.contains_signal(v.signal);
     }
-    return v.prim != kNoPrim && prim_in[v.prim] != 0;
+    return v.prim != kNoPrim && check_cone.contains_prim(v.prim);
   };
   for (std::size_t i = 0; i < new_cases.size(); ++i) {
     std::vector<SignalId> pins;
@@ -876,7 +861,7 @@ VerifyResult Verifier::reverify(const NetlistDelta& delta, ReverifyStats* stats)
     }
     if (!rerun) {
       for (SignalId s : ccone->signals) {
-        if (sig_in[s]) {
+        if (check_cone.contains_signal(s)) {
           rerun = true;
           break;
         }
@@ -884,7 +869,7 @@ VerifyResult Verifier::reverify(const NetlistDelta& delta, ReverifyStats* stats)
     }
     if (!rerun) {
       for (PrimId pid : ccone->prims) {
-        if (prim_in[pid]) {
+        if (check_cone.contains_prim(pid)) {
           rerun = true;
           break;
         }

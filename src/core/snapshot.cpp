@@ -243,10 +243,11 @@ class CaseRunner {
       }
       PrimId pid = worklist_.front();
       worklist_.pop_front();
-      in_worklist_[cone_.prim_slot[pid]] = 0;
+      const std::int32_t slot = cone_.prim_slot[pid];
+      in_worklist_[slot] = 0;
       const Primitive& p = nl_.prim(pid);
 
-      if (++eval_count_[cone_.prim_slot[pid]] > opts_.max_evals_per_prim) {
+      if (++eval_count_[slot] > opts_.max_evals_per_prim) {
         stats_.converged = false;
         continue;
       }
