@@ -331,11 +331,12 @@ std::string test_name(const std::string& kind) {
 }
 }  // namespace
 
-std::string gtest_repro(const CircuitSpec& spec, const std::string& oracle_kind) {
+std::string gtest_repro(const CircuitSpec& spec, const std::string& oracle_kind,
+                        const std::string& oracle_call) {
   std::ostringstream os;
   os << "TEST(CheckRegression, " << test_name(oracle_kind) << "Seed" << spec.seed << ") {\n";
   os << to_cpp(spec);
-  os << "    auto fail = tv::check::check_conservatism(s);\n";
+  os << "    auto fail = " << oracle_call << ";\n";
   os << "    ASSERT_FALSE(fail.has_value()) << fail->kind << \": \" << fail->detail;\n";
   os << "}\n";
   return os.str();

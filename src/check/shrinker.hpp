@@ -30,9 +30,16 @@ CircuitSpec shrink_circuit(const CircuitSpec& failing, const CircuitPred& still_
 WaveCase shrink_wave(const WaveCase& failing, const WavePred& still_fails,
                      int max_checks = 4000);
 
+/// The circuit oracle a repro asserts when none is named.
+inline constexpr const char* kConservatismCall = "tv::check::check_conservatism(s)";
+
 /// Renders a ready-to-paste gtest regression test asserting that the given
-/// spec passes the named oracle ("conservatism" or "wave-algebra").
-std::string gtest_repro(const CircuitSpec& spec, const std::string& oracle_kind);
+/// spec passes an oracle: `oracle_kind` names the test, `oracle_call` is the
+/// C++ expression over the spec variable `s` that re-runs the failing
+/// oracle (check/pipeline_diff.hpp's pipeline_call/degradation_call for
+/// matrix failures).
+std::string gtest_repro(const CircuitSpec& spec, const std::string& oracle_kind,
+                        const std::string& oracle_call = kConservatismCall);
 std::string gtest_repro(const WaveCase& wc, const std::string& oracle_kind);
 
 }  // namespace tv::check

@@ -24,7 +24,7 @@
 //     shard-locked EvalMemo as the per-case path, and identical adjacent
 //     lanes reuse the previous lane's result outright.
 //
-// The invariant, enforced by the golden suite and tvfuzz --batch-diff: for
+// The invariant, enforced by the golden suite and tvfuzz --matrix: for
 // non-degraded runs the batch path's reports are byte-identical to the
 // per-case path's. Degradation-prone runs (armed wall-clock budgets,
 // degraded or non-convergent base fixpoints, a full intern table) are not

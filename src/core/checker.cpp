@@ -40,6 +40,28 @@ Time steady_run_until(const Waveform& w, Time until, Time cap) {
   return std::min(avail, cap);
 }
 
+// The edge windows a checker tests its data against. A clock region that a
+// resource guard degraded to UNKNOWN may hide an edge of either polarity,
+// so it counts as CHANGE here -- otherwise a degraded clock would silence
+// its checker. A clock that holds no steady level anywhere may switch at
+// any instant: it gets one window spanning the whole cycle, from 0 to the
+// last picosecond, when it can carry an edge of the wanted polarity.
+std::vector<EdgeWindow> check_edges(const Waveform& clock, bool rising) {
+  Waveform ck = clock.replaced(Value::Unknown, Value::Change);
+  auto any = [&](auto pred) {
+    return std::any_of(ck.segments().begin(), ck.segments().end(),
+                       [&](const Waveform::Segment& s) { return pred(s.value); });
+  };
+  if (!any(is_steady)) {
+    const Value edge = rising ? Value::Rise : Value::Fall;
+    if (any([&](Value v) { return v == Value::Change || v == edge; })) {
+      return {EdgeWindow{0, ck.period() - 1}};
+    }
+    return {};
+  }
+  return edge_windows(ck, rising);
+}
+
 struct CheckContext {
   const EvalView& ev;
   const Netlist& nl;
@@ -81,7 +103,7 @@ void check_setup_hold(CheckContext& ctx, PrimId pid) {
                       ctx.describe("CLOCK INPUT", p.inputs[1], ck);
   char hdr[160];
 
-  for (const EdgeWindow& e : edge_windows(ck, /*rising=*/true)) {
+  for (const EdgeWindow& e : check_edges(ck, /*rising=*/true)) {
     // Set-up: the input must already be steady `setup` before the earliest
     // possible rising edge (Fig 2-3; the Fig 3-11 report measures the miss
     // from the required stable time).
@@ -130,8 +152,8 @@ void check_setup_rise_hold_fall(CheckContext& ctx, PrimId pid) {
                       ctx.describe("CLOCK INPUT", p.inputs[1], ck);
   char hdr[160];
 
-  std::vector<EdgeWindow> rises = edge_windows(ck, true);
-  std::vector<EdgeWindow> falls = edge_windows(ck, false);
+  std::vector<EdgeWindow> rises = check_edges(ck, true);
+  std::vector<EdgeWindow> falls = check_edges(ck, false);
 
   for (const EdgeWindow& r : rises) {
     if (p.setup > 0) {
@@ -232,14 +254,15 @@ void check_hazard_directives(CheckContext& ctx, PrimId pid) {
     if (clk.directive != 'A' && clk.directive != 'H') continue;
     Waveform ck = clk.wave.with_skew_incorporated();
 
-    // Asserted regions: any time the clock may be non-zero.
+    // Asserted regions: any time the clock may be non-zero -- UNKNOWN
+    // included, so a clock a resource guard degraded still checks.
     Time acc = 0;
     struct Region {
       Time begin, width;
     };
     std::vector<Region> regions;
     for (const auto& s : ck.segments()) {
-      if (s.value != Value::Zero && s.value != Value::Unknown) {
+      if (s.value != Value::Zero) {
         regions.push_back(Region{acc, s.width});
       }
       acc += s.width;

@@ -10,8 +10,8 @@
 // assertions every run starts from -- preloading them warms the intern
 // table before the first job). `scaldtv --compiled` and the scaldtvd warm
 // workers load the artifact and skip the front end entirely; the resulting
-// report is byte-identical to the source path (golden suite + tvfuzz
-// --compile-diff enforce this).
+// report is byte-identical to the source path (golden suite + the compile
+// pair of tvfuzz --matrix enforce this).
 //
 // Format (fixed-layout, little-endian on disk, designed to be mmap-able):
 //

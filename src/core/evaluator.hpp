@@ -41,13 +41,13 @@ struct VerifierOptions {
   /// Hash-consed waveform interning + evaluation memo-cache (wave_table.hpp).
   /// Reports are byte-identical either way (both modes evaluate canonical
   /// waveforms); off turns every intern/memo lookup into the legacy deep
-  /// compare, which the golden suite and tvfuzz --memo-diff exploit.
+  /// compare, which the golden suite and tvfuzz --matrix memo exploit.
   bool interning = true;
   /// Structure-of-arrays batch case evaluation (core/batch_eval.hpp): case
   /// instances advance in lockstep lanes through one topological sweep of
   /// the design instead of one event-driven pass per case. Reports are
   /// byte-identical to the per-case path (the golden suite and tvfuzz
-  /// --batch-diff exploit the toggle); the engine silently defers to the
+  /// --matrix batch exploit the toggle); the engine silently defers to the
   /// per-case path when interning is off, a wall-clock budget is armed, or
   /// the base fixpoint is degraded or non-convergent.
   bool batch_eval = true;

@@ -12,7 +12,7 @@
 // baseline from it -- re-interning every waveform so refs and the memo
 // behave exactly as after a real run -- and a subsequent reverify is
 // byte-identical to the same reverify on the process that wrote the
-// snapshot (enforced by tvfuzz --snapshot-diff), including the effort
+// snapshot (enforced by tvfuzz --matrix snapshot), including the effort
 // counters: the cold baseline evaluation is never paid.
 //
 // The container mirrors the compiled artifact (core/compiled.hpp): a

@@ -12,7 +12,7 @@
 // set, and splices fresh findings into the prior report.
 //
 // Identity guarantee: the spliced report is byte-identical to a cold
-// verify() of the edited design (the differential tvfuzz --incr-diff mode
+// verify() of the edited design (the incr pair of tvfuzz --matrix
 // replays K-step edit scripts both ways and shrinks divergences). The one
 // asymmetry is the evaluation-effort counters (base_events/base_evals) --
 // the speedup itself -- which identity comparisons must exclude. Edits the

@@ -89,7 +89,7 @@ class Verifier {
   /// propagate, re-checks only assertions whose support intersects the dirty
   /// set, and splices the result into the previous report. The returned
   /// report is byte-identical to a cold verify() of the edited design
-  /// (enforced by tvfuzz --incr-diff); edits the incremental engine cannot
+  /// (enforced by tvfuzz --matrix incr); edits the incremental engine cannot
   /// prove safe (dirty cone touching an unclocked feedback loop, degraded or
   /// non-convergent baseline) silently fall back to a cold run. Requires a
   /// prior verify()/reverify() on this Verifier (throws std::logic_error

@@ -478,7 +478,7 @@ int warm_worker_main(const std::string& design, bool stdlib, bool compiled,
       crash::set_context(design.c_str(), "verification (warm)");
       VerifyResult result;
       if (restored) {
-        // The snapshot round-trip is byte-exact (tvfuzz --snapshot-diff),
+        // The snapshot round-trip is byte-exact (tvfuzz --matrix snapshot),
         // so the restored report answers this job; later runs on this
         // worker re-verify against the warm intern table as usual.
         result = verifier->baseline();

@@ -3,12 +3,14 @@
 // by src/check/shrinker.cpp from a failing fuzz seed and pasted from the
 // emitted repro; the wave cases pin the delayed_rise_fall event-order
 // hazards. Every test in this file failed before the corresponding fixes in
-// src/core/primitives.cpp, src/core/waveform.cpp and src/sim/logic_sim.cpp.
+// src/core/primitives.cpp, src/core/waveform.cpp, src/sim/logic_sim.cpp and
+// src/core/checker.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
 #include "check/oracles.hpp"
+#include "check/pipeline_diff.hpp"
 #include "check/rand_netlist.hpp"
 
 namespace tv::check {
@@ -112,6 +114,25 @@ TEST(CheckRegression, RiseFallCoverageFuzzSeeds) {
     ASSERT_FALSE(fail.has_value())
         << "seed " << seed << " [" << fail->kind << "] " << fail->detail;
   }
+}
+
+// Seed 3107 shrunk, pasted verbatim from the degradation column's repro:
+// an &A gate's clock input fed from the data path. At step 2 of the edit
+// script a segment cap of 2 degrades it to UNKNOWN, and the hazard rule,
+// which did not count UNKNOWN as a possibly asserted clock, dropped the
+// undegraded run's CLOCK HAZARD error.
+TEST(CheckRegression, DegradeHidesViolationSeed3107) {
+    tv::check::CircuitSpec s;
+    s.seed = 3107ULL;
+    s.period_ns = 40; s.data_toggle_ns = 2; s.data_change_ns = 1;
+    s.stages.push_back({tv::check::StageKind::Buf, 0, 0, 6, 6, false, 0, 0});
+    s.sink = tv::check::SinkKind::Reg;
+    s.clock = {3, 2, 0, 0, true, true, 'A', true, 0, 0};
+    s.sink_dmin_ns = 1; s.sink_dmax_ns = 1;
+    s.setup_ns = 1; s.hold_ns = 0;
+    s.second_stage = false; s.stage2_edge_units = 0; s.with_case = false;
+    auto fail = tv::check::check_degradation_conservatism(s, tv::check::Path{.compiled = false, .batch_eval = true, .memo = true, .restored = false, .incremental = false}, tv::check::Guard{.max_segments_per_signal = 2, .max_waveforms_per_shard = 0, .time_limit_seconds = 0}, tv::check::PipelineOptions{.edit_seed = 12082169897304126497ULL, .steps = 4});
+    ASSERT_FALSE(fail.has_value()) << fail->kind << ": " << fail->detail;
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 // on a real oracle failure existing.
 #include "check/shrinker.hpp"
 
+#include "check/pipeline_diff.hpp"
+
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -114,6 +116,33 @@ TEST(Shrinker, GtestReproIsPasteable) {
   std::string wt = gtest_repro(w, "rise-fall-coverage");
   EXPECT_NE(wt.find("RiseFallCoverageSeed9"), std::string::npos);
   EXPECT_NE(wt.find("check_wave_algebra"), std::string::npos);
+}
+
+TEST(Shrinker, MatrixReproNamesTheFailingPair) {
+  // A pasted repro of a matrix failure must re-run that pair on the pinned
+  // edit script, not the conservatism oracle.
+  CircuitSpec s;
+  s.seed = 11;
+  const Path a;
+  const Path b{.batch_eval = false, .incremental = true};
+  std::string txt = gtest_repro(s, "pipeline-diff",
+                                pipeline_call(a, b, {.edit_seed = 42, .steps = 3}));
+  EXPECT_NE(txt.find("TEST(CheckRegression, PipelineDiffSeed11)"), std::string::npos);
+  EXPECT_NE(txt.find("auto fail = tv::check::check_pipeline_equivalence(s, "
+                     "tv::check::Path{.compiled = false, .batch_eval = true, .memo = true, "
+                     ".restored = false, .incremental = false}, "
+                     "tv::check::Path{.compiled = false, .batch_eval = false, .memo = true, "
+                     ".restored = false, .incremental = true}, "
+                     "tv::check::PipelineOptions{.edit_seed = 42ULL, .steps = 3});"),
+            std::string::npos)
+      << txt;
+  EXPECT_EQ(txt.find("check_conservatism"), std::string::npos);
+
+  std::string dt = gtest_repro(
+      s, "degrade-hides-violation",
+      degradation_call(a, Guard{.max_segments_per_signal = 2}, {.edit_seed = 42}));
+  EXPECT_NE(dt.find("check_degradation_conservatism(s, tv::check::Path{"), std::string::npos);
+  EXPECT_NE(dt.find("tv::check::Guard{.max_segments_per_signal = 2,"), std::string::npos) << dt;
 }
 
 }  // namespace

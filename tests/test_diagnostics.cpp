@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/rand_netlist.hpp"
 #include "core/export.hpp"
 #include "core/verifier.hpp"
 #include "diag/diagnostic.hpp"
@@ -219,6 +220,35 @@ TEST(ResourceDegradation, SegmentCapDegradesToUnknownAndMarksPartial) {
     }
   }
   EXPECT_TRUE(found_unknown);
+}
+
+TEST(ResourceDegradation, SegmentCapOnAClockKeepsItsCheckerArmed) {
+  // Random circuit seed 4: a segment cap of 1 degrades the gated clock CKG
+  // to all-UNKNOWN. An UNKNOWN clock may switch at any instant, so CHK must
+  // still report the set-up error the undegraded run finds.
+  auto chk_setup = [](const Netlist& nl, const VerifyResult& r) {
+    for (const Violation& v : r.violations) {
+      if (v.type == Violation::Type::Setup && v.prim != kNoPrim && nl.prim(v.prim).name == "CHK") {
+        return true;
+      }
+    }
+    return false;
+  };
+  check::BuiltCircuit clean = check::build(check::random_spec(4));
+  Verifier vc(clean.nl, clean.opts);
+  ASSERT_TRUE(chk_setup(clean.nl, vc.verify(clean.cases)));
+
+  check::BuiltCircuit capped = check::build(check::random_spec(4));
+  capped.opts.max_segments_per_signal = 1;
+  Verifier vd(capped.nl, capped.opts);
+  VerifyResult r = vd.verify(capped.cases);
+  EXPECT_TRUE(r.partial);
+  SignalId ckg = capped.nl.find("CKG");
+  ASSERT_NE(ckg, kNoSignal);
+  const Waveform& w = capped.nl.signal(ckg).wave;
+  ASSERT_EQ(w.segments().size(), 1u);
+  EXPECT_EQ(w.segments()[0].value, Value::Unknown);
+  EXPECT_TRUE(chk_setup(capped.nl, r)) << violations_report(r.violations);
 }
 
 TEST(ResourceDegradation, TimeLimitCompletesPartialInsteadOfCrashing) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "check/oracles.hpp"
+#include "check/pipeline_diff.hpp"
 #include "core/evaluator.hpp"
 #include "core/storage_stats.hpp"
 #include "core/wave_table.hpp"
@@ -111,10 +112,12 @@ TEST(InterningProperties, AlgebraPreservesWidthSum) {
 TEST(InterningProperties, MemoCachedEvaluationIsBitIdentical) {
   // The tentpole's soundness property across 64 tvfuzz-generated netlists:
   // interning + memo on vs off must produce identical waveforms, events,
-  // reports, and per-case results (the same oracle tvfuzz --memo-diff runs).
+  // reports, and per-case results over an edit script (the memo pair of
+  // tvfuzz --matrix).
   for (std::uint64_t seed = 1; seed <= 64; ++seed) {
     check::CircuitSpec spec = check::random_spec(seed);
-    auto failure = check::check_memo_equivalence(spec);
+    auto failure = check::check_pipeline_equivalence(spec, check::Path{},
+                                                     check::Path{.memo = false});
     EXPECT_FALSE(failure.has_value())
         << "seed " << seed << ": " << (failure ? failure->detail : "");
   }

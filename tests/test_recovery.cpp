@@ -36,6 +36,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/pipeline_diff.hpp"
 #include "core/compiled.hpp"
 #include "core/fixpoint.hpp"
 #include "core/verifier.hpp"
@@ -50,20 +51,6 @@ namespace {
 using namespace tv;
 
 // ------------------------------------------------------- shared helpers
-
-std::string render_full(const Netlist& nl, const VerifyResult& r) {
-  std::ostringstream os;
-  os << "converged=" << r.converged << " partial=" << r.partial
-     << " base_events=" << r.base_events << " base_evals=" << r.base_evals << "\n";
-  os << timing_summary(nl);
-  os << violations_report(r.violations);
-  for (const auto& c : r.cases) {
-    os << "case " << c.name << " events=" << c.events << " converged=" << c.converged
-       << "\n"
-       << violations_report(c.violations);
-  }
-  return os.str();
-}
 
 std::uint32_t u32_at(const std::string& b, std::size_t off) {
   std::uint32_t v = 0;
@@ -198,8 +185,8 @@ TEST(SnapshotRoundTrip, EveryExampleRestoresIdentically) {
     // Restoring evaluates nothing: the cold baseline is never paid.
     EXPECT_EQ(vb.evaluator().evals_performed(), 0u) << a.name;
 
-    EXPECT_EQ(render_full(*a.netlist, va.baseline()),
-              render_full(*b.netlist, vb.baseline()))
+    EXPECT_EQ(check::canonical_render(*a.netlist, va.baseline(), a.options.period),
+              check::canonical_render(*b.netlist, vb.baseline(), b.options.period))
         << a.name << ": restored baseline must be byte-identical, counters included";
     EXPECT_EQ(snap, vb.snapshot(b.name))
         << a.name << ": re-serializing the restored baseline must reproduce the bytes";

@@ -272,8 +272,8 @@ int main(int argc, char** argv) {
     if (from_snapshot_path) {
       // Warm start: restore the baseline fixpoint from the snapshot instead
       // of paying the cold evaluation. The restored report is byte-identical
-      // to the run that wrote the snapshot (enforced by tvfuzz
-      // --snapshot-diff); the printed evaluation count proves no baseline
+      // to the run that wrote the snapshot (enforced by tvfuzz --matrix
+      // snapshot); the printed evaluation count proves no baseline
       // evaluation ran.
       tv::crash::set_context(from_snapshot_path, "restore snapshot");
       timer.start("restore snapshot");

@@ -11,64 +11,45 @@
 // On failure the counterexample is shrunk and printed as a paste-into-gtest
 // repro; the exit code is nonzero.
 //
-// A third mode, --memo-diff, runs each random circuit twice -- waveform
-// interning + evaluation memo-cache on, then off -- and fails on any
-// divergence in waveforms, reports, or event counts (the optimization must
-// be bit-exact).
+// --matrix [PAIR] runs the differential pipeline matrix
+// (src/check/pipeline_diff.hpp): each random circuit goes through the memo,
+// batch and compile pairs, the incr and snapshot pairs on both front ends,
+// and two pairs drawn from the seed over all 32 paths -- every pair over the
+// same K-step random edit script (--steps K) and diffed through one
+// canonical render -- plus the degradation column, which re-runs the first
+// path with a seed-chosen resource guard armed and fails if degradation
+// hides a violation or leaves the result unmarked. PAIR (memo, batch,
+// compile, incr, snapshot, random or degrade) runs only that entry.
 //
-// A fourth mode, --parser-fuzz, mutates valid SHDL sources (byte- and
-// token-level, seeded) and feeds them to the diagnostic front end: it must
-// never crash, never let an exception escape, and always report at least
-// one error diagnostic when it rejects an input.
+// --parser-fuzz mutates valid SHDL sources (byte- and token-level, seeded)
+// and feeds them to the diagnostic front end: it must never crash, never
+// let an exception escape, and always report at least one error
+// diagnostic when it rejects an input.
 //
-// A sixth mode, --batch-diff, runs each random circuit's case analysis
-// through both the per-case snapshot path and the structure-of-arrays
-// batch path (VerifierOptions::batch_eval) and fails on any divergence in
-// reports, waveforms, or counts (the lockstep sweep must be bit-exact).
-//
-// A seventh mode, --compile-diff, round-trips each random circuit through
-// the scaldtvc compiled-design artifact (serialize -> reload -> verify) and
-// fails on any divergence from the in-memory original, or on a
-// non-deterministic serialization (the artifact must be byte-stable).
-//
-// An eighth mode, --incr-diff, replays a K-step random edit script against
-// each random circuit both incrementally (Verifier::reverify, one long-lived
-// verifier) and cold (fresh build + delta prefix + from-scratch verify) on
-// both the source and the compiled front ends, and fails on any divergence
-// outside the sanctioned evaluation-effort counters (the reverify report
-// must be byte-identical to a cold run of the edited design).
-//
-// A ninth mode, --snapshot-diff, snapshots each random circuit's baseline
-// fixpoint (core/fixpoint.hpp), restores it into a fresh verifier over a
-// freshly built world, and replays a K-step random edit script on both: the
-// restored world must match byte-for-byte after every step -- effort
-// counters included -- and re-serialize to identical snapshot bytes, on
-// both the source and compiled front ends.
-//
-// A fifth mode, --serve-chaos, pushes seeded batches of generated designs
-// with random fault specs through a real scaldtvd worker pool and asserts
-// every job ends in a terminal state, retries are visible in attempt
-// counts, and the manifest is byte-stable across identical runs. The mode
-// also runs the overload scenarios (memory-budget breach, bounded
-// admission, poison-design quarantine + kill/resume, and the ENOSPC sweep
-// over every durable write) once per backend. Binaries come from
-// --scaldtvd/--scaldtv or TV_SCALDTVD/TV_SCALDTV.
+// --serve-chaos pushes seeded batches of generated designs with random
+// fault specs through a real scaldtvd worker pool and asserts every job
+// ends in a terminal state, retries are visible in attempt counts, and the
+// manifest is byte-stable across identical runs. The mode also runs the
+// overload scenarios (memory-budget breach, bounded admission,
+// poison-design quarantine + kill/resume, and the ENOSPC sweep over every
+// durable write) once per backend. Binaries come from --scaldtvd/--scaldtv
+// or TV_SCALDTVD/TV_SCALDTV.
 //
 // Usage:
-//   tvfuzz [--seeds N] [--wave N] [--start S] [--smoke] [--memo-diff]
-//          [--batch-diff] [--compile-diff] [--incr-diff] [--incr-steps K]
-//          [--snapshot-diff] [--parser-fuzz] [--serve-chaos]
-//          [--scaldtvd PATH] [--scaldtv PATH] [--no-shrink] [-v]
+//   tvfuzz [--seeds N] [--wave N] [--start S] [--smoke] [--matrix [PAIR]]
+//          [--steps K] [--parser-fuzz] [--serve-chaos] [--scaldtvd PATH]
+//          [--scaldtv PATH] [--no-shrink] [-v]
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
+#include <vector>
 
-#include "check/incr_diff.hpp"
 #include "check/oracles.hpp"
-#include "check/snapshot_diff.hpp"
 #include "check/parser_fuzz.hpp"
+#include "check/pipeline_diff.hpp"
 #include "check/serve_chaos.hpp"
 #include "check/shrinker.hpp"
 
@@ -78,12 +59,9 @@ struct Options {
   std::uint64_t start = 1;
   int circuit_seeds = 500;
   int wave_seeds = 500;
-  bool memo_diff = false;
-  bool batch_diff = false;
-  bool compile_diff = false;
-  bool incr_diff = false;
-  int incr_steps = 4;
-  bool snapshot_diff = false;
+  bool matrix = false;
+  std::string matrix_pair;  // empty = every pair and the degradation column
+  int steps = 4;
   bool parser_fuzz = false;
   bool serve_chaos = false;
   bool seeds_set = false;
@@ -95,25 +73,18 @@ struct Options {
 
 void usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--seeds N] [--wave N] [--start S] [--smoke] [--memo-diff] "
-               "[--batch-diff] [--compile-diff] [--parser-fuzz] [--no-shrink] [-v]\n"
+               "usage: %s [--seeds N] [--wave N] [--start S] [--smoke] [--matrix [PAIR]] "
+               "[--steps K] [--parser-fuzz] [--serve-chaos] [--scaldtvd P] [--scaldtv P] "
+               "[--no-shrink] [-v]\n"
                "  --seeds N     differential circuit cases to run (default 500)\n"
                "  --wave N      waveform-algebra cases to run (default 500)\n"
                "  --start S     first seed (default 1)\n"
                "  --smoke       quick CI gate: 120 circuit + 250 wave cases\n"
-               "  --memo-diff   run each circuit spec twice (interning/memo on vs\n"
-               "                off) and fail on any report or waveform divergence\n"
-               "  --batch-diff  run each circuit's case analysis through the per-case\n"
-               "                and batch engines and fail on any divergence\n"
-               "  --compile-diff round-trip each circuit through the compiled-design\n"
-               "                artifact and fail on any divergence or instability\n"
-               "  --incr-diff   replay a K-step random edit script incrementally\n"
-               "                (Verifier::reverify) and cold per step, on both the\n"
-               "                source and compiled front ends; fail on divergence\n"
-               "  --incr-steps K edits per script in --incr-diff (default 4)\n"
-               "  --snapshot-diff snapshot each circuit's baseline fixpoint, restore\n"
-               "                it into a fresh verifier, and replay an edit script on\n"
-               "                both; fail on any byte divergence (counters included)\n"
+               "  --matrix [PAIR] run each circuit through the pipeline matrix (memo,\n"
+               "                batch, compile, incr, snapshot and two seeded random\n"
+               "                pairs, plus the degradation column) and fail on any\n"
+               "                divergence; PAIR runs only that entry (or 'degrade')\n"
+               "  --steps K     edit-script steps per --matrix check (default 4)\n"
                "  --parser-fuzz mutate valid SHDL sources and assert the front end\n"
                "                never crashes and always diagnoses rejected input\n"
                "  --serve-chaos run seeded faulted batches through scaldtvd and assert\n"
@@ -123,6 +94,39 @@ void usage(const char* argv0) {
                "  --no-shrink   print raw failing specs without minimizing\n"
                "  -v            per-case progress output\n",
                argv0);
+}
+
+bool known_pair(const std::string& name) {
+  if (name == "degrade") return true;
+  for (const tv::check::MatrixPair& p : tv::check::matrix_pairs(1)) {
+    if (p.name == name) return true;
+  }
+  return false;
+}
+
+using CircuitOracle =
+    std::function<std::optional<tv::check::Failure>(const tv::check::CircuitSpec&)>;
+
+/// Prints one circuit-oracle failure and a paste-into-gtest repro that
+/// re-runs `call`, shrinking the spec first (under the same failure kind)
+/// unless --no-shrink.
+void report_circuit_failure(const Options& opt, const std::string& label,
+                            const tv::check::CircuitSpec& spec,
+                            const tv::check::Failure& fail, const CircuitOracle& oracle,
+                            const std::string& call) {
+  std::printf("FAIL %s seed %llu [%s]\n  %s\n", label.c_str(),
+              static_cast<unsigned long long>(spec.seed), fail.kind.c_str(),
+              fail.detail.c_str());
+  if (!opt.shrink) {
+    std::printf("repro:\n%s\n", tv::check::gtest_repro(spec, fail.kind, call).c_str());
+    return;
+  }
+  tv::check::CircuitSpec small =
+      tv::check::shrink_circuit(spec, [&](const tv::check::CircuitSpec& s) {
+        auto f = oracle(s);
+        return f && f->kind == fail.kind;
+      });
+  std::printf("shrunk repro:\n%s\n", tv::check::gtest_repro(small, fail.kind, call).c_str());
 }
 
 }  // namespace
@@ -150,19 +154,18 @@ int main(int argc, char** argv) {
     } else if (a == "--smoke") {
       opt.circuit_seeds = 120;
       opt.wave_seeds = 250;
-    } else if (a == "--memo-diff") {
-      opt.memo_diff = true;
-    } else if (a == "--batch-diff") {
-      opt.batch_diff = true;
-    } else if (a == "--compile-diff") {
-      opt.compile_diff = true;
-    } else if (a == "--incr-diff") {
-      opt.incr_diff = true;
-    } else if (a == "--snapshot-diff") {
-      opt.snapshot_diff = true;
-    } else if (a == "--incr-steps") {
-      next_int(opt.incr_steps);
-      if (opt.incr_steps < 1) {
+    } else if (a == "--matrix") {
+      opt.matrix = true;
+      if (i + 1 < argc && argv[i + 1][0] != '-') {
+        opt.matrix_pair = argv[++i];
+        if (!known_pair(opt.matrix_pair)) {
+          usage(argv[0]);
+          return 2;
+        }
+      }
+    } else if (a == "--steps") {
+      next_int(opt.steps);
+      if (opt.steps < 1) {
         usage(argv[0]);
         return 2;
       }
@@ -338,208 +341,52 @@ int main(int argc, char** argv) {
     return failures ? 1 : 0;
   }
 
-  if (opt.snapshot_diff) {
-    // Differential snapshot mode: every random circuit's baseline fixpoint
-    // is serialized, restored into a fresh verifier, and edited K times on
-    // both sides; the restored world must stay byte-identical -- effort
-    // counters included -- once per front end.
+  if (opt.matrix) {
+    // Differential pipeline matrix: every pair of the seed, then the
+    // degradation column on the first pair's reference path, all over the
+    // seed's edit script (pinned, so shrinking keeps it fixed).
+    int checks = 0;
+    auto selected = [&](const std::string& name) {
+      return opt.matrix_pair.empty() || opt.matrix_pair == name;
+    };
     for (int i = 0; i < opt.circuit_seeds; ++i) {
       std::uint64_t seed = opt.start + static_cast<std::uint64_t>(i);
       tv::check::CircuitSpec spec = tv::check::random_spec(seed);
-      for (bool compiled : {false, true}) {
-        tv::check::SnapshotDiffOptions so;
-        so.compiled = compiled;
-        auto fail = tv::check::check_snapshot_equivalence(spec, so);
+      const tv::check::PipelineOptions po{tv::check::default_edit_seed(seed), opt.steps};
+      auto run = [&](const std::string& label, const CircuitOracle& oracle,
+                     const std::string& call) {
+        ++checks;
+        auto fail = oracle(spec);
         if (opt.verbose) {
-          std::printf("snapshot-diff seed %llu (%s): %s\n",
-                      static_cast<unsigned long long>(seed),
-                      compiled ? "compiled" : "source", fail ? "FAIL" : "ok");
+          std::printf("%s seed %llu: %s\n", label.c_str(),
+                      static_cast<unsigned long long>(seed), fail ? "FAIL" : "ok");
         }
-        if (!fail) continue;
+        if (!fail) return;
         ++failures;
-        std::printf("FAIL snapshot-diff seed %llu (%s) [%s]\n  %s\n",
-                    static_cast<unsigned long long>(seed),
-                    compiled ? "compiled" : "source", fail->kind.c_str(),
-                    fail->detail.c_str());
-        if (opt.shrink) {
-          // Pin the edit script (a pure function of the circuit seed) so it
-          // stays fixed while the circuit shrinks around it.
-          tv::check::SnapshotDiffOptions pinned = so;
-          pinned.edit_seed =
-              spec.seed * 0x9E3779B97F4A7C15ULL + 0x6C62272E07BB0142ULL;
-          std::string kind = fail->kind;
-          tv::check::CircuitSpec small = tv::check::shrink_circuit(
-              spec, [&](const tv::check::CircuitSpec& s) {
-                auto f = tv::check::check_snapshot_equivalence(s, pinned);
-                return f && f->kind == kind;
-              });
-          std::printf("shrunk repro (edit_seed %llu, %s front end):\n%s\n",
-                      static_cast<unsigned long long>(pinned.edit_seed),
-                      compiled ? "compiled" : "source",
-                      tv::check::gtest_repro(small, kind).c_str());
-        } else {
-          std::printf("repro:\n%s\n",
-                      tv::check::gtest_repro(spec, fail->kind).c_str());
-        }
+        report_circuit_failure(opt, label, spec, *fail, oracle, call);
+      };
+      const std::vector<tv::check::MatrixPair> pairs = tv::check::matrix_pairs(seed);
+      for (const tv::check::MatrixPair& p : pairs) {
+        if (!selected(p.name)) continue;
+        run("matrix " + p.name + " " + tv::check::describe(p.a) + " vs " +
+                tv::check::describe(p.b),
+            [&](const tv::check::CircuitSpec& s) {
+              return tv::check::check_pipeline_equivalence(s, p.a, p.b, po);
+            },
+            tv::check::pipeline_call(p.a, p.b, po));
       }
+      if (!selected("degrade")) continue;
+      const tv::check::Path& path = pairs.front().a;
+      const tv::check::Guard guard = tv::check::random_guard(seed);
+      run("matrix degrade " + tv::check::describe(path) + " under " +
+              tv::check::describe(guard),
+          [&](const tv::check::CircuitSpec& s) {
+            return tv::check::check_degradation_conservatism(s, path, guard, po);
+          },
+          tv::check::degradation_call(path, guard, po));
     }
-    std::printf("tvfuzz --snapshot-diff: %d circuit cases x 2 front ends, "
-                "%d failure%s\n",
-                opt.circuit_seeds, failures, failures == 1 ? "" : "s");
-    return failures ? 1 : 0;
-  }
-
-  if (opt.incr_diff) {
-    // Differential incremental mode: every random circuit is edited K times
-    // and re-verified both incrementally and cold after each step, once per
-    // front end (source build and compiled-artifact round trip). The
-    // incremental report must be byte-identical each time, counters aside.
-    for (int i = 0; i < opt.circuit_seeds; ++i) {
-      std::uint64_t seed = opt.start + static_cast<std::uint64_t>(i);
-      tv::check::CircuitSpec spec = tv::check::random_spec(seed);
-      for (bool compiled : {false, true}) {
-        tv::check::IncrDiffOptions io;
-        io.steps = opt.incr_steps;
-        io.compiled = compiled;
-        auto fail = tv::check::check_incr_equivalence(spec, io);
-        if (opt.verbose) {
-          std::printf("incr-diff seed %llu (%s): %s\n",
-                      static_cast<unsigned long long>(seed),
-                      compiled ? "compiled" : "source", fail ? "FAIL" : "ok");
-        }
-        if (!fail) continue;
-        ++failures;
-        std::printf("FAIL incr-diff seed %llu (%s) [%s]\n  %s\n",
-                    static_cast<unsigned long long>(seed),
-                    compiled ? "compiled" : "source", fail->kind.c_str(),
-                    fail->detail.c_str());
-        if (opt.shrink) {
-          // The edit script is a pure function of the circuit seed; pin it
-          // so the script stays fixed while the circuit shrinks around it.
-          tv::check::IncrDiffOptions pinned = io;
-          pinned.edit_seed =
-              spec.seed * 0x9E3779B97F4A7C15ULL + 0x6C62272E07BB0142ULL;
-          std::string kind = fail->kind;
-          tv::check::CircuitSpec small = tv::check::shrink_circuit(
-              spec, [&](const tv::check::CircuitSpec& s) {
-                auto f = tv::check::check_incr_equivalence(s, pinned);
-                return f && f->kind == kind;
-              });
-          std::printf("shrunk repro (edit_seed %llu, %s front end):\n%s\n",
-                      static_cast<unsigned long long>(pinned.edit_seed),
-                      compiled ? "compiled" : "source",
-                      tv::check::gtest_repro(small, kind).c_str());
-        } else {
-          std::printf("repro:\n%s\n",
-                      tv::check::gtest_repro(spec, fail->kind).c_str());
-        }
-      }
-    }
-    std::printf("tvfuzz --incr-diff: %d circuit cases x 2 front ends x %d steps, "
-                "%d failure%s\n",
-                opt.circuit_seeds, opt.incr_steps, failures,
-                failures == 1 ? "" : "s");
-    return failures ? 1 : 0;
-  }
-
-  if (opt.compile_diff) {
-    // Differential artifact mode: every random circuit is serialized to the
-    // compiled-design format, reloaded, and verified; the round trip must
-    // be bit-identical to the in-memory original.
-    for (int i = 0; i < opt.circuit_seeds; ++i) {
-      std::uint64_t seed = opt.start + static_cast<std::uint64_t>(i);
-      tv::check::CircuitSpec spec = tv::check::random_spec(seed);
-      auto fail = tv::check::check_compile_equivalence(spec);
-      if (opt.verbose) {
-        std::printf("compile-diff seed %llu: %s\n", static_cast<unsigned long long>(seed),
-                    fail ? "FAIL" : "ok");
-      }
-      if (!fail) continue;
-      ++failures;
-      std::printf("FAIL compile-diff seed %llu [%s]\n  %s\n",
-                  static_cast<unsigned long long>(seed), fail->kind.c_str(),
-                  fail->detail.c_str());
-      if (opt.shrink) {
-        std::string kind = fail->kind;
-        tv::check::CircuitSpec small = tv::check::shrink_circuit(
-            spec, [&](const tv::check::CircuitSpec& s) {
-              auto f = tv::check::check_compile_equivalence(s);
-              return f && f->kind == kind;
-            });
-        std::printf("shrunk repro:\n%s\n", tv::check::gtest_repro(small, kind).c_str());
-      } else {
-        std::printf("repro:\n%s\n", tv::check::gtest_repro(spec, fail->kind).c_str());
-      }
-    }
-    std::printf("tvfuzz --compile-diff: %d circuit cases, %d failure%s\n",
-                opt.circuit_seeds, failures, failures == 1 ? "" : "s");
-    return failures ? 1 : 0;
-  }
-
-  if (opt.batch_diff) {
-    // Differential batch mode: every random circuit's case analysis runs on
-    // the lockstep batch engine and the per-case reference path; the two
-    // runs must be bit-identical.
-    for (int i = 0; i < opt.circuit_seeds; ++i) {
-      std::uint64_t seed = opt.start + static_cast<std::uint64_t>(i);
-      tv::check::CircuitSpec spec = tv::check::random_spec(seed);
-      auto fail = tv::check::check_batch_equivalence(spec);
-      if (opt.verbose) {
-        std::printf("batch-diff seed %llu: %s\n", static_cast<unsigned long long>(seed),
-                    fail ? "FAIL" : "ok");
-      }
-      if (!fail) continue;
-      ++failures;
-      std::printf("FAIL batch-diff seed %llu [%s]\n  %s\n",
-                  static_cast<unsigned long long>(seed), fail->kind.c_str(),
-                  fail->detail.c_str());
-      if (opt.shrink) {
-        std::string kind = fail->kind;
-        tv::check::CircuitSpec small = tv::check::shrink_circuit(
-            spec, [&](const tv::check::CircuitSpec& s) {
-              auto f = tv::check::check_batch_equivalence(s);
-              return f && f->kind == kind;
-            });
-        std::printf("shrunk repro:\n%s\n", tv::check::gtest_repro(small, kind).c_str());
-      } else {
-        std::printf("repro:\n%s\n", tv::check::gtest_repro(spec, fail->kind).c_str());
-      }
-    }
-    std::printf("tvfuzz --batch-diff: %d circuit cases, %d failure%s\n", opt.circuit_seeds,
-                failures, failures == 1 ? "" : "s");
-    return failures ? 1 : 0;
-  }
-
-  if (opt.memo_diff) {
-    // Differential interning mode: every random circuit is verified with the
-    // memo/interning layer on and off; the two runs must be bit-identical.
-    for (int i = 0; i < opt.circuit_seeds; ++i) {
-      std::uint64_t seed = opt.start + static_cast<std::uint64_t>(i);
-      tv::check::CircuitSpec spec = tv::check::random_spec(seed);
-      auto fail = tv::check::check_memo_equivalence(spec);
-      if (opt.verbose) {
-        std::printf("memo-diff seed %llu: %s\n", static_cast<unsigned long long>(seed),
-                    fail ? "FAIL" : "ok");
-      }
-      if (!fail) continue;
-      ++failures;
-      std::printf("FAIL memo-diff seed %llu [%s]\n  %s\n",
-                  static_cast<unsigned long long>(seed), fail->kind.c_str(),
-                  fail->detail.c_str());
-      if (opt.shrink) {
-        std::string kind = fail->kind;
-        tv::check::CircuitSpec small = tv::check::shrink_circuit(
-            spec, [&](const tv::check::CircuitSpec& s) {
-              auto f = tv::check::check_memo_equivalence(s);
-              return f && f->kind == kind;
-            });
-        std::printf("shrunk repro:\n%s\n", tv::check::gtest_repro(small, kind).c_str());
-      } else {
-        std::printf("repro:\n%s\n", tv::check::gtest_repro(spec, fail->kind).c_str());
-      }
-    }
-    std::printf("tvfuzz --memo-diff: %d circuit cases, %d failure%s\n", opt.circuit_seeds,
-                failures, failures == 1 ? "" : "s");
+    std::printf("tvfuzz --matrix: %d circuit cases, %d checks x %d steps, %d failure%s\n",
+                opt.circuit_seeds, checks, opt.steps, failures, failures == 1 ? "" : "s");
     return failures ? 1 : 0;
   }
 
@@ -558,20 +405,10 @@ int main(int argc, char** argv) {
     }
     if (!fail) continue;
     ++failures;
-    std::printf("FAIL circuit seed %llu [%s]\n  %s\n",
-                static_cast<unsigned long long>(seed), fail->kind.c_str(),
-                fail->detail.c_str());
-    if (opt.shrink) {
-      std::string kind = fail->kind;
-      tv::check::CircuitSpec small = tv::check::shrink_circuit(
-          spec, [&](const tv::check::CircuitSpec& s) {
-            auto f = tv::check::check_conservatism(s);
-            return f && f->kind == kind;
-          });
-      std::printf("shrunk repro:\n%s\n", tv::check::gtest_repro(small, kind).c_str());
-    } else {
-      std::printf("repro:\n%s\n", tv::check::gtest_repro(spec, fail->kind).c_str());
-    }
+    report_circuit_failure(
+        opt, "circuit", spec, *fail,
+        [](const tv::check::CircuitSpec& s) { return tv::check::check_conservatism(s); },
+        tv::check::kConservatismCall);
   }
 
   for (int i = 0; i < opt.wave_seeds; ++i) {
