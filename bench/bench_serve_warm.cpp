@@ -1,11 +1,12 @@
 // Warm-pool serving throughput (docs/serving.md): the same compiled-design
-// job stream pushed through scaldtvd's two worker backends --
+// job stream pushed through the supervisor on two worker backends --
 //
-//   * fork/exec -- the classic crash-isolated path: every job pays a fresh
-//     process spawn, artifact load, and intern-table warm-up;
-//   * warm      -- the resident in-process pool: one worker per design
-//     loads the artifact once and serves every following job with its
-//     wave table and evaluation memo already hot.
+//   * fork/exec -- the reference oracle from src/check
+//     (check/fork_exec_reference.hpp): every job pays a fresh process
+//     spawn, artifact load, and intern-table warm-up;
+//   * warm      -- scaldtvd's resident pool: one worker per design loads
+//     the artifact once and serves every following job with its wave
+//     table and evaluation memo already hot.
 //
 // The design is compiled once (scaldtvc's library path) into a temp
 // artifact, mirroring the intended compile-then-serve deployment. Both
@@ -31,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "check/fork_exec_reference.hpp"
 #include "core/compiled.hpp"
 #include "example_designs.hpp"
 #include "serve/supervisor.hpp"
@@ -77,10 +79,9 @@ int main(int argc, char** argv) {
 
   unsigned hw = std::thread::hardware_concurrency();
   unsigned workers = std::clamp(hw, 2u, 4u);
-  serve::SupervisorOptions base;
-  base.scaldtv_path = TV_SCALDTV_PATH;
-  base.workers = static_cast<int>(workers);
-  base.default_timeout = 30;
+  serve::SupervisorOptions opts;
+  opts.workers = workers;
+  opts.default_timeout = 30;
 
   struct Row {
     double secs = 1e100;
@@ -89,16 +90,13 @@ int main(int argc, char** argv) {
   Row cold, warm;
   for (int rep = 0; rep < repeats; ++rep) {
     {
-      serve::SupervisorOptions opts = base;
-      opts.warm = false;
+      check::ForkExecReference reference(TV_SCALDTV_PATH, opts);
       auto t0 = Clock::now();
-      serve::Manifest m = serve::run_jobs(jobs, opts);
+      serve::Manifest m = serve::run_jobs(jobs, opts, reference);
       cold.secs = std::min(cold.secs, seconds_since(t0));
       cold.manifest = m.to_json();
     }
     {
-      serve::SupervisorOptions opts = base;
-      opts.warm = true;
       auto t0 = Clock::now();
       serve::Manifest m = serve::run_jobs(jobs, opts);
       warm.secs = std::min(warm.secs, seconds_since(t0));
@@ -117,6 +115,7 @@ int main(int argc, char** argv) {
   std::printf("  \"artifact_load\": \"mmap (read fallback)\",\n");
   std::printf("  \"workers\": %u,\n", workers);
   std::printf("  \"hardware_concurrency\": %u,\n", hw);
+  std::printf("  \"build_type\": \"%s\",\n", TV_BENCH_BUILD_TYPE);
   std::printf("  \"results\": [\n");
   std::printf("    {\"backend\": \"fork-exec\", \"seconds\": %.6f, \"jobs_per_sec\": %.1f},\n",
               cold.secs, n / cold.secs);

@@ -1,5 +1,6 @@
 #include "check/serve_chaos.hpp"
 
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -11,7 +12,10 @@
 #include <sstream>
 #include <vector>
 
+#include "check/fork_exec_reference.hpp"
 #include "check/parser_fuzz.hpp"
+#include "serve/job.hpp"
+#include "serve/supervisor.hpp"
 
 namespace tv::check {
 
@@ -100,15 +104,72 @@ int run_daemon_with_sigterm(const std::vector<std::string>& args,
   return -1;
 }
 
+/// Supervisor options shaped like `scaldtvd --workers W --max-attempts 3
+/// --backoff-ms 10 --backoff-max-ms 50 --job-timeout T --seed S`.
+serve::SupervisorOptions chaos_supervisor(unsigned workers, double job_timeout,
+                                          std::uint64_t seed) {
+  serve::SupervisorOptions so;
+  so.workers = workers;
+  so.max_attempts = 3;
+  so.backoff_base_ms = 10;
+  so.backoff_max_ms = 50;
+  so.default_timeout = job_timeout;  // --job-timeout sets both
+  so.watchdog_slack = job_timeout;
+  so.jitter_seed = seed % 1000000;
+  return so;
+}
+
+/// The scaldtvd flags that configure its supervisor exactly as `so`. The
+/// scenarios that diff the daemon against the fork/exec reference derive
+/// both runs from one SupervisorOptions, so the two cannot drift apart.
+std::string daemon_flags(const serve::SupervisorOptions& so) {
+  char timeout[32];
+  std::snprintf(timeout, sizeof timeout, "%g", so.default_timeout);
+  std::string f = "--workers " + std::to_string(so.workers) +
+                  " --max-attempts " + std::to_string(so.max_attempts) +
+                  " --backoff-ms " + std::to_string(so.backoff_base_ms) +
+                  " --backoff-max-ms " + std::to_string(so.backoff_max_ms) +
+                  " --job-timeout " + timeout + " --seed " + std::to_string(so.jitter_seed);
+  if (so.mem_limit_mb > 0) f += " --mem-limit-mb " + std::to_string(so.mem_limit_mb);
+  if (so.mem_retry) f += " --mem-retry";
+  return f;
+}
+
+/// The manifest the fork/exec reference writes for `jobs_path` under `so`,
+/// run in this process on opts.scaldtv_path workers ("" when the file does
+/// not parse). Worker stderr is silenced unless opts.verbose, matching the
+/// daemon runs' 2>/dev/null.
+std::string reference_manifest(const std::string& jobs_path, const ServeChaosOptions& opts,
+                               const serve::SupervisorOptions& so) {
+  std::optional<std::vector<serve::JobSpec>> jobs = serve::parse_job_file(jobs_path, nullptr);
+  if (!jobs) return "";
+  int saved_stderr = -1;
+  if (!opts.verbose) {
+    std::fflush(stderr);
+    saved_stderr = dup(STDERR_FILENO);
+    int devnull = open("/dev/null", O_WRONLY);
+    if (devnull >= 0) {
+      dup2(devnull, STDERR_FILENO);
+      close(devnull);
+    }
+  }
+  ForkExecReference reference(opts.scaldtv_path, so);
+  std::string manifest = serve::run_jobs(*jobs, so, reference).to_json();
+  if (saved_stderr >= 0) {
+    dup2(saved_stderr, STDERR_FILENO);
+    close(saved_stderr);
+  }
+  return manifest;
+}
+
 }  // namespace
 
 std::optional<ServeChaosFailure> check_serve_chaos(const ServeChaosOptions& opts) {
   auto fail = [](std::string kind, std::string detail) {
     return ServeChaosFailure{std::move(kind), std::move(detail)};
   };
-  if (opts.scaldtvd_path.empty() || opts.scaldtv_path.empty()) {
-    return fail("bad-config", "--serve-chaos needs scaldtvd and scaldtv paths "
-                              "(TV_SCALDTVD / TV_SCALDTV)");
+  if (opts.scaldtvd_path.empty()) {
+    return fail("bad-config", "--serve-chaos needs the scaldtvd path (TV_SCALDTVD)");
   }
 
   const char* tmp = std::getenv("TMPDIR");
@@ -180,12 +241,11 @@ std::optional<ServeChaosFailure> check_serve_chaos(const ServeChaosOptions& opts
   std::string manifests[2];
   for (int run = 0; run < 2; ++run) {
     std::string manifest_path = dir + "/run" + std::to_string(run) + ".manifest.json";
-    std::string cmd = "'" + opts.scaldtvd_path + "' --scaldtv '" + opts.scaldtv_path +
+    std::string cmd = "'" + opts.scaldtvd_path +
                       "' --workers 4 --max-attempts 3 --backoff-ms 10 "
                       "--backoff-max-ms 50 --job-timeout 1 --seed " +
                       std::to_string(opts.seed % 1000000) + " --manifest '" +
                       manifest_path + "' '" + jobs_path + "'";
-    if (opts.warm) cmd += " --warm";
     if (!opts.verbose) cmd += " 2>/dev/null";
     int status = std::system(cmd.c_str());
     int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
@@ -355,104 +415,74 @@ std::optional<ServeChaosFailure> check_reverify_chaos(const ServeChaosOptions& o
   }
   cleanup.push_back(jobs_path);
 
-  // Both backends, two runs each: byte-stability within a backend, record
-  // agreement across them.
-  std::vector<ManifestRecord> records_by_backend[2];
-  for (int warm = 0; warm < 2; ++warm) {
-    std::string manifests[2];
-    for (int run = 0; run < 2; ++run) {
-      std::string manifest_path = dir + "/warm" + std::to_string(warm) + ".run" +
-                                  std::to_string(run) + ".manifest.json";
-      std::string cmd = "'" + opts.scaldtvd_path + "' --scaldtv '" + opts.scaldtv_path +
-                        "' --workers 2 --max-attempts 3 --backoff-ms 10 "
-                        "--backoff-max-ms 50 --job-timeout 1 --seed " +
-                        std::to_string(opts.seed % 1000000) + " --manifest '" +
-                        manifest_path + "' '" + jobs_path + "'";
-      if (warm) cmd += " --warm";
-      if (!opts.verbose) cmd += " 2>/dev/null";
-      int status = std::system(cmd.c_str());
-      int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-      if (code != 4) {
-        return fail("bad-exit-code",
-                    std::string(warm ? "warm" : "fork/exec") +
-                        ": expected daemon exit 4 (crashed reverify job), got " +
-                        std::to_string(code) + "; work dir kept at " + dir);
-      }
-      manifests[run] = read_file(manifest_path);
-      cleanup.push_back(manifest_path);
+  // Two daemon runs for byte-stability, then the fork/exec reference under
+  // the same options: the warm pool's resident fixpoint (restored by the
+  // inverse delta after each reverify, or dropped when restoration fails)
+  // must never change a byte of the manifest.
+  serve::SupervisorOptions so = chaos_supervisor(2, 1, opts.seed);
+  std::string manifests[2];
+  for (int run = 0; run < 2; ++run) {
+    std::string manifest_path = dir + "/run" + std::to_string(run) + ".manifest.json";
+    std::string cmd = "'" + opts.scaldtvd_path + "' " + daemon_flags(so) +
+                      " --manifest '" + manifest_path + "' '" + jobs_path + "'";
+    if (!opts.verbose) cmd += " 2>/dev/null";
+    int status = std::system(cmd.c_str());
+    int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    if (code != 4) {
+      return fail("bad-exit-code", "expected daemon exit 4 (crashed reverify job), got " +
+                                       std::to_string(code) + "; work dir kept at " + dir);
     }
-    if (manifests[0] != manifests[1]) {
-      return fail("manifest-unstable",
-                  std::string(warm ? "warm" : "fork/exec") +
-                      ": two identical reverify runs produced different manifests; "
-                      "work dir kept at " + dir);
-    }
-    records_by_backend[warm] = scan_manifest(manifests[0]);
+    manifests[run] = read_file(manifest_path);
+    cleanup.push_back(manifest_path);
+  }
+  if (manifests[0] != manifests[1]) {
+    return fail("manifest-unstable",
+                "two identical reverify runs produced different manifests; "
+                "work dir kept at " + dir);
   }
 
-  for (int warm = 0; warm < 2; ++warm) {
-    const char* backend = warm ? "warm" : "fork/exec";
-    const std::vector<ManifestRecord>& records = records_by_backend[warm];
-    if (records.size() != plan.size()) {
-      return fail("job-lost", std::string(backend) + ": planned " +
-                                  std::to_string(plan.size()) + " jobs, manifest has " +
-                                  std::to_string(records.size()) +
-                                  "; work dir kept at " + dir);
-    }
-    for (const RJob& j : plan) {
-      const ManifestRecord* rec = nullptr;
-      for (const ManifestRecord& r : records) {
-        if (r.id == j.id) rec = &r;
-      }
-      if (!rec) {
-        return fail("job-lost", std::string(backend) + ": job " + j.id +
-                                    " missing from the manifest; work dir kept at " + dir);
-      }
-      if (j.permanent && (rec->state != "crashed" || rec->attempts != 3)) {
-        return fail("crash-not-detected",
-                    std::string(backend) + ": permanently-aborting reverify job " + j.id +
-                        " ended \"" + rec->state + "\" after " +
-                        std::to_string(rec->attempts) +
-                        " attempt(s), expected crashed/3; work dir kept at " + dir);
-      }
-      if (j.transient) {
-        if (rec->state == "crashed") {
-          return fail("retry-failed", std::string(backend) + ": attempt-1-only fault on " +
-                                          j.id + " still crashed the job; work dir kept at " +
-                                          dir);
-        }
-        if (rec->attempts < 2) {
-          return fail("retry-invisible",
-                      std::string(backend) + ": job " + j.id +
-                          " recovered but shows only " + std::to_string(rec->attempts) +
-                          " attempt(s); work dir kept at " + dir);
-        }
-      }
-      if (!j.permanent && !j.transient &&
-          rec->state != "done" && rec->state != "violations") {
-        return fail("clean-job-failed", std::string(backend) + ": unfaulted job " + j.id +
-                                            " ended \"" + rec->state +
-                                            "\"; work dir kept at " + dir);
-      }
-    }
+  std::vector<ManifestRecord> records = scan_manifest(manifests[0]);
+  if (records.size() != plan.size()) {
+    return fail("job-lost", "planned " + std::to_string(plan.size()) +
+                                " jobs, manifest has " + std::to_string(records.size()) +
+                                "; work dir kept at " + dir);
   }
-
-  // Cross-backend agreement: the warm pool's resident fixpoint (restored by
-  // the inverse delta after each reverify, or dropped when restoration
-  // fails) must never change a verdict relative to stateless fork/exec.
   for (const RJob& j : plan) {
-    const ManifestRecord *a = nullptr, *b = nullptr;
-    for (const ManifestRecord& r : records_by_backend[0]) {
-      if (r.id == j.id) a = &r;
+    const ManifestRecord* rec = nullptr;
+    for (const ManifestRecord& r : records) {
+      if (r.id == j.id) rec = &r;
     }
-    for (const ManifestRecord& r : records_by_backend[1]) {
-      if (r.id == j.id) b = &r;
+    if (!rec) {
+      return fail("job-lost", "job " + j.id + " missing from the manifest; work dir kept at " +
+                                  dir);
     }
-    if (a && b && a->state != b->state) {
-      return fail("backend-divergence",
-                  "job " + j.id + " ended \"" + a->state + "\" under fork/exec but \"" +
-                      b->state + "\" under the warm pool; work dir kept at " + dir);
+    if (j.permanent && (rec->state != "crashed" || rec->attempts != 3)) {
+      return fail("crash-not-detected",
+                  "permanently-aborting reverify job " + j.id + " ended \"" + rec->state +
+                      "\" after " + std::to_string(rec->attempts) +
+                      " attempt(s), expected crashed/3; work dir kept at " + dir);
     }
+    if (j.transient) {
+      if (rec->state == "crashed") {
+        return fail("retry-failed", "attempt-1-only fault on " + j.id +
+                                        " still crashed the job; work dir kept at " + dir);
+      }
+      if (rec->attempts < 2) {
+        return fail("retry-invisible", "job " + j.id + " recovered but shows only " +
+                                           std::to_string(rec->attempts) +
+                                           " attempt(s); work dir kept at " + dir);
+      }
+    }
+    if (!j.permanent && !j.transient &&
+        rec->state != "done" && rec->state != "violations") {
+      return fail("clean-job-failed", "unfaulted job " + j.id + " ended \"" + rec->state +
+                                          "\"; work dir kept at " + dir);
+    }
+  }
+  if (reference_manifest(jobs_path, opts, so) != manifests[0]) {
+    return fail("backend-divergence",
+                "warm and fork/exec reference manifests differ on the reverify batch; "
+                "work dir kept at " + dir);
   }
 
   for (const std::string& f : cleanup) std::remove(f.c_str());
@@ -464,9 +494,8 @@ std::optional<ServeChaosFailure> check_kill_restart(const ServeChaosOptions& opt
   auto fail = [](std::string kind, std::string detail) {
     return ServeChaosFailure{std::move(kind), std::move(detail)};
   };
-  if (opts.scaldtvd_path.empty() || opts.scaldtv_path.empty()) {
-    return fail("bad-config", "kill-restart needs scaldtvd and scaldtv paths "
-                              "(TV_SCALDTVD / TV_SCALDTV)");
+  if (opts.scaldtvd_path.empty()) {
+    return fail("bad-config", "kill-restart needs the scaldtvd path (TV_SCALDTVD)");
   }
 
   const char* tmp = std::getenv("TMPDIR");
@@ -505,13 +534,12 @@ std::optional<ServeChaosFailure> check_kill_restart(const ServeChaosOptions& opt
   std::string seed_arg = std::to_string(opts.seed % 1000000);
   auto daemon_cmd = [&](const std::string& journal, const std::string& manifest,
                         const std::string& fault, bool resume) {
-    std::string cmd = "'" + opts.scaldtvd_path + "' --scaldtv '" + opts.scaldtv_path +
+    std::string cmd = "'" + opts.scaldtvd_path +
                       "' --workers 2 --max-attempts 3 --backoff-ms 10 "
                       "--backoff-max-ms 50 --job-timeout 2 --seed " + seed_arg +
                       " --journal '" + journal + "' --manifest '" + manifest + "' ";
     if (!fault.empty()) cmd += "--fault '" + fault + "' ";
     if (resume) cmd += "--resume ";
-    if (opts.warm) cmd += "--warm ";
     cmd += "'" + jobs_path + "'";
     if (!opts.verbose) cmd += " 2>/dev/null";
     return cmd;
@@ -577,9 +605,8 @@ std::optional<ServeChaosFailure> check_drain_requeue(const ServeChaosOptions& op
   auto fail = [](std::string kind, std::string detail) {
     return ServeChaosFailure{std::move(kind), std::move(detail)};
   };
-  if (opts.scaldtvd_path.empty() || opts.scaldtv_path.empty()) {
-    return fail("bad-config", "drain-requeue needs scaldtvd and scaldtv paths "
-                              "(TV_SCALDTVD / TV_SCALDTV)");
+  if (opts.scaldtvd_path.empty()) {
+    return fail("bad-config", "drain-requeue needs the scaldtvd path (TV_SCALDTVD)");
   }
 
   const char* tmp = std::getenv("TMPDIR");
@@ -631,12 +658,11 @@ std::optional<ServeChaosFailure> check_drain_requeue(const ServeChaosOptions& op
     cleanup.push_back(manifest_path);
 
     std::vector<std::string> args = {
-        opts.scaldtvd_path, "--scaldtv", opts.scaldtv_path,
+        opts.scaldtvd_path,
         "--workers", "1", "--max-attempts", sc.max_attempts,
         "--backoff-ms", sc.backoff_ms, "--backoff-max-ms", sc.backoff_ms,
         "--job-timeout", sc.job_timeout, "--seed", "1",
         "--manifest", manifest_path, jobs_path};
-    if (opts.warm) args.push_back("--warm");
     int code = run_daemon_with_sigterm(args, sc.sigterm_after_ms, opts.verbose);
     // Requeued jobs must not affect the exit status: 4 here means the
     // drain burned the interrupted attempt and declared the job crashed.
@@ -708,57 +734,47 @@ std::optional<ServeChaosFailure> check_mem_breach(const ServeChaosOptions& opts)
   }
   cleanup.push_back(jobs_path);
 
-  std::string seed_arg = std::to_string(opts.seed % 1000000);
-  std::string manifests[2];
-  for (int warm = 0; warm < 2; ++warm) {
-    const char* backend = warm ? "warm" : "fork/exec";
-    std::string manifest_path = dir + "/warm" + std::to_string(warm) + ".manifest.json";
-    std::string cmd = "'" + opts.scaldtvd_path + "' --scaldtv '" + opts.scaldtv_path +
-                      "' --workers 2 --max-attempts 3 --backoff-ms 10 "
-                      "--backoff-max-ms 50 --job-timeout 30 --mem-limit-mb 384 "
-                      "--seed " + seed_arg + " --manifest '" + manifest_path + "' '" +
-                      jobs_path + "'";
-    if (warm) cmd += " --warm";
+  serve::SupervisorOptions so = chaos_supervisor(2, 30, opts.seed);
+  so.mem_limit_mb = 384;
+  std::string manifest_path = dir + "/mem.manifest.json";
+  cleanup.push_back(manifest_path);
+  {
+    std::string cmd = "'" + opts.scaldtvd_path + "' " + daemon_flags(so) +
+                      " --manifest '" + manifest_path + "' '" + jobs_path + "'";
     if (!opts.verbose) cmd += " 2>/dev/null";
     int status = std::system(cmd.c_str());
     int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
     if (code != 6) {
-      return fail("bad-exit-code", std::string(backend) +
-                                       ": expected daemon exit 6 (resource-exhausted), got " +
+      return fail("bad-exit-code", "expected daemon exit 6 (resource-exhausted), got " +
                                        std::to_string(code) + "; work dir kept at " + dir);
     }
-    manifests[warm] = read_file(manifest_path);
-    cleanup.push_back(manifest_path);
-
-    std::vector<ManifestRecord> records = scan_manifest(manifests[warm]);
-    if (records.size() != 4) {
-      return fail("job-lost", std::string(backend) + ": manifest has " +
-                                  std::to_string(records.size()) +
-                                  " records, expected 4; work dir kept at " + dir);
-    }
-    for (const ManifestRecord& r : records) {
-      if (r.id == "hog") {
-        if (r.state != "resource-exhausted") {
-          return fail("breach-misclassified",
-                      std::string(backend) + ": memory hog ended \"" + r.state +
-                          "\" instead of \"resource-exhausted\"; work dir kept at " + dir);
-        }
-        if (r.attempts != 1) {
-          return fail("breach-retried",
-                      std::string(backend) + ": budget breach burned " +
-                          std::to_string(r.attempts) +
-                          " attempts without --mem-retry, expected 1; work dir kept at " + dir);
-        }
-      } else if (r.state != "done" && r.state != "violations") {
-        return fail("clean-job-failed", std::string(backend) + ": unfaulted job " + r.id +
-                                            " ended \"" + r.state +
-                                            "\"; work dir kept at " + dir);
+  }
+  std::string manifest = read_file(manifest_path);
+  std::vector<ManifestRecord> records = scan_manifest(manifest);
+  if (records.size() != 4) {
+    return fail("job-lost", "manifest has " + std::to_string(records.size()) +
+                                " records, expected 4; work dir kept at " + dir);
+  }
+  for (const ManifestRecord& r : records) {
+    if (r.id == "hog") {
+      if (r.state != "resource-exhausted") {
+        return fail("breach-misclassified",
+                    "memory hog ended \"" + r.state +
+                        "\" instead of \"resource-exhausted\"; work dir kept at " + dir);
       }
+      if (r.attempts != 1) {
+        return fail("breach-retried",
+                    "budget breach burned " + std::to_string(r.attempts) +
+                        " attempts without --mem-retry, expected 1; work dir kept at " + dir);
+      }
+    } else if (r.state != "done" && r.state != "violations") {
+      return fail("clean-job-failed", "unfaulted job " + r.id + " ended \"" + r.state +
+                                          "\"; work dir kept at " + dir);
     }
   }
-  if (manifests[0] != manifests[1]) {
+  if (reference_manifest(jobs_path, opts, so) != manifest) {
     return fail("backend-divergence",
-                "fork/exec and warm manifests differ under a memory budget; "
+                "warm and fork/exec reference manifests differ under a memory budget; "
                 "work dir kept at " + dir);
   }
 
@@ -775,11 +791,10 @@ std::optional<ServeChaosFailure> check_mem_breach(const ServeChaosOptions& opts)
   std::string retry_manifest = dir + "/mem-retry.manifest.json";
   cleanup.push_back(retry_manifest);
   {
-    std::string cmd = "'" + opts.scaldtvd_path + "' --scaldtv '" + opts.scaldtv_path +
-                      "' --workers 1 --max-attempts 3 --backoff-ms 10 "
-                      "--backoff-max-ms 50 --job-timeout 30 --mem-limit-mb 384 "
-                      "--mem-retry --seed " + seed_arg + " --manifest '" +
-                      retry_manifest + "' '" + retry_jobs + "'";
+    so.workers = 1;
+    so.mem_retry = true;
+    std::string cmd = "'" + opts.scaldtvd_path + "' " + daemon_flags(so) +
+                      " --manifest '" + retry_manifest + "' '" + retry_jobs + "'";
     if (!opts.verbose) cmd += " 2>/dev/null";
     std::system(cmd.c_str());
   }
@@ -808,9 +823,8 @@ std::optional<ServeChaosFailure> check_shed(const ServeChaosOptions& opts) {
   auto fail = [](std::string kind, std::string detail) {
     return ServeChaosFailure{std::move(kind), std::move(detail)};
   };
-  if (opts.scaldtvd_path.empty() || opts.scaldtv_path.empty()) {
-    return fail("bad-config", "shed needs scaldtvd and scaldtv paths "
-                              "(TV_SCALDTVD / TV_SCALDTV)");
+  if (opts.scaldtvd_path.empty()) {
+    return fail("bad-config", "shed needs the scaldtvd path (TV_SCALDTVD)");
   }
 
   const char* tmp = std::getenv("TMPDIR");
@@ -845,13 +859,12 @@ std::optional<ServeChaosFailure> check_shed(const ServeChaosOptions& opts) {
   std::string manifests[2];
   for (int run = 0; run < 2; ++run) {
     std::string manifest_path = dir + "/run" + std::to_string(run) + ".manifest.json";
-    std::string cmd = "'" + opts.scaldtvd_path + "' --scaldtv '" + opts.scaldtv_path +
+    std::string cmd = "'" + opts.scaldtvd_path +
                       "' --workers 2 --max-attempts 3 --backoff-ms 10 "
                       "--backoff-max-ms 50 --job-timeout 2 --max-queue " +
                       std::to_string(kMaxQueue) + " --seed " +
                       std::to_string(opts.seed % 1000000) + " --manifest '" +
                       manifest_path + "' '" + jobs_path + "'";
-    if (opts.warm) cmd += " --warm";
     if (!opts.verbose) cmd += " 2>/dev/null";
     int status = std::system(cmd.c_str());
     int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
@@ -916,9 +929,8 @@ std::optional<ServeChaosFailure> check_quarantine_resume(const ServeChaosOptions
   auto fail = [](std::string kind, std::string detail) {
     return ServeChaosFailure{std::move(kind), std::move(detail)};
   };
-  if (opts.scaldtvd_path.empty() || opts.scaldtv_path.empty()) {
-    return fail("bad-config", "quarantine-resume needs scaldtvd and scaldtv paths "
-                              "(TV_SCALDTVD / TV_SCALDTV)");
+  if (opts.scaldtvd_path.empty()) {
+    return fail("bad-config", "quarantine-resume needs the scaldtvd path (TV_SCALDTVD)");
   }
 
   const char* tmp = std::getenv("TMPDIR");
@@ -970,14 +982,13 @@ std::optional<ServeChaosFailure> check_quarantine_resume(const ServeChaosOptions
                         const std::string& fault, bool resume) {
     // Resume validation covers the overload policy: every invocation,
     // resumed or not, must carry the same --quarantine-after / --max-queue.
-    std::string cmd = "'" + opts.scaldtvd_path + "' --scaldtv '" + opts.scaldtv_path +
+    std::string cmd = "'" + opts.scaldtvd_path +
                       "' --workers 2 --max-attempts 3 --backoff-ms 10 "
                       "--backoff-max-ms 50 --job-timeout 2 --quarantine-after 2 "
                       "--max-queue 5 --seed " + seed_arg +
                       " --journal '" + journal + "' --manifest '" + manifest + "' ";
     if (!fault.empty()) cmd += "--fault '" + fault + "' ";
     if (resume) cmd += "--resume ";
-    if (opts.warm) cmd += "--warm ";
     cmd += "'" + jobs_path + "'";
     if (!opts.verbose) cmd += " 2>/dev/null";
     return cmd;
@@ -1082,9 +1093,8 @@ std::optional<ServeChaosFailure> check_write_fail(const ServeChaosOptions& opts)
   auto fail = [](std::string kind, std::string detail) {
     return ServeChaosFailure{std::move(kind), std::move(detail)};
   };
-  if (opts.scaldtvd_path.empty() || opts.scaldtv_path.empty()) {
-    return fail("bad-config", "write-fail needs scaldtvd and scaldtv paths "
-                              "(TV_SCALDTVD / TV_SCALDTV)");
+  if (opts.scaldtvd_path.empty()) {
+    return fail("bad-config", "write-fail needs the scaldtvd path (TV_SCALDTVD)");
   }
 
   const char* tmp = std::getenv("TMPDIR");
@@ -1121,13 +1131,12 @@ std::optional<ServeChaosFailure> check_write_fail(const ServeChaosOptions& opts)
   std::string seed_arg = std::to_string(opts.seed % 1000000);
   auto daemon_cmd = [&](const std::string& journal, const std::string& manifest,
                         const std::string& fault, bool resume) {
-    std::string cmd = "'" + opts.scaldtvd_path + "' --scaldtv '" + opts.scaldtv_path +
+    std::string cmd = "'" + opts.scaldtvd_path +
                       "' --workers 2 --max-attempts 3 --backoff-ms 10 "
                       "--backoff-max-ms 50 --job-timeout 2 --seed " + seed_arg +
                       " --journal '" + journal + "' --manifest '" + manifest + "' ";
     if (!fault.empty()) cmd += "--fault '" + fault + "' ";
     if (resume) cmd += "--resume ";
-    if (opts.warm) cmd += "--warm ";
     cmd += "'" + jobs_path + "'";
     if (!opts.verbose) cmd += " 2>/dev/null";
     return cmd;

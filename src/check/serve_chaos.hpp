@@ -3,8 +3,8 @@
 // Generates a seeded batch of known-good SHDL designs, attaches random
 // deterministic fault specs (injected read failures, mid-evaluation aborts,
 // hangs, one permanently-crashing job) to a fraction of the jobs, pushes
-// the batch through a real scaldtvd + scaldtv worker pool, and asserts the
-// supervisor's contract:
+// the batch through a real scaldtvd and its warm worker pool, and asserts
+// the supervisor's contract:
 //
 //   * every job reaches a terminal state -- none lost, duplicated, or left
 //     requeued when no shutdown was requested;
@@ -25,10 +25,11 @@ namespace tv::check {
 
 struct ServeChaosOptions {
   std::uint64_t seed = 1;
-  int jobs = 12;               // generated jobs per batch
-  std::string scaldtvd_path;   // daemon binary (required)
-  std::string scaldtv_path;    // worker binary (required)
-  bool warm = false;           // pass --warm: resident worker pools
+  int jobs = 12;              // generated jobs per batch
+  std::string scaldtvd_path;  // daemon binary (required)
+  // scaldtv binary for the fork/exec reference (check/fork_exec_reference.hpp);
+  // required only by the scenarios that diff against it (reverify, mem-breach).
+  std::string scaldtv_path;
   bool verbose = false;
 };
 
@@ -51,11 +52,12 @@ std::optional<ServeChaosFailure> check_serve_chaos(const ServeChaosOptions& opts
 ///     the manifest -- a crashed reverify attempt never poisons the job;
 ///   * one permanently-aborting reverify job exhausts its retries into
 ///     "crashed" (daemon exit 4);
-///   * each backend's manifest is byte-stable across two identical runs,
-///     and the (id, state, attempts) records agree *between* the fork/exec
-///     and warm backends: the warm pool's resident fixpoint (restored via
-///     the inverse delta, or dropped on failure) never changes a verdict.
-/// Ignores opts.warm (both backends run); honors seed/paths/verbose.
+///   * the daemon's manifest is byte-stable across two identical runs, and
+///     byte-identical to the fork/exec reference's, run in process under
+///     the same supervisor options: the warm pool's resident fixpoint
+///     (restored via the inverse delta, or dropped on failure) never
+///     changes a verdict.
+/// Honors seed/paths/verbose; needs opts.scaldtv_path.
 std::optional<ServeChaosFailure> check_reverify_chaos(const ServeChaosOptions& opts);
 
 /// The kill/restart chaos scenario (docs/recovery.md): one reference batch
@@ -70,7 +72,7 @@ std::optional<ServeChaosFailure> check_reverify_chaos(const ServeChaosOptions& o
 ///     can never wedge resume into a loop);
 ///   * the journal itself replays cleanly after every kill (the torn-line
 ///     tolerance never hides mid-file corruption).
-/// Honors opts.warm (backend under test), seed, and the binary paths.
+/// Honors seed and the daemon path.
 std::optional<ServeChaosFailure> check_kill_restart(const ServeChaosOptions& opts);
 
 /// The graceful-shutdown scenarios: SIGTERM lands (a) while a worker hangs
@@ -78,7 +80,7 @@ std::optional<ServeChaosFailure> check_kill_restart(const ServeChaosOptions& opt
 /// backoff. Both jobs must be recorded "requeued" -- never "crashed" -- with
 /// the interrupted attempt counted but not held against the job, and the
 /// daemon must exit 0 (requeued jobs do not affect the exit status).
-/// Ignores opts.seed/opts.jobs; honors the binary paths and opts.warm.
+/// Ignores opts.seed/opts.jobs; honors the daemon path.
 std::optional<ServeChaosFailure> check_drain_requeue(const ServeChaosOptions& opts);
 
 /// The memory-budget scenario (docs/serving.md "Overload & quarantine
@@ -88,11 +90,12 @@ std::optional<ServeChaosFailure> check_drain_requeue(const ServeChaosOptions& op
 ///   * the breaching job settles "resource-exhausted" (exit 6) on its first
 ///     attempt -- a budget breach is a classified verdict, never "crashed";
 ///   * clean neighbors are unaffected and the daemon folds to exit 6;
-///   * the fork/exec and warm-pool manifests are byte-identical -- the RSS
-///     watchdog is backend-independent;
+///   * the daemon's manifest is byte-identical to the fork/exec
+///     reference's under the same options -- the RSS watchdog classifies a
+///     breach the same way whichever process breached;
 ///   * with --mem-retry, an attempt-1-only breach retries and the job
 ///     recovers with the "mem-limit" attempt on record.
-/// Ignores opts.warm (both backends run); honors seed/paths/verbose.
+/// Honors seed/paths/verbose; needs opts.scaldtv_path.
 std::optional<ServeChaosFailure> check_mem_breach(const ServeChaosOptions& opts);
 
 /// The bounded-admission scenario: a batch larger than --max-queue. Jobs
@@ -100,7 +103,7 @@ std::optional<ServeChaosFailure> check_mem_breach(const ServeChaosOptions& opts)
 /// launched, never retried), the daemon folds to exit 7, admitted jobs
 /// finish normally, and two identical runs produce byte-identical
 /// manifests (shedding is deterministic, not load-dependent).
-/// Honors opts.warm (backend under test), seed, and the binary paths.
+/// Honors seed and the daemon path.
 std::optional<ServeChaosFailure> check_shed(const ServeChaosOptions& opts);
 
 /// The poison-design quarantine scenario, with crash-resume on top: two
@@ -113,7 +116,7 @@ std::optional<ServeChaosFailure> check_shed(const ServeChaosOptions& opts);
 /// kill point must converge to a manifest byte-identical to the
 /// uninterrupted run's -- the quarantine ledger and Shed settlements
 /// replay exactly like verdicts do.
-/// Honors opts.warm (backend under test), seed, and the binary paths.
+/// Honors seed and the daemon path.
 std::optional<ServeChaosFailure> check_quarantine_resume(const ServeChaosOptions& opts);
 
 /// The disk-pressure sweep (docs/recovery.md): a journaled reference batch
@@ -127,7 +130,7 @@ std::optional<ServeChaosFailure> check_quarantine_resume(const ServeChaosOptions
 ///     bounded number of --resume runs (without the fault) converges to a
 ///     manifest byte-identical to the uninterrupted run's, whether the
 ///     failure hit the journal header, a mid-run append, or the manifest.
-/// Honors opts.warm (backend under test), seed, and the binary paths.
+/// Honors seed and the daemon path.
 std::optional<ServeChaosFailure> check_write_fail(const ServeChaosOptions& opts);
 
 }  // namespace tv::check

@@ -93,14 +93,6 @@ bool parse_long(const std::string& text, long& out) {
   return end && *end == '\0';
 }
 
-std::string format_double(double v) {
-  // Shortest round-trip-ish form: trim trailing zeros so worker argv stays
-  // stable and readable (5.0 -> "5", 0.25 -> "0.25").
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
-
 }  // namespace
 
 std::optional<JobSpec> parse_job_line(const std::string& line, std::string* error) {
@@ -154,32 +146,10 @@ std::optional<JobSpec> parse_job_line(const std::string& line, std::string* erro
       }
       job.reverify = value;
     } else if (key == "fault") {
+      // A typo'd chaos spec must fail the batch load, not run every worker
+      // clean: check it with the parser the worker itself configures from.
       std::string spec_error;
-      // Validate eagerly so a typo'd chaos spec fails the batch load, not
-      // silently runs every worker clean. Validation must not disturb the
-      // process-wide plan, so parse into a scratch config... the fault
-      // layer has no dry-run entry point; a structural check suffices here:
-      // entries are validated by the worker at startup, and scaldtvd logs
-      // worker stderr. Shape check: site@N:action per comma-entry.
-      std::size_t from = 0;
-      while (from <= value.size()) {
-        std::size_t comma = value.find(',', from);
-        if (comma == std::string::npos) comma = value.size();
-        std::string part = value.substr(from, comma - from);
-        if (!part.empty()) {
-          std::size_t at = part.find('@');
-          std::size_t colon = at == std::string::npos ? std::string::npos
-                                                      : part.find(':', at);
-          std::string action =
-              colon == std::string::npos ? "" : part.substr(colon + 1);
-          if (at == std::string::npos || at == 0 || colon == std::string::npos ||
-              (action != "fail" && action != "abort" && action != "hang" &&
-               action != "kill9" && action != "bloat")) {
-            return fail("\"fault\" entry \"" + part + "\" is not site@N:action");
-          }
-        }
-        from = comma + 1;
-      }
+      if (!fault::validate(value, &spec_error)) return fail("\"fault\": " + spec_error);
       job.fault = value;
     } else if (key == "fault_attempts") {
       long v = 0;
@@ -225,26 +195,6 @@ std::optional<std::vector<JobSpec>> parse_job_file(const std::string& path,
     jobs.push_back(std::move(*job));
   }
   return jobs;
-}
-
-std::vector<std::string> worker_args(const JobSpec& job) {
-  std::vector<std::string> args;
-  if (job.compiled) args.push_back("--compiled");
-  if (job.stdlib) args.push_back("--stdlib");
-  if (job.time_limit > 0) {
-    args.push_back("--time-limit");
-    args.push_back(format_double(job.time_limit));
-  }
-  if (job.jobs > 0) {
-    args.push_back("--jobs");
-    args.push_back(std::to_string(job.jobs));
-  }
-  if (!job.reverify.empty()) {
-    args.push_back("--reverify");
-    args.push_back(job.reverify);
-  }
-  args.push_back(job.design);
-  return args;
 }
 
 }  // namespace tv::serve

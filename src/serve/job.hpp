@@ -1,7 +1,7 @@
 // Verification job specifications for the scaldtvd batch/daemon front end.
 //
-// A job names one design to verify and the per-run options the worker
-// process (scaldtv) is launched with. Jobs arrive as newline-delimited JSON
+// A job names one design to verify and the per-run options its worker
+// runs it with (the same meaning as the scaldtv flags of that name). Jobs arrive as newline-delimited JSON
 // ("job files", one object per line -- appendable, diffable, and trivially
 // mergeable from a directory watch):
 //
@@ -15,18 +15,19 @@
 //   design         path to the .shdl source (relative to the daemon's cwd),
 //                  or to a compiled .tvc artifact when "compiled" is true
 //   compiled       bool: `design` is a scaldtvc artifact; the worker loads
-//                  it with --compiled, skipping the HDL front end
+//                  it as scaldtv --compiled does, skipping the HDL front end
 //   stdlib         bool: prepend the standard chip-macro library (sources
 //                  only; a compiled artifact already baked its library in)
-//   time_limit     seconds: forwarded as scaldtv --time-limit; also sets
+//   time_limit     seconds: the worker's --time-limit budget; also sets
 //                  the supervisor's watchdog for this job
 //   jobs           case-analysis worker threads inside the worker process
 //   reverify       path to a JSON netlist delta (docs/incremental.md): the
 //                  worker verifies the baseline, applies the delta, and
-//                  reports on the edited design (scaldtv --reverify); warm
-//                  workers restore their resident baseline afterwards by
-//                  applying the inverse delta
-//   fault          TV_FAULT spec injected into the worker's environment
+//                  reports on the edited design (scaldtv --reverify), then
+//                  restores its resident baseline by applying the inverse
+//                  delta
+//   fault          fault plan (util/fault.hpp grammar, checked when the
+//                  file loads) armed in the worker for the attempt
 //   fault_attempts inject `fault` only on the first N attempts (0 = all):
 //                  chaos tests use 1 so the retry path is observably
 //                  exercised -- attempt 1 dies, attempt 2 runs clean
@@ -62,8 +63,5 @@ std::optional<JobSpec> parse_job_line(const std::string& line, std::string* erro
 /// *error naming the line number.
 std::optional<std::vector<JobSpec>> parse_job_file(const std::string& path,
                                                    std::string* error);
-
-/// The worker argv (excluding argv[0]) a job translates to.
-std::vector<std::string> worker_args(const JobSpec& job);
 
 }  // namespace tv::serve

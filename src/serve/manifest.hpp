@@ -47,8 +47,8 @@ struct Manifest {
   std::vector<JobRecord> jobs;
 
   // Warm-pool residents retired by the --max-resident LRU cap during this
-  // run. Always 0 for the fork/exec backend and for uncapped warm runs, so
-  // backend-identity checks stay byte-exact; with a cap configured the
+  // run. Always 0 for uncapped runs (and for the fork/exec reference), so
+  // the warm-vs-reference identity checks stay byte-exact; with a cap configured the
   // count reflects actual completion scheduling and is — together with
   // durability_degraded — excluded from the byte-determinism guarantee.
   std::size_t evictions = 0;

@@ -1,17 +1,12 @@
 #include "serve/supervisor.hpp"
 
-#include <fcntl.h>
 #include <sys/resource.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <sstream>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -20,7 +15,7 @@
 #include "serve/warm_pool.hpp"
 #include "util/fault.hpp"
 
-// The setrlimit backstop is compiled out under ASan: its shadow mappings
+// The RLIMIT_DATA backstop is compiled out under ASan: its shadow mappings
 // count toward RLIMIT_DATA on modern kernels and would kill every worker
 // at startup. The supervisor-side statm watchdog stays on either way.
 #if defined(__SANITIZE_ADDRESS__)
@@ -92,85 +87,6 @@ std::string quarantine_key(const JobSpec& job) {
   return out;
 }
 
-pid_t spawn_worker(const JobSpec& job, const SupervisorOptions& opts, int attempt) {
-  std::vector<std::string> args = worker_args(job);
-  std::vector<char*> argv;
-  argv.push_back(const_cast<char*>(opts.scaldtv_path.c_str()));
-  for (std::string& a : args) argv.push_back(a.data());
-  argv.push_back(nullptr);
-
-  const std::string* spec = effective_fault_spec(job, opts, attempt);
-
-  pid_t pid = fork();
-  if (pid != 0) return pid;  // parent (or fork failure, -1)
-
-  // Child: only async-signal-safe calls plus exec. Workers write their
-  // reports to /dev/null -- the manifest is the daemon's output; worker
-  // stderr is passed through so crash reports and diagnostics stay visible.
-  int devnull = open("/dev/null", O_WRONLY);
-  if (devnull >= 0) {
-    dup2(devnull, STDOUT_FILENO);
-    if (devnull > STDERR_FILENO) close(devnull);
-  }
-  if (spec) {
-    setenv("TV_FAULT", spec->c_str(), 1);
-  } else {
-    unsetenv("TV_FAULT");
-  }
-#if !defined(TV_ASAN_BUILD)
-  if (opts.mem_limit_mb > 0) {
-    // Kernel-side backstop under the statm watchdog. RLIMIT_DATA counts
-    // reserved virtual memory, not resident pages, and glibc's malloc
-    // arenas over-reserve by design -- so the hard limit gets generous
-    // headroom (4x the budget + 256 MiB) and exists only to stop a worker
-    // that outruns the watchdog's sampling cadence, not to be the primary
-    // enforcement. The watchdog's kill is what classifies the breach.
-    struct rlimit rl;
-    rl.rlim_cur = rl.rlim_max =
-        static_cast<rlim_t>(opts.mem_limit_mb) * (1u << 20) * 4 +
-        (static_cast<rlim_t>(256) << 20);
-    setrlimit(RLIMIT_DATA, &rl);
-  }
-#endif
-  execvp(opts.scaldtv_path.c_str(), argv.data());
-  _exit(127);
-}
-
-class ForkExecBackend : public WorkerBackend {
- public:
-  explicit ForkExecBackend(const SupervisorOptions& opts) : opts_(opts) {}
-
-  pid_t launch(const JobSpec& job, int attempt) override {
-    return spawn_worker(job, opts_, attempt);
-  }
-
-  WorkerPoll poll(pid_t pid) override {
-    WorkerPoll p;
-    int status = 0;
-    pid_t r = waitpid(pid, &status, WNOHANG);
-    if (r == pid) {
-      if (WIFSIGNALED(status)) {
-        p.kind = WorkerPoll::Kind::Signaled;
-        p.value = WTERMSIG(status);
-      } else {
-        p.kind = WorkerPoll::Kind::Exited;
-        p.value = WIFEXITED(status) ? WEXITSTATUS(status) : 127;
-      }
-    } else if (r < 0 && errno == ECHILD) {
-      // Should not happen (we only wait on our own pids), but do not spin
-      // on a lost child forever: treat it like a SIGKILLed worker.
-      p.kind = WorkerPoll::Kind::Signaled;
-      p.value = SIGKILL;
-    }
-    return p;
-  }
-
-  void kill_worker(pid_t pid) override { kill(pid, SIGKILL); }
-
- private:
-  const SupervisorOptions& opts_;
-};
-
 }  // namespace
 
 long worker_rss_bytes(pid_t pid) {
@@ -185,6 +101,29 @@ long worker_rss_bytes(pid_t pid) {
   long page = sysconf(_SC_PAGESIZE);
   if (page <= 0) page = 4096;
   return pages_resident * page;
+}
+
+std::uint64_t memory_backstop_bytes(long mem_limit_mb) {
+#if defined(TV_ASAN_BUILD)
+  (void)mem_limit_mb;
+  return 0;
+#else
+  if (mem_limit_mb <= 0) return 0;
+  // RLIMIT_DATA counts reserved virtual memory, not resident pages, and
+  // glibc's malloc arenas over-reserve by design -- so the limit gets
+  // generous headroom (4x the budget + 256 MiB). It exists only to stop a
+  // worker that outruns the watchdog's sampling cadence; the watchdog's
+  // kill is what classifies the breach.
+  return static_cast<std::uint64_t>(mem_limit_mb) * (1u << 20) * 4 + (256u << 20);
+#endif
+}
+
+void apply_memory_backstop(long mem_limit_mb) {
+  std::uint64_t bytes = memory_backstop_bytes(mem_limit_mb);
+  if (bytes == 0) return;
+  struct rlimit rl;
+  rl.rlim_cur = rl.rlim_max = static_cast<rlim_t>(bytes);
+  setrlimit(RLIMIT_DATA, &rl);
 }
 
 const std::string* effective_fault_spec(const JobSpec& job,
@@ -225,10 +164,6 @@ std::uint64_t backoff_delay_ms(const SupervisorOptions& opts,
     return opts.backoff_max_ms;
   }
   return delay + jitter;
-}
-
-std::unique_ptr<WorkerBackend> make_fork_exec_backend(const SupervisorOptions& opts) {
-  return std::make_unique<ForkExecBackend>(opts);
 }
 
 Manifest run_jobs(const std::vector<JobSpec>& jobs, const SupervisorOptions& opts,
@@ -636,8 +571,7 @@ Manifest run_jobs(const std::vector<JobSpec>& jobs, const SupervisorOptions& opt
 }
 
 Manifest run_jobs(const std::vector<JobSpec>& jobs, const SupervisorOptions& opts) {
-  std::unique_ptr<WorkerBackend> backend =
-      opts.warm ? make_warm_pool_backend(opts) : make_fork_exec_backend(opts);
+  std::unique_ptr<WorkerBackend> backend = make_warm_pool_backend(opts);
   return run_jobs(jobs, opts, *backend);
 }
 

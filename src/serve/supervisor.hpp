@@ -1,8 +1,9 @@
 // Crash-isolated job supervisor for scaldtvd.
 //
-// Each verification job runs in its own worker process (fork/exec of
-// scaldtv), so a crashing, hanging, or resource-exhausted design takes down
-// one worker, never the daemon or the rest of the batch. The supervisor:
+// Each verification job runs in a worker process (a resident warm worker,
+// serve/warm_pool.hpp), so a crashing, hanging, or resource-exhausted design
+// takes down one worker, never the daemon or the rest of the batch. The
+// supervisor:
 //
 //   * keeps at most `workers` jobs in flight, launching from a FIFO queue;
 //   * arms a per-job wall-clock watchdog (the job's --time-limit budget
@@ -31,7 +32,6 @@
 
 #include <csignal>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <sys/types.h>
 #include <vector>
@@ -45,25 +45,22 @@ class Journal;
 struct JournalReplay;
 
 struct SupervisorOptions {
-  std::string scaldtv_path = "scaldtv";  // worker binary (execvp semantics)
-  unsigned workers = 1;                  // max jobs in flight
-  int max_attempts = 3;                  // launches per job before Crashed
-  std::uint64_t backoff_base_ms = 100;   // first retry delay
-  std::uint64_t backoff_max_ms = 5000;   // delay cap
-  double watchdog_slack = 2.0;           // seconds past --time-limit
-  double default_timeout = 0;            // watchdog for no-limit jobs (0 = none)
-  std::uint64_t jitter_seed = 0;         // keys the deterministic jitter
-  // TV_FAULT spec forced into every worker's environment (daemon-level
-  // chaos, on top of per-job `fault` specs). Applied with the same
-  // fault_attempts gating rules -- here, every attempt.
+  unsigned workers = 1;                 // max jobs in flight
+  int max_attempts = 3;                 // launches per job before Crashed
+  std::uint64_t backoff_base_ms = 100;  // first retry delay
+  std::uint64_t backoff_max_ms = 5000;  // delay cap
+  double watchdog_slack = 2.0;          // seconds past --time-limit
+  double default_timeout = 0;           // watchdog for no-limit jobs (0 = none)
+  std::uint64_t jitter_seed = 0;        // keys the deterministic jitter
+  // Fault spec armed in every worker (daemon-level chaos) for jobs with no
+  // `fault` of their own; see effective_fault_spec.
   std::string fault_spec;
   // Set to nonzero (by a signal handler) to request graceful shutdown.
   volatile std::sig_atomic_t* shutdown = nullptr;
   bool verbose = false;  // per-attempt progress lines on stderr
-  // Keep one warm worker process per distinct design alive across jobs
-  // (serve/warm_pool.hpp) instead of fork/exec-ing scaldtv per attempt.
-  // Crash isolation is unchanged: a worker that exits with anything but a
-  // verdict (0/1/3) is discarded and the next attempt gets a fresh process.
+  // Read by nothing: the warm pool is the only backend. Still declared
+  // because perfbench's serve_stream workload assigns it; it goes when
+  // that workload is next revised.
   bool warm = false;
   // Cap on idle resident workers the warm pool keeps alive between jobs
   // (0 = unlimited). When a verdict would push the idle pool past the cap
@@ -71,8 +68,7 @@ struct SupervisorOptions {
   // manifest's "evictions" field. With the cap on, workers persist each
   // design's fixpoint snapshot (<design>.tvf, core/fixpoint.hpp) after its
   // first clean baseline, so an evicted design's next worker restores the
-  // warm baseline from the sidecar instead of re-verifying cold. Only
-  // meaningful with warm = true.
+  // warm baseline from the sidecar instead of re-verifying cold.
   std::size_t max_resident = 0;
   // Write-ahead job journal (serve/journal.hpp): every launch / outcome /
   // settle transition is appended+fsync'd before the batch proceeds. After
@@ -87,12 +83,11 @@ struct SupervisorOptions {
   // outcome histories preserved. Null = fresh batch.
   const JournalReplay* resume = nullptr;
   // Per-job memory budget in MiB (0 = none). Enforced by a supervisor-side
-  // /proc/<pid>/statm RSS watchdog on running workers (both backends) plus
-  // a setrlimit(RLIMIT_DATA) backstop in fork/exec children (skipped under
-  // ASan, whose shadow mappings would trip it at startup). A breach is the
-  // deterministic outcome "mem-limit", never a raw SIGKILL mystery: the
-  // job settles ResourceExhausted immediately, or -- with mem_retry -- is
-  // retried like a transient and settles ResourceExhausted only once
+  // /proc/<pid>/statm RSS watchdog on running workers plus an RLIMIT_DATA
+  // backstop set when each worker forks (apply_memory_backstop). A breach
+  // is the deterministic outcome "mem-limit", never a raw SIGKILL mystery:
+  // the job settles ResourceExhausted immediately, or -- with mem_retry --
+  // is retried like a transient and settles ResourceExhausted only once
   // attempts are exhausted with the final attempt still breaching.
   long mem_limit_mb = 0;
   bool mem_retry = false;
@@ -131,11 +126,14 @@ struct WorkerPoll {
 };
 
 /// How the supervisor obtains worker processes. The retry/watchdog/drain
-/// state machine in run_jobs is backend-agnostic: it launches an attempt,
-/// polls it, and may kill it; the backend decides whether that means a
-/// fresh fork/exec of scaldtv or a command dispatched to a warm resident
-/// worker. launch() returns the pid to poll/kill, or -1 for a spawn
-/// failure (treated as a transient worker loss).
+/// state machine in run_jobs launches an attempt, polls it, and may kill
+/// it; the backend owns the processes. scaldtvd's only backend is the warm
+/// pool (make_warm_pool_backend). The interface stays because two other
+/// implementations need it: the fork/exec reference oracle
+/// (check/fork_exec_reference.hpp), which the warm pool's manifests are
+/// diffed against, and perfbench's timing wrapper. launch() returns the pid
+/// to poll/kill, or -1 for a spawn failure (treated as a transient worker
+/// loss).
 class WorkerBackend {
  public:
   virtual ~WorkerBackend() = default;
@@ -144,7 +142,7 @@ class WorkerBackend {
   virtual void kill_worker(pid_t pid) = 0;
   /// Resident workers retired by the max_resident LRU cap so far. Backends
   /// without a resident pool report 0, which keeps manifests byte-identical
-  /// across backends when no cap is configured.
+  /// to the reference's when no cap is configured.
   virtual std::size_t evictions() const { return 0; }
   /// Durable writes the backend's workers had to skip because the
   /// filesystem refused them (warm-pool snapshot sidecars under disk
@@ -153,14 +151,10 @@ class WorkerBackend {
   virtual std::size_t durability_degraded() const { return 0; }
 };
 
-/// The classic backend: one fork/exec of `opts.scaldtv_path` per attempt.
-/// `opts` must outlive the backend.
-std::unique_ptr<WorkerBackend> make_fork_exec_backend(const SupervisorOptions& opts);
-
 /// The fault spec this attempt runs under: the job's own fault wins (gated
-/// on fault_attempts), else the daemon-wide spec, else null. Shared by both
-/// backends so fork/exec (TV_FAULT env) and warm workers (spec sent over
-/// the command pipe) gate injection identically.
+/// on fault_attempts), else the daemon-wide spec, else null. The warm pool
+/// sends it over the command pipe and the fork/exec reference sets it as
+/// TV_FAULT, so both gate injection identically.
 const std::string* effective_fault_spec(const JobSpec& job,
                                         const SupervisorOptions& opts,
                                         int attempt);
@@ -170,10 +164,20 @@ const std::string* effective_fault_spec(const JobSpec& job,
 /// per-job RSS watchdog and the warm pool's between-jobs soft check.
 long worker_rss_bytes(pid_t pid);
 
+/// The RLIMIT_DATA a worker runs under for a `mem_limit_mb` budget: 4x the
+/// budget + 256 MiB, or 0 (no limit) when there is no budget or in an ASan
+/// build, whose shadow mappings would trip the limit at startup.
+std::uint64_t memory_backstop_bytes(long mem_limit_mb);
+
+/// Sets memory_backstop_bytes(mem_limit_mb) as the calling process's
+/// RLIMIT_DATA; a no-op when that is 0. Called in a freshly forked worker
+/// (only setrlimit, so it is safe between fork and exec).
+void apply_memory_backstop(long mem_limit_mb);
+
 /// Runs every job to a terminal state (or Requeued under shutdown) and
 /// returns the manifest. Jobs are launched in input order; results are
 /// keyed by id, so output order does not depend on scheduling. The
-/// two-argument form picks the backend from opts.warm.
+/// two-argument form runs on a warm pool built from `opts`.
 Manifest run_jobs(const std::vector<JobSpec>& jobs, const SupervisorOptions& opts);
 Manifest run_jobs(const std::vector<JobSpec>& jobs, const SupervisorOptions& opts,
                   WorkerBackend& backend);

@@ -248,8 +248,8 @@ class WarmPoolBackend : public WorkerBackend {
   // testing -- the same effective fault spec. Keying on the fault spec keeps
   // load-time fault sites (io.read) honest: a faulted job never inherits a
   // worker whose front end already ran clean, so injected faults fire
-  // exactly as they do under fork/exec. Production jobs carry no fault spec
-  // and share freely.
+  // exactly as they do in a freshly exec'd scaldtv. Production jobs carry
+  // no fault spec and share freely.
   static std::string pool_key(const JobSpec& job, const std::string* fault) {
     std::string key = job.design;
     key += job.compiled ? "|compiled" : "|source";
@@ -276,9 +276,10 @@ class WarmPoolBackend : public WorkerBackend {
       return false;
     }
     if (pid == 0) {
-      // Child: becomes a resident worker; never returns. Like fork/exec
-      // workers, stdout goes to /dev/null (the manifest is the daemon's
-      // output) and stderr passes through for crash reports.
+      // Child: becomes a resident worker; never returns. Stdout goes to
+      // /dev/null (the manifest is the daemon's output), stderr passes
+      // through for crash reports, and a memory budget arms the
+      // RLIMIT_DATA backstop under the supervisor's RSS watchdog.
       close(cmd_pipe[1]);
       close(resp_pipe[0]);
       signal(SIGTERM, SIG_DFL);
@@ -289,6 +290,7 @@ class WarmPoolBackend : public WorkerBackend {
         dup2(devnull, STDOUT_FILENO);
         if (devnull > STDERR_FILENO) close(devnull);
       }
+      apply_memory_backstop(opts_.mem_limit_mb);
       _exit(warm_worker_main(job.design, job.stdlib, job.compiled,
                              opts_.max_resident > 0, cmd_pipe[0], resp_pipe[1]));
     }

@@ -1,13 +1,13 @@
-// Warm in-process worker pool for scaldtvd.
+// Warm in-process worker pool: scaldtvd's worker backend.
 //
-// The fork/exec backend pays the full cold-start price on every attempt:
-// process creation, dynamic loading, HDL parse + macro expansion (or
-// artifact load), and an empty waveform-intern table. The warm pool keeps
-// one resident worker process per distinct design alive across jobs: the
-// worker loads the design once, constructs one long-lived Verifier (whose
-// WaveformTable and EvalMemo stay populated), and then serves "run"
-// commands over a pipe, answering each with the exit code scaldtv would
-// have produced.
+// A fresh scaldtv process per attempt would pay the full cold-start price
+// every time: process creation, dynamic loading, HDL parse + macro
+// expansion (or artifact load), and an empty waveform-intern table. The
+// warm pool keeps one resident worker process per distinct design alive
+// across jobs: the worker loads the design once, constructs one long-lived
+// Verifier (whose WaveformTable and EvalMemo stay populated), and then
+// serves "run" commands over a pipe, answering each with the exit code
+// scaldtv would have produced.
 //
 // Protocol (newline-delimited text, parent -> worker on the command pipe,
 // worker -> parent on the response pipe):
@@ -30,19 +30,21 @@
 // Crash isolation is preserved, not traded away:
 //   * every worker is still a separate process -- a crashing or hanging
 //     design kills its worker, never the daemon;
-//   * the supervisor's watchdog SIGKILLs the worker pid exactly as it
-//     would a fork/exec worker; the backend reports the signal death and
-//     the next attempt gets a fresh process;
+//   * the supervisor's watchdog SIGKILLs the worker pid; the backend
+//     reports the signal death and the next attempt gets a fresh process;
+//   * under a memory budget each worker forks with the RLIMIT_DATA
+//     backstop (apply_memory_backstop) beneath the supervisor's RSS
+//     watchdog;
 //   * a worker is returned to the idle pool only after answering with a
 //     verdict (exit 0/1/3). Any other response or death recycles it, so
-//     retry semantics ("attempt 1 dies, attempt 2 runs clean") hold with
-//     identical manifests.
+//     retry semantics ("attempt 1 dies, attempt 2 runs clean") hold, and
+//     manifests are byte-identical to the stateless fork/exec reference
+//     (check/fork_exec_reference.hpp).
 //
-// Fault injection rides the protocol instead of TV_FAULT: the parent
-// computes the same effective per-attempt spec as the fork/exec backend
-// (effective_fault_spec) and sends it with each run command; the worker
-// reconfigures its fault plan per run, so @N counters count within one
-// job exactly as they do in a freshly exec'd scaldtv.
+// Fault injection rides the protocol: the parent computes the effective
+// per-attempt spec (effective_fault_spec) and sends it with each run
+// command; the worker reconfigures its fault plan per run, so @N counters
+// count within one job exactly as they do in a freshly exec'd scaldtv.
 #pragma once
 
 #include <memory>

@@ -1,6 +1,7 @@
 #include "util/fault.hpp"
 
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -40,6 +41,14 @@ bool parse_entry(const std::string& text, Entry& e, std::string* error) {
   std::size_t colon = text.find(':', at);
   if (colon == std::string::npos) return fail("expected site@N:action");
   e.site = text.substr(0, at);
+  // A dotted identifier only: warm workers receive the spec as one
+  // whitespace-delimited protocol token, so a blank inside it must be
+  // rejected here rather than split the command line.
+  for (char c : e.site) {
+    if (!std::isalnum(static_cast<unsigned char>(c)) && c != '.' && c != '_') {
+      return fail("site must be a dotted identifier");
+    }
+  }
   std::string nth = text.substr(at + 1, colon - at - 1);
   if (nth.empty()) return fail("missing hit count");
   char* end = nullptr;
@@ -63,10 +72,7 @@ bool parse_entry(const std::string& text, Entry& e, std::string* error) {
   return true;
 }
 
-}  // namespace
-
-bool configure(const std::string& spec, std::string* error) {
-  std::vector<Entry> plan;
+bool parse_plan(const std::string& spec, std::vector<Entry>& plan, std::string* error) {
   std::size_t from = 0;
   while (from < spec.size()) {
     std::size_t comma = spec.find(',', from);
@@ -78,6 +84,19 @@ bool configure(const std::string& spec, std::string* error) {
     if (!parse_entry(part, e, error)) return false;
     plan.push_back(std::move(e));
   }
+  return true;
+}
+
+}  // namespace
+
+bool validate(const std::string& spec, std::string* error) {
+  std::vector<Entry> plan;
+  return parse_plan(spec, plan, error);
+}
+
+bool configure(const std::string& spec, std::string* error) {
+  std::vector<Entry> plan;
+  if (!parse_plan(spec, plan, error)) return false;
   std::lock_guard<std::mutex> lock(g_mu);
   g_plan = std::move(plan);
   g_enabled.store(!g_plan.empty(), std::memory_order_release);

@@ -68,6 +68,11 @@ class InjectedFault : public std::runtime_error {
 /// and sets *error on a malformed spec, leaving the previous plan in place.
 bool configure(const std::string& spec, std::string* error = nullptr);
 
+/// Parses `spec` exactly as configure() does, without touching the active
+/// plan: the dry run scaldtvd uses to reject a job file's bad fault spec at
+/// load time. Returns false and sets *error on a malformed spec.
+bool validate(const std::string& spec, std::string* error = nullptr);
+
 /// Loads the plan from TV_FAULT if set and nonempty. Malformed specs are
 /// reported on stderr and ignored (a chaos harness must not turn a typo
 /// into silent clean runs -- the message names the bad entry).

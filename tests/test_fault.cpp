@@ -67,6 +67,7 @@ TEST_F(FaultTest, MalformedSpecsAreRejectedWithAMessage) {
       "io.read@x:fail",           // non-numeric hit count
       "io.read@1:explode",        // unknown action
       "io.read@1:fail,bogus",     // one bad entry poisons the spec
+      "io read@1:fail",           // a site is a dotted identifier
   };
   for (const char* spec : bad) {
     std::string error;
@@ -81,6 +82,19 @@ TEST_F(FaultTest, RejectedSpecLeavesThePreviousPlanActive) {
   EXPECT_FALSE(configure("nonsense"));
   EXPECT_TRUE(enabled());
   EXPECT_TRUE(should_fail("io.read"));
+}
+
+TEST_F(FaultTest, ValidateIsADryRunOfConfigure) {
+  // The job-file loader's check: same verdicts as configure(), but the
+  // active plan is never replaced or cleared.
+  ASSERT_TRUE(configure("io.read@1:fail"));
+  std::string error;
+  EXPECT_TRUE(validate("evaluator.eval@2:abort,serve.spawn@1:hang", &error)) << error;
+  EXPECT_TRUE(validate(""));
+  EXPECT_FALSE(validate("io.read@x:fail", &error));
+  EXPECT_NE(error.find("hit count"), std::string::npos) << error;
+  EXPECT_FALSE(validate("io.read@0:fail"));
+  EXPECT_EQ(describe(), "io.read@1:fail");
 }
 
 TEST_F(FaultTest, EmptySpecClearsThePlan) {

@@ -1,8 +1,9 @@
 // Tests for the scaldtvd serving layer (src/serve): the newline-JSON job
 // parser, the byte-stable run manifest, the deterministic retry backoff,
-// and -- driving the real scaldtv binary as a crash-isolated worker -- the
-// supervisor's terminal-state, retry, watchdog, and graceful-shutdown
-// contracts.
+// the supervisor's terminal-state, retry, watchdog, and graceful-shutdown
+// contracts on the warm worker pool, and -- driving the real scaldtv binary
+// through the fork/exec reference (src/check) -- the warm pool's byte
+// identity with it.
 #include "serve/job.hpp"
 #include "serve/manifest.hpp"
 #include "serve/supervisor.hpp"
@@ -14,10 +15,14 @@
 
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <new>
+#include <sstream>
 #include <thread>
 
+#include "check/fork_exec_reference.hpp"
 #include "core/compiled.hpp"
 #include "example_designs.hpp"
 #include "serve/warm_pool.hpp"
@@ -65,6 +70,8 @@ TEST(JobParse, RejectsBadLines) {
       R"({"id": "j", "design": "d", "stdlib": 7})",  // non-bool stdlib
       R"({"id": "j", "design": "d", "fault": "nonsense"})",  // bad fault shape
       R"({"id": "j", "design": "d", "fault": "io.read@1:explode"})",
+      R"({"id": "j", "design": "d", "fault": "io.read@x:fail"})",  // bad hit count
+      R"({"id": "j", "design": "d", "fault": "io.read@0:fail"})",  // 1-based
   };
   for (const char* line : bad) {
     std::string error;
@@ -101,12 +108,13 @@ TEST(JobParse, WorkerArgsReflectTheSpec) {
   JobSpec j;
   j.id = "x";
   j.design = "d.shdl";
-  EXPECT_EQ(worker_args(j), (std::vector<std::string>{"d.shdl"}));
+  EXPECT_EQ(check::worker_args(j), (std::vector<std::string>{"d.shdl"}));
   j.stdlib = true;
   j.time_limit = 0.25;
   j.jobs = 2;
-  EXPECT_EQ(worker_args(j), (std::vector<std::string>{"--stdlib", "--time-limit",
-                                                      "0.25", "--jobs", "2", "d.shdl"}));
+  EXPECT_EQ(check::worker_args(j),
+            (std::vector<std::string>{"--stdlib", "--time-limit", "0.25", "--jobs", "2",
+                                      "d.shdl"}));
 }
 
 TEST(JobParse, CompiledDesignsFlowThroughToTheWorker) {
@@ -114,7 +122,7 @@ TEST(JobParse, CompiledDesignsFlowThroughToTheWorker) {
       R"({"id": "c", "design": "d.tvc", "compiled": true})", nullptr);
   ASSERT_TRUE(job);
   EXPECT_TRUE(job->compiled);
-  EXPECT_EQ(worker_args(*job), (std::vector<std::string>{"--compiled", "d.tvc"}));
+  EXPECT_EQ(check::worker_args(*job), (std::vector<std::string>{"--compiled", "d.tvc"}));
 
   std::string error;
   EXPECT_FALSE(
@@ -263,9 +271,7 @@ TEST(Backoff, SurvivesAdversarialBaseAndHugeAttempts) {
   EXPECT_EQ(backoff_delay_ms(opts, "j", 5), 0u);
 }
 
-// ------------------------------------------------- supervisor (real worker)
-
-#ifdef TV_SCALDTV_PATH
+// ---------------------------------------------- supervisor (warm worker pool)
 
 class SupervisorTest : public ::testing::Test {
  protected:
@@ -274,13 +280,20 @@ class SupervisorTest : public ::testing::Test {
 
   SupervisorOptions fast_opts() {
     SupervisorOptions opts;
-    opts.scaldtv_path = TV_SCALDTV_PATH;
     opts.workers = 2;
     opts.max_attempts = 3;
     opts.backoff_base_ms = 10;
     opts.backoff_max_ms = 50;
     opts.default_timeout = 5;
     return opts;
+  }
+
+  // A memory budget of `headroom_mb` above this process's own resident
+  // footprint. Warm workers are forks of this process, so their RSS starts
+  // where it stands -- far above a fixed budget in a sanitizer build that
+  // has already run many tests in one binary.
+  long budget_mb(long headroom_mb) {
+    return worker_rss_bytes(getpid()) / (1l << 20) + headroom_mb;
   }
 
   JobSpec job(const std::string& id, const std::string& design) {
@@ -501,7 +514,7 @@ TEST_F(SupervisorTest, MemoryBudgetBreachSettlesResourceExhausted) {
   JobSpec j = job("hog", "/designs/regfile_example.shdl");
   j.fault = "evaluator.eval@1:bloat";
   SupervisorOptions opts = fast_opts();
-  opts.mem_limit_mb = 192;
+  opts.mem_limit_mb = budget_mb(192);
   opts.default_timeout = 30;  // the memory watchdog must fire, not the clock
   Manifest m = run_jobs({j}, opts);
   const JobRecord* r = find(m, "hog");
@@ -518,7 +531,7 @@ TEST_F(SupervisorTest, MemRetryGivesBreachedJobsAnotherAttempt) {
   j.fault = "evaluator.eval@1:bloat";
   j.fault_attempts = 1;  // attempt 1 bloats, attempt 2 runs clean
   SupervisorOptions opts = fast_opts();
-  opts.mem_limit_mb = 192;
+  opts.mem_limit_mb = budget_mb(192);
   opts.mem_retry = true;
   opts.default_timeout = 30;
   Manifest m = run_jobs({j}, opts);
@@ -605,21 +618,73 @@ TEST_F(SupervisorTest, AVerdictResetsTheBreaker) {
   EXPECT_EQ(find(m, "tail")->attempts, 1);
 }
 
-// --------------------------------------------- warm in-process worker pool
+// Forwards to a warm pool and reads each worker's RLIMIT_DATA from
+// /proc/<pid>/limits once it has answered: a worker that has replied is
+// past its fork-time setup and still alive in the idle pool.
+class LimitProbeBackend : public WorkerBackend {
+ public:
+  explicit LimitProbeBackend(const SupervisorOptions& opts)
+      : inner_(make_warm_pool_backend(opts)) {}
+  pid_t launch(const JobSpec& job, int attempt) override {
+    return inner_->launch(job, attempt);
+  }
+  WorkerPoll poll(pid_t pid) override {
+    WorkerPoll p = inner_->poll(pid);
+    if (p.kind == WorkerPoll::Kind::Exited) {
+      std::ifstream in("/proc/" + std::to_string(pid) + "/limits");
+      std::string line;
+      while (std::getline(in, line)) {
+        if (line.rfind("Max data size", 0) == 0) data_limits.push_back(line);
+      }
+    }
+    return p;
+  }
+  void kill_worker(pid_t pid) override { inner_->kill_worker(pid); }
+
+  std::vector<std::string> data_limits;  // one "Max data size" row per answer
+
+ private:
+  std::unique_ptr<WorkerBackend> inner_;
+};
+
+TEST_F(SupervisorTest, WarmWorkersRunUnderTheMemoryBackstop) {
+  // The kernel-side backstop under the RSS watchdog: a warm worker forked
+  // under a memory budget carries RLIMIT_DATA = 4x budget + 256 MiB.
+  if (memory_backstop_bytes(64) == 0) GTEST_SKIP() << "backstop is off in ASan builds";
+  EXPECT_EQ(memory_backstop_bytes(0), 0u);
+  EXPECT_EQ(memory_backstop_bytes(64), (64ull << 22) + (256ull << 20));
+  SupervisorOptions opts = fast_opts();
+  opts.mem_limit_mb = budget_mb(64);
+  LimitProbeBackend probe(opts);
+  Manifest m = run_jobs({job("j", "/designs/regfile_example.shdl")}, opts, probe);
+  ASSERT_EQ(m.jobs.size(), 1u);
+  EXPECT_EQ(m.jobs[0].state, JobState::Violations);
+  ASSERT_EQ(probe.data_limits.size(), 1u);
+  std::string bytes = std::to_string(memory_backstop_bytes(opts.mem_limit_mb));
+  std::istringstream row(probe.data_limits[0].substr(std::strlen("Max data size")));
+  std::string soft, hard;
+  row >> soft >> hard;
+  EXPECT_EQ(soft, bytes) << probe.data_limits[0];
+  EXPECT_EQ(hard, bytes) << probe.data_limits[0];
+}
+
+// ------------------------------- warm pool vs the fork/exec reference oracle
+
+#ifdef TV_SCALDTV_PATH
 
 class WarmSupervisorTest : public SupervisorTest {
  protected:
-  SupervisorOptions warm_opts() {
-    SupervisorOptions opts = fast_opts();
-    opts.warm = true;
-    return opts;
+  // The manifest the stateless fork/exec reference writes for `batch`.
+  std::string reference(const std::vector<JobSpec>& batch, const SupervisorOptions& opts) {
+    check::ForkExecReference ref(TV_SCALDTV_PATH, opts);
+    return run_jobs(batch, opts, ref).to_json();
   }
 };
 
 TEST_F(WarmSupervisorTest, ManifestMatchesForkExecByteForByte) {
   // The warm pool is an execution strategy, not a semantic change: the same
   // mixed batch (clean, violating, input-error, transient-then-clean) must
-  // produce a manifest byte-identical to the fork/exec backend's.
+  // produce a manifest byte-identical to the fork/exec reference's.
   JobSpec clean = job("clean", "/designs/stdlib_pipeline.shdl");
   clean.stdlib = true;
   JobSpec viol = job("viol", "/designs/regfile_example.shdl");
@@ -628,9 +693,7 @@ TEST_F(WarmSupervisorTest, ManifestMatchesForkExecByteForByte) {
   flaky.fault = "io.read@1:fail";
   flaky.fault_attempts = 1;
   std::vector<JobSpec> batch{clean, viol, bad, flaky};
-  std::string warm = run_jobs(batch, warm_opts()).to_json();
-  std::string cold = run_jobs(batch, fast_opts()).to_json();
-  EXPECT_EQ(warm, cold);
+  EXPECT_EQ(run_jobs(batch, fast_opts()).to_json(), reference(batch, fast_opts()));
 }
 
 TEST_F(WarmSupervisorTest, WorkerIsReusedAcrossJobsOfOneDesign) {
@@ -642,7 +705,7 @@ TEST_F(WarmSupervisorTest, WorkerIsReusedAcrossJobsOfOneDesign) {
   for (int i = 0; i < 5; ++i) {
     batch.push_back(job("j" + std::to_string(i), "/designs/regfile_example.shdl"));
   }
-  SupervisorOptions opts = warm_opts();
+  SupervisorOptions opts = fast_opts();
   opts.workers = 1;
   Manifest m = run_jobs(batch, opts);
   ASSERT_EQ(m.jobs.size(), 5u);
@@ -650,62 +713,6 @@ TEST_F(WarmSupervisorTest, WorkerIsReusedAcrossJobsOfOneDesign) {
     EXPECT_EQ(r.state, JobState::Violations) << r.id;
     EXPECT_EQ(r.attempts, 1) << r.id;
   }
-}
-
-TEST_F(WarmSupervisorTest, CrashedWarmWorkerIsDiscardedAndRetried) {
-  // Crash isolation survives the warm pool: a SIGABRT kills only the
-  // resident worker, the supervisor discards it and retries on a fresh one.
-  JobSpec j = job("crasher", "/designs/regfile_example.shdl");
-  j.fault = "evaluator.eval@1:abort";
-  Manifest m = run_jobs({j}, warm_opts());
-  const JobRecord* r = find(m, "crasher");
-  ASSERT_TRUE(r);
-  EXPECT_EQ(r->state, JobState::Crashed);
-  EXPECT_EQ(r->attempts, 3);
-  ASSERT_EQ(r->outcomes.size(), 3u);
-  for (const std::string& o : r->outcomes) {
-    EXPECT_EQ(o, "signal:" + std::to_string(SIGABRT));
-  }
-  EXPECT_EQ(m.exit_code(), 4);
-}
-
-TEST_F(WarmSupervisorTest, WatchdogKillsHungWarmWorkerAndRetries) {
-  JobSpec j = job("hung", "/designs/regfile_example.shdl");
-  j.fault = "evaluator.eval@1:hang";
-  j.fault_attempts = 1;
-  SupervisorOptions opts = warm_opts();
-  opts.default_timeout = 0.5;
-  Manifest m = run_jobs({j}, opts);
-  const JobRecord* r = find(m, "hung");
-  ASSERT_TRUE(r);
-  EXPECT_EQ(r->state, JobState::Violations);
-  EXPECT_EQ(r->attempts, 2);
-  ASSERT_EQ(r->outcomes.size(), 2u);
-  EXPECT_EQ(r->outcomes[0], "timeout");
-  EXPECT_EQ(r->outcomes[1], "exit:1");
-}
-
-TEST_F(WarmSupervisorTest, DrainDuringFinalAttemptRequeues) {
-  // The drain-wins-over-retries-exhausted rule, on the warm backend.
-  volatile std::sig_atomic_t shutdown = 0;
-  SupervisorOptions opts = warm_opts();
-  opts.workers = 1;
-  opts.max_attempts = 1;
-  opts.default_timeout = 0.5;
-  opts.shutdown = &shutdown;
-  JobSpec hung = job("hung", "/designs/regfile_example.shdl");
-  hung.fault = "evaluator.eval@1:hang";
-  std::thread trigger([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(150));
-    shutdown = 1;
-  });
-  Manifest m = run_jobs({hung}, opts);
-  trigger.join();
-  const JobRecord* r = find(m, "hung");
-  ASSERT_TRUE(r);
-  EXPECT_EQ(r->state, JobState::Requeued);
-  EXPECT_EQ(r->attempts, 1);
-  EXPECT_EQ(m.exit_code(), 0);
 }
 
 TEST_F(WarmSupervisorTest, ServesCompiledArtifacts) {
@@ -725,7 +732,7 @@ TEST_F(WarmSupervisorTest, ServesCompiledArtifacts) {
   c1.compiled = true;
   JobSpec c2 = c1;
   c2.id = "c2";
-  SupervisorOptions opts = warm_opts();
+  SupervisorOptions opts = fast_opts();
   opts.workers = 1;  // the second job reuses the warm artifact worker
   Manifest warm = run_jobs({c1, c2}, opts);
   ASSERT_EQ(warm.jobs.size(), 2u);
@@ -734,34 +741,57 @@ TEST_F(WarmSupervisorTest, ServesCompiledArtifacts) {
     EXPECT_EQ(r.attempts, 1) << r.id;
   }
   // And byte-identical to the fork/exec scaldtv --compiled path.
-  SupervisorOptions cold = fast_opts();
-  cold.workers = 1;
-  EXPECT_EQ(warm.to_json(), run_jobs({c1, c2}, cold).to_json());
+  EXPECT_EQ(warm.to_json(), reference({c1, c2}, opts));
+  std::remove(path.c_str());
+}
+
+TEST_F(WarmSupervisorTest, CompiledStreamMatchesForkExecByteForByte) {
+  // The compile-then-serve deployment: one scaldtvc artifact, a 50-job
+  // stream on 4 workers. The warm manifest must be byte-stable and
+  // byte-identical to the fork/exec reference's.
+  std::string path = ::testing::TempDir() + "serve_stream_regfile.tvc";
+  std::string cmd = std::string("'") + TV_SCALDTVC_PATH + "' -o '" + path + "' '" +
+                    TV_REPO_ROOT + "/designs/regfile_example.shdl' >/dev/null";
+  ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  std::vector<JobSpec> batch;
+  for (int i = 0; i < 50; ++i) {
+    JobSpec j;
+    char id[16];
+    std::snprintf(id, sizeof id, "s%02d", i);
+    j.id = id;
+    j.design = path;
+    j.compiled = true;
+    batch.push_back(std::move(j));
+  }
+  SupervisorOptions opts = fast_opts();
+  opts.workers = 4;
+  opts.default_timeout = 30;
+  Manifest warm = run_jobs(batch, opts);
+  EXPECT_EQ(warm.count(JobState::Violations), 50u);
+  EXPECT_EQ(warm.to_json(), run_jobs(batch, opts).to_json());
+  EXPECT_EQ(warm.to_json(), reference(batch, opts));
   std::remove(path.c_str());
 }
 
 TEST_F(WarmSupervisorTest, MemoryBreachManifestMatchesForkExecByteForByte) {
   // A budget breach is a policy decision, not a backend detail: the same
   // mixed batch (one hog, one clean job) must settle identically -- byte
-  // for byte -- whether the worker was fork/exec'd or warm.
+  // for byte -- whether the worker was warm or fork/exec'd.
   JobSpec hog = job("hog", "/designs/regfile_example.shdl");
   hog.fault = "evaluator.eval@1:bloat";
   JobSpec clean = job("clean", "/designs/stdlib_pipeline.shdl");
   clean.stdlib = true;
   std::vector<JobSpec> batch{hog, clean};
-  SupervisorOptions warm = warm_opts();
-  warm.mem_limit_mb = 192;
-  warm.default_timeout = 30;
-  SupervisorOptions cold = fast_opts();
-  cold.mem_limit_mb = 192;
-  cold.default_timeout = 30;
-  Manifest wm = run_jobs(batch, warm);
+  SupervisorOptions opts = fast_opts();
+  opts.mem_limit_mb = budget_mb(192);
+  opts.default_timeout = 30;
+  Manifest wm = run_jobs(batch, opts);
   const JobRecord* r = find(wm, "hog");
   ASSERT_TRUE(r);
   EXPECT_EQ(r->state, JobState::ResourceExhausted);
   ASSERT_EQ(r->outcomes.size(), 1u);
   EXPECT_EQ(r->outcomes[0], "mem-limit");
-  EXPECT_EQ(wm.to_json(), run_jobs(batch, cold).to_json());
+  EXPECT_EQ(wm.to_json(), reference(batch, opts));
 }
 
 #endif  // TV_SCALDTV_PATH

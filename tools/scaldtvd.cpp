@@ -1,10 +1,11 @@
 // scaldtvd -- batch/daemon front end for the SCALD Timing Verifier.
 //
-// Runs a queue of verification jobs, each in a crash-isolated scaldtv
-// worker process, and writes a byte-stable JSON run manifest. Jobs come
-// from newline-JSON job files (one object per line; see docs/serving.md)
-// given on the command line, and/or from a watched directory of *.jobs
-// files in --watch mode.
+// Runs a queue of verification jobs on a pool of crash-isolated resident
+// worker processes (serve/warm_pool.hpp: one per design, forked from the
+// daemon, design loaded once) and writes a byte-stable JSON run manifest.
+// Jobs come from newline-JSON job files (one object per line; see
+// docs/serving.md) given on the command line, and/or from a watched
+// directory of *.jobs files in --watch mode.
 //
 // Usage:
 //   scaldtvd [options] <jobs-file>...
@@ -34,29 +35,23 @@
 //                        uninterrupted run would have written. A missing
 //                        journal file is a fresh start, so "--journal J
 //                        --resume" is idempotent across any number of kills
-//     --scaldtv PATH     worker binary (default $TV_SCALDTV or "scaldtv")
 //     --fault SPEC       daemon-level fault plan: applied to scaldtvd's own
 //                        io.read/serve.spawn sites AND injected into every
 //                        worker that has no job-level fault of its own
 //     --seed N           keys the deterministic retry jitter (default 0)
-//     --warm             keep one resident worker per design alive across
-//                        jobs (serve/warm_pool.hpp): the design stays
-//                        loaded and the waveform-intern table stays warm,
-//                        while crash isolation, watchdogs, and retry
-//                        semantics are unchanged
-//     --max-resident N   bound the warm pool: keep at most N idle resident
+//     --max-resident N   bound the worker pool: keep at most N idle resident
 //                        workers, retiring the least-recently-used past the
 //                        cap (the manifest's "evictions" field counts the
 //                        retirements). Capped workers persist each design's
 //                        fixpoint snapshot (<design>.tvf), so a re-spawned
 //                        worker warm-starts from the sidecar instead of
-//                        re-verifying cold. Requires --warm
+//                        re-verifying cold
 //     --mem-limit-mb N   per-job memory budget (docs/serving.md): an RSS
 //                        watchdog samples /proc/<pid>/statm and SIGKILLs a
 //                        worker past N MiB; the breach settles the job as
 //                        "resource-exhausted" (exit 6), never an anonymous
-//                        crash. Fork/exec workers also get a setrlimit
-//                        backstop
+//                        crash. Workers also run under an RLIMIT_DATA
+//                        backstop of 4N + 256 MiB
 //     --mem-retry        treat mem-limit breaches as transient: retry up to
 //                        --max-attempts, settling resource-exhausted only if
 //                        the final attempt still breaches
@@ -114,8 +109,8 @@ int usage() {
   std::fprintf(stderr,
                "usage: scaldtvd [--watch DIR] [--workers N] [--max-attempts N] "
                "[--backoff-ms N] [--backoff-max-ms N] [--job-timeout S] "
-               "[--manifest FILE] [--journal FILE] [--resume] [--scaldtv PATH] "
-               "[--fault SPEC] [--seed N] [--warm] [--max-resident N] "
+               "[--manifest FILE] [--journal FILE] [--resume] "
+               "[--fault SPEC] [--seed N] [--max-resident N] "
                "[--mem-limit-mb N] [--mem-retry] [--max-queue N] "
                "[--quarantine-after K] [--no-quarantine] [-v] "
                "<jobs-file>...\n");
@@ -162,12 +157,10 @@ int main(int argc, char** argv) {
 
   tv::serve::SupervisorOptions opts;
   opts.shutdown = &g_shutdown;
-  if (const char* env = std::getenv("TV_SCALDTV")) opts.scaldtv_path = env;
   const char* watch_dir = nullptr;
   const char* manifest_path = nullptr;
   const char* journal_path = nullptr;
   bool resume = false;
-  bool slack_set = false;
   bool no_quarantine = false;
   std::vector<std::string> job_files;
   for (int i = 1; i < argc; ++i) {
@@ -187,8 +180,6 @@ int main(int argc, char** argv) {
       journal_path = argv[++i];
     } else if (std::strcmp(argv[i], "--resume") == 0) {
       resume = true;
-    } else if (std::strcmp(argv[i], "--scaldtv") == 0 && i + 1 < argc) {
-      opts.scaldtv_path = argv[++i];
     } else if (std::strcmp(argv[i], "--fault") == 0 && i + 1 < argc) {
       std::string error;
       opts.fault_spec = argv[++i];
@@ -217,9 +208,6 @@ int main(int argc, char** argv) {
       if (!end || *end != '\0' || v <= 0) return usage();
       opts.default_timeout = v;
       opts.watchdog_slack = v;
-      slack_set = true;
-    } else if (std::strcmp(argv[i], "--warm") == 0) {
-      opts.warm = true;
     } else if (long_num("--max-resident", 1, n)) {
       if (n < 1) return usage();
       opts.max_resident = static_cast<std::size_t>(n);
@@ -245,12 +233,7 @@ int main(int argc, char** argv) {
       job_files.push_back(argv[i]);
     }
   }
-  (void)slack_set;
   if (job_files.empty() && !watch_dir) return usage();
-  if (opts.max_resident > 0 && !opts.warm) {
-    std::fprintf(stderr, "scaldtvd: --max-resident requires --warm\n");
-    return usage();
-  }
   if (resume && !journal_path) {
     std::fprintf(stderr, "scaldtvd: --resume requires --journal FILE\n");
     return usage();

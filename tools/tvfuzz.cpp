@@ -30,10 +30,12 @@
 // fault specs through a real scaldtvd worker pool and asserts every job
 // ends in a terminal state, retries are visible in attempt counts, and the
 // manifest is byte-stable across identical runs. The mode also runs the
-// overload scenarios (memory-budget breach, bounded admission,
-// poison-design quarantine + kill/resume, and the ENOSPC sweep over every
-// durable write) once per backend. Binaries come from --scaldtvd/--scaldtv
-// or TV_SCALDTVD/TV_SCALDTV.
+// drain, kill/resume and overload scenarios (memory-budget breach, bounded
+// admission, poison-design quarantine + kill/resume, and the ENOSPC sweep
+// over every durable write) once each. The daemon comes from --scaldtvd or
+// TV_SCALDTVD; the memory-breach and reverify scenarios also diff it
+// against the fork/exec reference, whose scaldtv comes from --scaldtv or
+// TV_SCALDTV.
 //
 // Usage:
 //   tvfuzz [--seeds N] [--wave N] [--start S] [--smoke] [--matrix [PAIR]]
@@ -90,7 +92,8 @@ void usage(const char* argv0) {
                "  --serve-chaos run seeded faulted batches through scaldtvd and assert\n"
                "                every job ends terminal with retries observable\n"
                "  --scaldtvd P  daemon binary for --serve-chaos (or TV_SCALDTVD)\n"
-               "  --scaldtv P   worker binary for --serve-chaos (or TV_SCALDTV)\n"
+               "  --scaldtv P   scaldtv for --serve-chaos's fork/exec reference (or\n"
+               "                TV_SCALDTV)\n"
                "  --no-shrink   print raw failing specs without minimizing\n"
                "  -v            per-case progress output\n",
                argv0);
@@ -206,112 +209,54 @@ int main(int argc, char** argv) {
       if (const char* env = std::getenv("TV_SCALDTV")) sc.scaldtv_path = env;
     }
     sc.verbose = opt.verbose;
-    // Graceful-shutdown scenarios first (SIGTERM mid-hang and mid-backoff
-    // must requeue, not crash), once per backend.
-    for (bool warm : {false, true}) {
-      sc.warm = warm;
-      auto fail = tv::check::check_drain_requeue(sc);
+    sc.seed = opt.start;
+    // The fixed scenarios, each run once against the daemon's warm pool:
+    //   drain-requeue     SIGTERM mid-hang and mid-backoff must requeue,
+    //                     not crash;
+    //   kill-restart      SIGKILL the daemon at every journal transition;
+    //                     --resume must finish byte-identically;
+    //   shed, quarantine-resume, write-fail
+    //                     bounded admission, the poison-design breaker with
+    //                     its kill/resume sweep, and ENOSPC at every write;
+    //   mem-breach, reverify
+    //                     the RSS watchdog's classification and faulted
+    //                     delta applications, each diffed byte for byte
+    //                     against the fork/exec reference.
+    const struct {
+      const char* name;
+      std::optional<tv::check::ServeChaosFailure> (*run)(
+          const tv::check::ServeChaosOptions&);
+    } scenarios[] = {
+        {"drain-requeue", tv::check::check_drain_requeue},
+        {"kill-restart", tv::check::check_kill_restart},
+        {"shed", tv::check::check_shed},
+        {"quarantine-resume", tv::check::check_quarantine_resume},
+        {"write-fail", tv::check::check_write_fail},
+        {"mem-breach", tv::check::check_mem_breach},
+        {"reverify", tv::check::check_reverify_chaos},
+    };
+    for (const auto& scenario : scenarios) {
+      auto fail = scenario.run(sc);
       if (opt.verbose) {
-        std::printf("serve-chaos drain-requeue (%s): %s\n",
-                    warm ? "warm" : "fork/exec", fail ? "FAIL" : "ok");
+        std::printf("serve-chaos %s: %s\n", scenario.name, fail ? "FAIL" : "ok");
       }
       if (!fail) continue;
       ++failures;
-      std::printf("FAIL serve-chaos drain-requeue (%s) [%s]\n  %s\n",
-                  warm ? "warm" : "fork/exec", fail->kind.c_str(),
+      std::printf("FAIL serve-chaos %s [%s]\n  %s\n", scenario.name, fail->kind.c_str(),
                   fail->detail.c_str());
     }
-    // Kill/restart chaos: SIGKILL the daemon itself at every write-ahead
-    // journal transition and assert --resume always finishes the batch
-    // with a manifest byte-identical to the uninterrupted run's.
-    for (bool warm : {false, true}) {
-      sc.warm = warm;
-      sc.seed = opt.start;
-      auto fail = tv::check::check_kill_restart(sc);
-      if (opt.verbose) {
-        std::printf("serve-chaos kill-restart (%s): %s\n",
-                    warm ? "warm" : "fork/exec", fail ? "FAIL" : "ok");
-      }
-      if (fail) {
-        ++failures;
-        std::printf("FAIL serve-chaos kill-restart (%s) [%s]\n  %s\n",
-                    warm ? "warm" : "fork/exec", fail->kind.c_str(),
-                    fail->detail.c_str());
-      }
-    }
-    // Overload scenarios: bounded admission (shed past --max-queue), the
-    // poison-design quarantine breaker with its kill/resume sweep, and the
-    // ENOSPC sweep over every durable write -- once per backend.
-    for (bool warm : {false, true}) {
-      sc.warm = warm;
-      sc.seed = opt.start;
-      const struct {
-        const char* name;
-        std::optional<tv::check::ServeChaosFailure> (*run)(
-            const tv::check::ServeChaosOptions&);
-      } overload[] = {
-          {"shed", tv::check::check_shed},
-          {"quarantine-resume", tv::check::check_quarantine_resume},
-          {"write-fail", tv::check::check_write_fail},
-      };
-      for (const auto& sc_case : overload) {
-        auto fail = sc_case.run(sc);
-        if (opt.verbose) {
-          std::printf("serve-chaos %s (%s): %s\n", sc_case.name,
-                      warm ? "warm" : "fork/exec", fail ? "FAIL" : "ok");
-        }
-        if (fail) {
-          ++failures;
-          std::printf("FAIL serve-chaos %s (%s) [%s]\n  %s\n", sc_case.name,
-                      warm ? "warm" : "fork/exec", fail->kind.c_str(),
-                      fail->detail.c_str());
-        }
-      }
-    }
-    // Memory budgets: the RSS watchdog's resource-exhausted classification
-    // and the --mem-retry policy (the scenario runs both backends
-    // internally and compares their manifests byte for byte).
-    {
-      auto fail = tv::check::check_mem_breach(sc);
-      if (opt.verbose) {
-        std::printf("serve-chaos mem-breach: %s\n", fail ? "FAIL" : "ok");
-      }
-      if (fail) {
-        ++failures;
-        std::printf("FAIL serve-chaos mem-breach [%s]\n  %s\n", fail->kind.c_str(),
-                    fail->detail.c_str());
-      }
-    }
-    // Incremental-reverification chaos: faulted delta applications must
-    // retry byte-identically and never corrupt a warm worker's resident
-    // fixpoint (the scenario runs both backends internally).
-    {
-      auto fail = tv::check::check_reverify_chaos(sc);
-      if (opt.verbose) {
-        std::printf("serve-chaos reverify: %s\n", fail ? "FAIL" : "ok");
-      }
-      if (fail) {
-        ++failures;
-        std::printf("FAIL serve-chaos reverify [%s]\n  %s\n", fail->kind.c_str(),
-                    fail->detail.c_str());
-      }
-    }
-    // Seeded chaos batches, alternating backends so both the fork/exec and
-    // the warm-pool supervisors face the same fault mix.
+    // Seeded chaos batches: random fault mixes through the warm pool.
     for (int i = 0; i < batches; ++i) {
       sc.seed = opt.start + static_cast<std::uint64_t>(i);
-      sc.warm = (i % 2) == 1;
       auto fail = tv::check::check_serve_chaos(sc);
       if (opt.verbose) {
-        std::printf("serve-chaos seed %llu (%s): %s\n",
-                    static_cast<unsigned long long>(sc.seed),
-                    sc.warm ? "warm" : "fork/exec", fail ? "FAIL" : "ok");
+        std::printf("serve-chaos seed %llu: %s\n", static_cast<unsigned long long>(sc.seed),
+                    fail ? "FAIL" : "ok");
       }
       if (!fail) continue;
       ++failures;
-      std::printf("FAIL serve-chaos seed %llu (%s) [%s]\n  %s\n",
-                  static_cast<unsigned long long>(sc.seed),
-                  sc.warm ? "warm" : "fork/exec", fail->kind.c_str(),
+      std::printf("FAIL serve-chaos seed %llu [%s]\n  %s\n",
+                  static_cast<unsigned long long>(sc.seed), fail->kind.c_str(),
                   fail->detail.c_str());
     }
     std::printf("tvfuzz --serve-chaos: %d batch(es) + drain/overload scenarios, "
