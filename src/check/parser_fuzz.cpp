@@ -143,6 +143,11 @@ std::optional<ParserFuzzFailure> check_parser_robustness(std::uint64_t seed) {
       return fail("accepted-with-errors",
                   "front end produced a design despite reporting errors");
     }
+    // Malformed input is a located user error: SHDL-E099 means the front
+    // end failed in a way it did not expect.
+    for (const diag::Diagnostic& diag : diags.diagnostics()) {
+      if (diag.code == diag::kErrInternal) return fail("internal-error", diag.message);
+    }
   } catch (const std::exception& e) {
     return fail("uncaught-exception", e.what());
   } catch (...) {

@@ -7,7 +7,8 @@
 //   * the front end never crashes and never lets an exception escape --
 //     malformed input is a diagnostic, not a throw;
 //   * when the front end rejects an input (returns nullopt) it has reported
-//     at least one error diagnostic explaining why;
+//     at least one error diagnostic explaining why, and none of them is the
+//     internal-error code SHDL-E099;
 //   * when it accepts an input, the resulting design is finalized and
 //     usable.
 #pragma once
@@ -20,7 +21,7 @@ namespace tv::check {
 
 struct ParserFuzzFailure {
   std::uint64_t seed = 0;
-  std::string kind;    // "uncaught-exception" | "silent-rejection" | ...
+  std::string kind;    // "uncaught-exception" | "silent-rejection" | "internal-error" | ...
   std::string detail;  // what() text or invariant description
   std::string input;   // the mutated source that triggered it
 };

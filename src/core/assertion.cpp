@@ -102,54 +102,40 @@ Assertion parse_spec(Assertion::Kind kind, std::string_view spec_text, std::stri
 
 }  // namespace
 
-ParsedSignal parse_signal_name(std::string_view text) {
-  ParsedSignal out;
-  out.full_name = std::string(trim(text));
+SignalText split_signal_text(std::string_view text) {
+  SignalText t;
+  t.text = text;
   std::string_view rest = trim(text);
 
   // Leading "-": complement of the signal (Fig 3-5's "- WE").
   if (!rest.empty() && rest[0] == '-' &&
       (rest.size() == 1 || rest[1] == ' ' || std::isalpha(static_cast<unsigned char>(rest[1])))) {
-    out.complemented = true;
+    t.complemented = true;
     rest = trim(rest.substr(1));
-    out.full_name = std::string(rest);
   }
 
-  // Trailing "&..." evaluation directive string (sec. 2.6). The directive is
-  // a separate token ("CLOCK &HZ"), so the '&' must begin one -- an embedded
-  // '&' is part of the name proper (drawing systems allow "A&B").
+  // Trailing "&..." evaluation directive string (sec. 2.6), when its '&'
+  // begins a token ("CLOCK &HZ").
   if (size_t amp = rest.rfind('&');
       amp != std::string_view::npos && (amp == 0 || rest[amp - 1] == ' ')) {
-    std::string_view dir = trim(rest.substr(amp + 1));
-    for (char c : dir) {
-      char u = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-      if (u != 'E' && u != 'W' && u != 'Z' && u != 'A' && u != 'H') {
-        fail(text, std::string("unknown evaluation directive letter '") + c + "'");
-      }
-      out.directives += u;
-    }
+    t.directives = trim(rest.substr(amp + 1));
     rest = trim(rest.substr(0, amp));
-    out.full_name = std::string(rest);
   }
 
   // Scope markers "/M" (macro-local) and "/P" (parameter), sec. 3.1. They
-  // follow the name proper (and any directives have been stripped already).
-  {
-    std::string_view t = trim(rest);
-    if (t.size() >= 2 && t[t.size() - 2] == '/') {
-      char m = static_cast<char>(std::toupper(static_cast<unsigned char>(t.back())));
-      if (m == 'M' || m == 'P') {
-        out.scope = (m == 'M') ? SignalScope::Local : SignalScope::Parameter;
-        rest = trim(t.substr(0, t.size() - 2));
-        out.full_name = std::string(rest);
-      }
+  // follow the name proper.
+  if (rest.size() >= 2 && rest[rest.size() - 2] == '/') {
+    char m = static_cast<char>(std::toupper(static_cast<unsigned char>(rest.back())));
+    if (m == 'M' || m == 'P') {
+      t.scope = (m == 'M') ? SignalScope::Local : SignalScope::Parameter;
+      rest = trim(rest.substr(0, rest.size() - 2));
     }
   }
+  t.name = rest;
+  t.base = rest;
 
-  // Locate the assertion: a '.' at a word boundary followed by P/C/S and a
-  // spec. Assertions are "given at the end of signal names" (sec. 2.5.1).
-  size_t assert_pos = std::string_view::npos;
-  char kind_letter = '\0';
+  // The assertion: a '.' at a word boundary followed by P/C/S and a spec.
+  // Assertions are "given at the end of signal names" (sec. 2.5.1).
   for (size_t i = 0; i + 1 < rest.size(); ++i) {
     if (rest[i] != '.') continue;
     if (i > 0 && rest[i - 1] != ' ') continue;  // must start a token
@@ -157,23 +143,56 @@ ParsedSignal parse_signal_name(std::string_view text) {
     if (k != 'P' && k != 'C' && k != 'S') continue;
     char next = (i + 2 < rest.size()) ? rest[i + 2] : ' ';
     if (next == ' ' || std::isdigit(static_cast<unsigned char>(next)) || next == '.') {
-      assert_pos = i;
-      kind_letter = k;
+      t.assertion = rest.substr(i);
+      t.base = trim(rest.substr(0, i));
       break;
     }
   }
 
-  if (assert_pos == std::string_view::npos) {
-    out.base_name = std::string(trim(rest));
-    return out;
+  // Vector range "<a:b>" in the base.
+  t.head = t.base;
+  if (size_t lt = t.base.find('<'); lt != std::string_view::npos) {
+    t.has_range = true;
+    size_t gt = t.base.rfind('>');
+    if (gt != std::string_view::npos && gt > lt) {
+      t.range_closed = true;
+      t.range = t.base.substr(lt + 1, gt - lt - 1);
+      t.head = trim(t.base.substr(0, lt));
+    }
   }
+  return t;
+}
 
-  out.base_name = std::string(trim(rest.substr(0, assert_pos)));
-  std::string_view spec = rest.substr(assert_pos + 2);
-  Assertion::Kind kind = kind_letter == 'P'   ? Assertion::Kind::PrecisionClock
-                         : kind_letter == 'C' ? Assertion::Kind::Clock
-                                              : Assertion::Kind::Stable;
-  out.assertion = parse_spec(kind, spec, text);
+std::string parse_directives(const SignalText& t) {
+  std::string out;
+  for (char c : t.directives) {
+    char u = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    if (u != 'E' && u != 'W' && u != 'Z' && u != 'A' && u != 'H') {
+      fail(t.text, std::string("unknown evaluation directive letter '") + c + "'");
+    }
+    out += u;
+  }
+  return out;
+}
+
+Assertion parse_assertion(const SignalText& t) {
+  if (t.assertion.empty()) return Assertion{};
+  char k = static_cast<char>(std::toupper(static_cast<unsigned char>(t.assertion[1])));
+  Assertion::Kind kind = k == 'P'   ? Assertion::Kind::PrecisionClock
+                         : k == 'C' ? Assertion::Kind::Clock
+                                    : Assertion::Kind::Stable;
+  return parse_spec(kind, t.assertion.substr(2), t.text);
+}
+
+ParsedSignal parse_signal_name(std::string_view text) {
+  SignalText t = split_signal_text(text);
+  ParsedSignal out;
+  out.complemented = t.complemented;
+  out.directives = parse_directives(t);
+  out.scope = t.scope;
+  out.full_name = std::string(t.name);
+  out.base_name = std::string(t.base);
+  out.assertion = parse_assertion(t);
   return out;
 }
 

@@ -61,6 +61,46 @@ struct Assertion {
 /// never participate in cross-section interface checking.
 enum class SignalScope : std::uint8_t { Global, Local, Parameter };
 
+/// A signal reference split into its pieces, as views into the text it was
+/// split from. For "- CK<0:3> .P0-4 /M &HZ":
+///
+///   complemented  true            (leading "-")
+///   name          "CK<0:3> .P0-4" (the identity: assertion included)
+///   base          "CK<0:3>"       (name before the assertion)
+///   head, range   "CK", "0:3"     (base split at a "<range>")
+///   assertion     ".P0-4"         (from the '.', unparsed)
+///   scope         Local           ("/M"; "/P" is Parameter)
+///   directives    "HZ"            (letters after a token-initial '&',
+///                                  unchecked)
+///
+/// The '&' of a directive string must begin a token: an embedded '&' is
+/// part of the name proper (drawing systems allow "A&B").
+struct SignalText {
+  std::string_view text;  // the whole reference, quoted in error messages
+  bool complemented = false;
+  std::string_view name;
+  std::string_view base;
+  std::string_view head;
+  std::string_view range;
+  bool has_range = false;     // base holds a '<'
+  bool range_closed = false;  // ... and a '>' after it
+  std::string_view assertion;
+  std::string_view directives;
+  SignalScope scope = SignalScope::Global;
+};
+
+/// Splits a signal reference as written on a drawing. Never throws: the
+/// pieces are checked by parse_directives / parse_assertion.
+SignalText split_signal_text(std::string_view text);
+
+/// The directive letters, upper-cased. Throws std::invalid_argument naming
+/// `t.text` on a letter other than E, W, Z, A or H (sec. 2.6).
+std::string parse_directives(const SignalText& t);
+
+/// The parsed assertion (Kind::None when `t.assertion` is empty). Throws
+/// std::invalid_argument naming `t.text` on a malformed specification.
+Assertion parse_assertion(const SignalText& t);
+
 /// The decomposition of a full SCALD signal name.
 struct ParsedSignal {
   std::string base_name;    // name up to (not including) the assertion
@@ -71,7 +111,7 @@ struct ParsedSignal {
   SignalScope scope = SignalScope::Global;
 };
 
-/// Parses a signal reference as written on a drawing. Throws
+/// split_signal_text + parse_directives + parse_assertion. Throws
 /// std::invalid_argument with a description on malformed assertions.
 ParsedSignal parse_signal_name(std::string_view text);
 

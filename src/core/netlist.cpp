@@ -33,11 +33,10 @@ bool prim_is_checker(PrimKind k) {
          k == PrimKind::MinPulseWidthChk;
 }
 
-SignalId Netlist::add_signal(const ParsedSignal& parsed, int width) {
-  auto it = by_name_.find(parsed.full_name);
+SignalId Netlist::add_signal(const SignalText& text, int width) {
+  auto it = by_name_.find(text.name);
   if (it != by_name_.end()) {
-    Signal& s = signals_[it->second];
-    if (width > s.width) s.width = width;
+    widen(it->second, width);
     return it->second;
   }
   // Sec. 2.5.1: the assertion is *part of the name*, so all references to
@@ -46,14 +45,18 @@ SignalId Netlist::add_signal(const ParsedSignal& parsed, int width) {
   // "CK .P0-4" and "CK .P2-3 L" as distinct derived clocks).
   SignalId id = static_cast<SignalId>(signals_.size());
   Signal s;
-  s.full_name = parsed.full_name;
-  s.base_name = parsed.base_name;
-  s.assertion = parsed.assertion;
-  s.scope = parsed.scope;
+  s.assertion = parse_assertion(text);
+  s.full_name = std::string(text.name);
+  s.base_name = std::string(text.base);
+  s.scope = text.scope;
   s.width = width;
+  by_name_.emplace(s.full_name, id);
   signals_.push_back(std::move(s));
-  by_name_.emplace(parsed.full_name, id);
   return id;
+}
+
+void Netlist::widen(SignalId id, int width) {
+  if (width > signals_[id].width) signals_[id].width = width;
 }
 
 SignalId Netlist::push_signal(Signal s) {
@@ -69,16 +72,19 @@ SignalId Netlist::push_signal(Signal s) {
 }
 
 Ref Netlist::ref(std::string_view text, int width) {
-  ParsedSignal p = parse_signal_name(text);
+  return ref(split_signal_text(text), width);
+}
+
+Ref Netlist::ref(const SignalText& text, int width) {
   Ref r;
-  r.invert = p.complemented;
-  r.directives = p.directives;
-  r.id = add_signal(p, width);
+  r.invert = text.complemented;
+  r.directives = parse_directives(text);
+  r.id = add_signal(text, width);
   return r;
 }
 
 SignalId Netlist::find(std::string_view full_name) const {
-  auto it = by_name_.find(std::string(full_name));
+  auto it = by_name_.find(full_name);
   return it == by_name_.end() ? kNoSignal : it->second;
 }
 
@@ -174,7 +180,8 @@ PrimId Netlist::gate(PrimKind kind, std::string name, Time dmin, Time dmax,
   p.dmin = dmin;
   p.dmax = dmax;
   p.width = width;
-  for (const Ref& r : ins) p.inputs.push_back(to_pin(r));
+  p.inputs.reserve(ins.size());
+  for (Ref& r : ins) p.inputs.push_back(Pin{r.id, r.invert, std::move(r.directives)});
   p.output = out.id;
   if (out.invert) {
     throw std::invalid_argument("primitive \"" + p.name + "\": output connection cannot be complemented");

@@ -125,11 +125,16 @@ struct Ref {
 class Netlist {
  public:
   /// Parses `text` as a SCALD signal reference, creating the signal on
-  /// first use. The *full name* (assertion included) is the identity; two
-  /// references to one base name with conflicting assertions throw.
+  /// first use. The *full name* (assertion included) is the identity.
+  /// Throws std::invalid_argument on a malformed assertion or directive.
   Ref ref(std::string_view text, int width = 1);
-  /// Get-or-create by pre-parsed pieces.
-  SignalId add_signal(const ParsedSignal& parsed, int width = 1);
+  /// The same for a reference already split by split_signal_text.
+  Ref ref(const SignalText& text, int width = 1);
+  /// Get-or-create by `text.name`, widening to `width`. The assertion is
+  /// parsed only when the signal is new.
+  SignalId add_signal(const SignalText& text, int width = 1);
+  /// Widens a signal to at least `width` bits (statistics only).
+  void widen(SignalId id, int width);
   /// Appends a signal record verbatim, preserving its index -- the
   /// compiled-artifact loader (core/compiled.cpp) uses this to rebuild a
   /// signal table that may contain synonym-merge orphans whose full names
@@ -236,7 +241,12 @@ class Netlist {
  private:
   std::vector<Signal> signals_;
   std::vector<Primitive> prims_;
-  std::unordered_map<std::string, SignalId> by_name_;
+  /// Hashes by string_view so lookups by view allocate nothing.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const { return std::hash<std::string_view>{}(s); }
+  };
+  std::unordered_map<std::string, SignalId, NameHash, std::equal_to<>> by_name_;
   bool finalized_ = false;
   std::uint64_t structure_version_ = 0;
 };

@@ -2,8 +2,9 @@
 
 #include <cctype>
 #include <cmath>
-#include <set>
+#include <deque>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "hdl/parser.hpp"
 #include "util/strings.hpp"
@@ -28,29 +29,30 @@ struct MacroFrame {
 };
 
 /// Diagnostic-mode state, threaded through the expansion walk without
-/// touching every helper signature. Null `diags` = legacy throwing mode.
+/// touching every helper signature. A null `t_diag` = legacy throwing mode.
 struct DiagState {
   diag::DiagnosticEngine* diags = nullptr;
   std::string current_file;  // file whose line numbers apply right now
   std::vector<MacroFrame> stack;
 };
-thread_local DiagState t_diag;
+thread_local DiagState* t_diag = nullptr;
 
 struct DiagScope {
+  DiagState state;
   explicit DiagScope(diag::DiagnosticEngine& diags) {
-    t_diag.diags = &diags;
-    t_diag.current_file = diags.current_file();
-    t_diag.stack.clear();
+    state.diags = &diags;
+    state.current_file = diags.current_file();
+    t_diag = &state;
   }
-  ~DiagScope() { t_diag = DiagState{}; }
+  ~DiagScope() { t_diag = nullptr; }
 };
 
 [[noreturn]] void fail(int line, int column, const char* code, const std::string& why) {
-  if (t_diag.diags) {
-    diag::Diagnostic& d = t_diag.diags->report(
-        diag::Severity::Error, code, diag::SourceLoc{t_diag.current_file, line, column},
+  if (t_diag) {
+    diag::Diagnostic& d = t_diag->diags->report(
+        diag::Severity::Error, code, diag::SourceLoc{t_diag->current_file, line, column},
         why);
-    for (auto it = t_diag.stack.rbegin(); it != t_diag.stack.rend(); ++it) {
+    for (auto it = t_diag->stack.rbegin(); it != t_diag->stack.rend(); ++it) {
       d.notes.push_back(
           diag::Note{diag::SourceLoc{it->site_file, it->line, it->column},
                      "in expansion of macro \"" + it->macro + "\" instantiated here"});
@@ -68,7 +70,7 @@ double eval_expr(const Expr& e, const std::map<std::string, double>& env, int li
   try {
     return e.eval(env, line);
   } catch (const std::invalid_argument& ex) {
-    if (!t_diag.diags) throw;
+    if (!t_diag) throw;
     std::string msg = ex.what();
     if (std::size_t p = msg.find(": "); p != std::string::npos) msg = msg.substr(p + 2);
     fail(line, column, diag::kErrUnknownParam, msg);
@@ -167,133 +169,150 @@ class RangeExpr {
   std::size_t pos_ = 0;
 };
 
-// --- signal-string decomposition and substitution ---------------------------
+// --- signal references ------------------------------------------------------
 
-struct SigText {
-  bool complement = false;
-  std::string head;        // name before any "<range>"
-  std::string range;       // text inside "<...>", empty if none
-  std::string assertion;   // ".S0-6" etc. including the dot, no leading space
-  std::string scope;       // "/M", "/P" or ""
-  std::string directives;  // "&HZ" etc. including the '&'
-};
-
-SigText decompose(std::string_view s, int line) {
-  SigText t;
-  std::string_view rest = trim(s);
-  if (!rest.empty() && rest[0] == '-' &&
-      (rest.size() == 1 || rest[1] == ' ' ||
-       std::isalpha(static_cast<unsigned char>(rest[1])))) {
-    t.complement = true;
-    rest = trim(rest.substr(1));
-  }
-  if (std::size_t amp = rest.rfind('&'); amp != std::string_view::npos) {
-    t.directives = std::string(trim(rest.substr(amp)));
-    rest = trim(rest.substr(0, amp));
-  }
-  if (rest.size() >= 2 && rest[rest.size() - 2] == '/') {
-    char m = static_cast<char>(std::toupper(static_cast<unsigned char>(rest.back())));
-    if (m == 'M' || m == 'P') {
-      t.scope = std::string("/") + m;
-      rest = trim(rest.substr(0, rest.size() - 2));
-    }
-  }
-  // Assertion: " .P/.C/.S" token (same boundary rule as parse_signal_name).
-  for (std::size_t i = 0; i + 1 < rest.size(); ++i) {
-    if (rest[i] != '.') continue;
-    if (i > 0 && rest[i - 1] != ' ') continue;
-    char k = static_cast<char>(std::toupper(static_cast<unsigned char>(rest[i + 1])));
-    if (k != 'P' && k != 'C' && k != 'S') continue;
-    char next = (i + 2 < rest.size()) ? rest[i + 2] : ' ';
-    if (next == ' ' || std::isdigit(static_cast<unsigned char>(next)) || next == '.') {
-      t.assertion = std::string(trim(rest.substr(i)));
-      rest = trim(rest.substr(0, i));
-      break;
-    }
-  }
-  // Vector range.
-  if (std::size_t lt = rest.find('<'); lt != std::string_view::npos) {
-    std::size_t gt = rest.rfind('>');
-    if (gt == std::string_view::npos || gt < lt) {
-      fail(line, 0, diag::kErrBadRange, "unterminated vector range");
-    }
-    t.range = std::string(rest.substr(lt + 1, gt - lt - 1));
-    t.head = std::string(trim(rest.substr(0, lt)));
-  } else {
-    t.head = std::string(rest);
-  }
-  return t;
-}
-
+/// One resolved signal reference: its text split with the name rebuilt for
+/// this scope. A reference to a macro formal that adds no assertion
+/// forwards to the actual's Resolved, which lives in an enclosing Scope's
+/// signal map: every reference to one actual shares its name and, in pass
+/// 2, its id. A forward's own `sig` carries only its complement and
+/// directives. The views point into the syntax tree or a NameStore, both of
+/// which outlive the elaboration.
 struct Resolved {
-  std::string text;  // full signal reference, ready for Netlist::ref
+  SignalText sig;
+  mutable SignalId id = kNoSignal;    // set by the first make_ref
+  const Resolved* forward = nullptr;  // the actual a pass-through formal reuses
   int width = 1;
 };
+
+const Resolved& target(const Resolved& r) { return r.forward ? *r.forward : r; }
+
+/// A copy of `r` that does not forward, for references kept past the
+/// expansion of the scopes a forward points into.
+Resolved own(const Resolved& r) {
+  if (!r.forward) return r;
+  Resolved o = *r.forward;
+  o.sig.complemented = r.sig.complemented;
+  o.sig.directives = r.sig.directives;
+  o.width = r.width;
+  return o;
+}
+
+/// Keeps the names the elaborator rebuilds ("/M" locals, evaluated ranges)
+/// alive for the whole elaboration. A name that comes out spelled as
+/// written is not copied: the view into the syntax tree serves.
+class NameStore {
+ public:
+  /// A cleared buffer to build one name in.
+  std::string& buffer() {
+    buffer_.clear();
+    return buffer_;
+  }
+  /// The name just built in buffer(): `written` when it spells the same.
+  std::string_view keep(std::string_view written) {
+    if (buffer_ == written) return written;
+    return stored_.emplace_back(buffer_);
+  }
+
+ private:
+  std::string buffer_;
+  std::deque<std::string> stored_;  // never relocates its strings
+};
+
+/// Appends " assertion" to a name, as written in a full SCALD name.
+void append_assertion(std::string& name, std::string_view assertion) {
+  if (assertion.empty()) return;
+  if (!name.empty()) name += ' ';
+  name += assertion;
+}
+
+/// Evaluates "lo:hi" (or a single index, lo == hi) in `env`; returns lo.
+double eval_range(std::string_view range, const std::map<std::string, double>& env, int line,
+                  double* hi) {
+  auto colon = range.find(':');
+  double lo = RangeExpr(range.substr(0, colon), env, line).eval();
+  *hi = colon == std::string_view::npos ? lo
+                                        : RangeExpr(range.substr(colon + 1), env, line).eval();
+  return lo;
+}
 
 // Environment of one macro instantiation.
 struct Scope {
-  std::map<std::string, double> env;           // numeric parameters
-  std::map<std::string, Resolved> signal_map;  // formal base -> actual
-  std::string path;                            // instance path for "/M" locals
+  std::map<std::string, double> env;  // numeric parameters
+  /// Formal base name -> actual, in declaration order (formals are few).
+  std::vector<std::pair<std::string_view, Resolved>> signal_map;
+  std::string path;  // instance path for "/M" locals
 };
 
-Resolved resolve_signal(const std::string& raw, const Scope& scope, int line) {
-  SigText t = decompose(raw, line);
+const Resolved* find_formal(const Scope& scope, std::string_view head) {
+  for (const auto& [formal, actual] : scope.signal_map) {
+    if (formal == head) return &actual;
+  }
+  return nullptr;
+}
 
-  int width = 1;
-  std::string range_text;
+/// Resolves one signal string in `scope`. Malformed directives and ranges
+/// are reported at (line, column).
+Resolved resolve_signal(NameStore& names, std::string_view raw, const Scope& scope, int line,
+                        int column) {
+  Resolved r;
+  SignalText& t = r.sig;
+  t = split_signal_text(raw);
+  if (t.has_range && !t.range_closed) {
+    fail(line, 0, diag::kErrBadRange, "unterminated vector range");
+  }
+  try {
+    parse_directives(t);
+  } catch (const std::invalid_argument& e) {
+    fail(line, column, diag::kErrElab, e.what());
+  }
+  double lo = 0, hi = 0;
   if (!t.range.empty()) {
-    auto colon = t.range.find(':');
-    double lo, hi;
-    if (colon == std::string::npos) {
-      lo = hi = RangeExpr(t.range, scope.env, line).eval();
-    } else {
-      lo = RangeExpr(std::string_view(t.range).substr(0, colon), scope.env, line).eval();
-      hi = RangeExpr(std::string_view(t.range).substr(colon + 1), scope.env, line).eval();
-    }
-    width = static_cast<int>(std::llround(std::abs(hi - lo))) + 1;
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "<%lld:%lld>", static_cast<long long>(std::llround(lo)),
-                  static_cast<long long>(std::llround(hi)));
-    range_text = buf;
+    lo = eval_range(t.range, scope.env, line, &hi);
+    r.width = static_cast<int>(std::llround(std::abs(hi - lo))) + 1;
   }
 
-  auto it = scope.signal_map.find(t.head);
-  if (it != scope.signal_map.end()) {
-    // Formal parameter: splice in the actual connection text; the actual's
-    // own assertion wins, complements compose, directives concatenate.
-    SigText a = decompose(it->second.text, line);
-    Resolved r;
-    r.width = std::max(width, it->second.width);
-    bool comp = t.complement ^ a.complement;
-    std::string text = a.head;
-    if (!a.range.empty()) text += "<" + a.range + ">";
-    if (!a.assertion.empty()) {
-      text += " " + a.assertion;
-    } else if (!t.assertion.empty()) {
-      text += " " + t.assertion;
+  if (const Resolved* formal = find_formal(scope, t.head)) {
+    // Formal parameter: the actual's name; the actual's own assertion wins,
+    // complements compose, the body's directives replace the actual's.
+    const Resolved& a = target(*formal);
+    r.width = std::max(r.width, formal->width);
+    t.complemented ^= formal->sig.complemented;
+    if (t.directives.empty()) t.directives = formal->sig.directives;
+    if (t.assertion.empty() || !a.sig.assertion.empty()) {
+      r.forward = &a;
+      return r;
     }
-    if (!a.scope.empty()) text += " " + a.scope;
-    std::string dirs = t.directives.empty() ? a.directives : t.directives;
-    if (!dirs.empty()) text += " " + dirs;
-    r.text = comp ? "- " + text : text;
+    std::string& name = names.buffer();
+    name += a.sig.name;
+    append_assertion(name, t.assertion);
+    t.name = names.keep(t.name);
+    t.base = a.sig.name;
+    t.scope = a.sig.scope;
     return r;
   }
-  if (t.scope == "/P") {
+  if (t.scope == SignalScope::Parameter) {
     fail(line, 0, diag::kErrNotAParameter,
-         "\"" + raw + "\" is marked /P but is not a declared parameter");
+         "\"" + std::string(raw) + "\" is marked /P but is not a declared parameter");
   }
 
   // Global (unmarked) or instance-local ("/M") signal.
-  Resolved r;
-  r.width = width;
-  std::string name = t.head;
-  if (t.scope == "/M" && !scope.path.empty()) name = scope.path + "/" + name;
-  std::string text = name + range_text;
-  if (!t.assertion.empty()) text += " " + t.assertion;
-  if (!t.scope.empty()) text += " " + t.scope;
-  if (!t.directives.empty()) text += " " + t.directives;
-  r.text = t.complement ? "- " + text : text;
+  std::string& name = names.buffer();
+  if (t.scope == SignalScope::Local && !scope.path.empty()) {
+    name += scope.path;
+    name += '/';
+  }
+  name += t.head;
+  if (!t.range.empty()) {
+    char buf[48];
+    std::snprintf(buf, sizeof buf, "<%lld:%lld>", static_cast<long long>(std::llround(lo)),
+                  static_cast<long long>(std::llround(hi)));
+    name += buf;
+  }
+  std::size_t base_len = name.size();
+  append_assertion(name, t.assertion);
+  t.name = names.keep(t.name);
+  t.base = t.name.substr(0, base_len);
   return r;
 }
 
@@ -309,15 +328,25 @@ struct SynonymPair {
 struct ExpandCtx {
   const File& file;
   Netlist* nl = nullptr;  // null during pass 1
+  std::vector<diag::SourceLoc>* prim_locs = nullptr;  // PrimId -> site
   ExpandSummary sum;
-  std::set<std::string> signal_names;
-  std::vector<std::pair<std::string, std::vector<std::pair<std::string, int>>>> raw_cases;
+  /// Pass 1 counts the distinct names that primitives and wire_delay
+  /// statements reference. Pass 2 counts the signals its primitives create
+  /// plus the names in here: referenced, but not created by the end of the
+  /// expansion (a wire_delay's own signal, a checker's output).
+  std::unordered_set<std::string_view> names;
+  NameStore store;
+  std::vector<std::pair<std::string, std::vector<std::pair<Resolved, int>>>> raw_cases;
   std::vector<std::pair<Resolved, std::pair<Time, Time>>> wire_delays;
   std::vector<SynonymPair> synonyms;
   std::size_t inst_counter = 0;
   int depth = 0;
-  std::vector<diag::SourceLoc>* prim_locs = nullptr;  // PrimId -> site
 };
+
+/// "PATH/KIND#N", the name of the next instance under `path`.
+std::string instance_name(ExpandCtx& ctx, const std::string& path, const std::string& kind) {
+  return (path.empty() ? "" : path + "/") + kind + "#" + std::to_string(ctx.inst_counter++);
+}
 
 double attr_value(const Instance& inst, const char* name, const Scope& scope, double dflt,
                   bool* found = nullptr, double* hi = nullptr) {
@@ -334,12 +363,32 @@ double attr_value(const Instance& inst, const char* name, const Scope& scope, do
   return dflt;
 }
 
-void note_signal(ExpandCtx& ctx, const Resolved& r) {
-  ParsedSignal p = parse_signal_name(r.text);
-  ctx.signal_names.insert(p.full_name);
+/// Counts `r`'s name for the summary (see ExpandCtx::names).
+void note_name(ExpandCtx& ctx, const Resolved& r) {
+  std::string_view name = target(r).sig.name;
+  if (ctx.nl && ctx.nl->find(name) != kNoSignal) return;  // counted as a signal
+  ctx.names.insert(name);
 }
 
-Ref make_ref(ExpandCtx& ctx, const Resolved& r) { return ctx.nl->ref(r.text, r.width); }
+Ref make_ref(ExpandCtx& ctx, const Resolved& r) {
+  const Resolved& s = target(r);
+  if (s.id == kNoSignal) {
+    s.id = ctx.nl->add_signal(s.sig, r.width);
+  } else {
+    ctx.nl->widen(s.id, r.width);
+  }
+  return Ref{s.id, r.sig.complemented, parse_directives(r.sig)};
+}
+
+/// Parses the assertion of a reference the netlist creates only after
+/// expansion, so a malformed one is reported at its statement.
+void check_assertion(const Resolved& r, int line, int column) {
+  try {
+    parse_assertion(target(r).sig);
+  } catch (const std::invalid_argument& e) {
+    fail(line, column, diag::kErrElab, e.what());
+  }
+}
 
 void build_primitive(ExpandCtx& ctx, const Instance& inst, const Scope& scope,
                      const std::vector<Resolved>& pins, const Resolved* out,
@@ -347,7 +396,7 @@ void build_primitive(ExpandCtx& ctx, const Instance& inst, const Scope& scope,
   const std::string& k = inst.kind;
   double dmax_ns = 0;
   double dmin_ns = attr_value(inst, "delay", scope, 0, nullptr, &dmax_ns);
-  if (t_diag.diags && (dmin_ns < 0 || dmax_ns < dmin_ns)) {
+  if (t_diag && (dmin_ns < 0 || dmax_ns < dmin_ns)) {
     // Legacy mode leaves this to the Netlist builders (same condition, but a
     // location-free exception); here we can name the instantiation site.
     fail(inst.line, inst.column, diag::kErrBadDelay,
@@ -458,19 +507,17 @@ void build_primitive(ExpandCtx& ctx, const Instance& inst, const Scope& scope,
   }
 }
 
-std::string prim_stat_kind(const std::string& k, int width) {
-  return k + (width > 1 ? "" : "");
-}
-
 void expand_body(ExpandCtx& ctx, const Body& body, const Scope& scope);
 
 void expand_instance(ExpandCtx& ctx, const Instance& inst, const Scope& scope) {
   std::vector<Resolved> pins;
   pins.reserve(inst.pins.size());
-  for (const std::string& p : inst.pins) pins.push_back(resolve_signal(p, scope, inst.line));
+  for (const std::string& p : inst.pins) {
+    pins.push_back(resolve_signal(ctx.store, p, scope, inst.line, inst.column));
+  }
 
-  if (inst.is_macro || ctx.file.macros.count(inst.kind)) {
-    auto it = ctx.file.macros.find(inst.kind);
+  auto it = ctx.file.macros.find(inst.kind);
+  if (inst.is_macro || it != ctx.file.macros.end()) {
     if (it == ctx.file.macros.end()) {
       fail(inst.line, inst.column, diag::kErrUnknownMacro,
            "unknown macro \"" + inst.kind + "\"");
@@ -488,16 +535,16 @@ void expand_instance(ExpandCtx& ctx, const Instance& inst, const Scope& scope) {
       bool active = false;
       std::string saved_file;
       FrameGuard(const MacroDef& d, const Instance& i) {
-        if (!t_diag.diags) return;
+        if (!t_diag) return;
         active = true;
-        t_diag.stack.push_back(MacroFrame{d.name, t_diag.current_file, i.line, i.column});
-        saved_file = t_diag.current_file;
-        if (!d.file.empty()) t_diag.current_file = d.file;
+        t_diag->stack.push_back(MacroFrame{d.name, t_diag->current_file, i.line, i.column});
+        saved_file = t_diag->current_file;
+        if (!d.file.empty()) t_diag->current_file = d.file;
       }
       ~FrameGuard() {
         if (!active) return;
-        t_diag.stack.pop_back();
-        t_diag.current_file = std::move(saved_file);
+        t_diag->stack.pop_back();
+        t_diag->current_file = std::move(saved_file);
       }
     };
     struct DepthGuard {
@@ -507,9 +554,7 @@ void expand_instance(ExpandCtx& ctx, const Instance& inst, const Scope& scope) {
     };
 
     Scope inner;
-    inner.path =
-        (scope.path.empty() ? "" : scope.path + "/") + inst.kind + "#" +
-        std::to_string(ctx.inst_counter++);
+    inner.path = instance_name(ctx, scope.path, inst.kind);
     // Numeric parameters from attributes (evaluated at the *call* site,
     // before entering the macro's source scope).
     for (const std::string& formal : def.formals) {
@@ -524,26 +569,20 @@ void expand_instance(ExpandCtx& ctx, const Instance& inst, const Scope& scope) {
     // Signal parameters: declaration order (ins and outs as declared) maps
     // positionally to the instance pins. Widths evaluate in the macro's
     // source scope (they reference the definition's lines).
-    std::vector<std::pair<std::string, int>> formals;  // base name, decl width
+    std::vector<std::pair<std::string_view, int>> formals;  // base name, decl width
     {
       FrameGuard frame(def, inst);
       for (const ParamDecl& d : def.body.params) {
         for (const std::string& n : d.names) {
-          SigText t = decompose(n, def.line);
+          SignalText t = split_signal_text(n);
+          if (t.has_range && !t.range_closed) {
+            fail(def.line, 0, diag::kErrBadRange, "unterminated vector range");
+          }
           int w = 1;
-          if (!t.range.empty()) {
-            auto colon = t.range.find(':');
-            if (colon == std::string::npos) {
-              w = 1;
-            } else {
-              double lo = RangeExpr(std::string_view(t.range).substr(0, colon), inner.env,
-                                    def.line)
-                              .eval();
-              double hi = RangeExpr(std::string_view(t.range).substr(colon + 1), inner.env,
-                                    def.line)
-                              .eval();
-              w = static_cast<int>(std::llround(std::abs(hi - lo))) + 1;
-            }
+          if (t.range.find(':') != std::string_view::npos) {
+            double hi = 0;
+            double lo = eval_range(t.range, inner.env, def.line, &hi);
+            w = static_cast<int>(std::llround(std::abs(hi - lo))) + 1;
           }
           formals.emplace_back(t.head, w);
         }
@@ -554,10 +593,10 @@ void expand_instance(ExpandCtx& ctx, const Instance& inst, const Scope& scope) {
            "macro \"" + def.name + "\" declares " + std::to_string(formals.size()) +
                " parameters but " + std::to_string(pins.size()) + " were connected");
     }
+    inner.signal_map.reserve(formals.size());
     for (std::size_t i = 0; i < formals.size(); ++i) {
-      Resolved actual = pins[i];
-      actual.width = std::max(actual.width, formals[i].second);
-      inner.signal_map.emplace(formals[i].first, std::move(actual));
+      pins[i].width = std::max(pins[i].width, formals[i].second);
+      inner.signal_map.emplace_back(formals[i].first, std::move(pins[i]));
     }
     ++ctx.sum.macro_instances;
     {
@@ -572,17 +611,15 @@ void expand_instance(ExpandCtx& ctx, const Instance& inst, const Scope& scope) {
   ++ctx.sum.primitives;
   int width = static_cast<int>(attr_value(inst, "width", scope, 1));
   ctx.sum.total_bits += static_cast<std::size_t>(width);
-  ++ctx.sum.prims_by_kind[prim_stat_kind(inst.kind, width)];
-  for (const Resolved& r : pins) note_signal(ctx, r);
+  ++ctx.sum.prims_by_kind[inst.kind];
   Resolved out;
   bool has_out = !inst.output.empty();
-  if (has_out) {
-    out = resolve_signal(inst.output, scope, inst.line);
-    note_signal(ctx, out);
-  }
-  if (ctx.nl) {
-    std::string name = (scope.path.empty() ? "" : scope.path + "/") + inst.kind + "#" +
-                       std::to_string(ctx.inst_counter++);
+  if (has_out) out = resolve_signal(ctx.store, inst.output, scope, inst.line, inst.column);
+  if (!ctx.nl) {
+    for (const Resolved& r : pins) note_name(ctx, r);
+    if (has_out) note_name(ctx, out);
+  } else {
+    std::string name = instance_name(ctx, scope.path, inst.kind);
     std::size_t before = ctx.nl->num_prims();
     try {
       build_primitive(ctx, inst, scope, pins, has_out ? &out : nullptr, name);
@@ -591,14 +628,15 @@ void expand_instance(ExpandCtx& ctx, const Instance& inst, const Scope& scope) {
     } catch (const std::exception& e) {
       // Netlist builders throw on semantic violations (conflicting
       // assertions, bad delay ranges); give them the instance's location.
-      if (!t_diag.diags) throw;
+      if (!t_diag) throw;
       fail(inst.line, inst.column, diag::kErrElab, e.what());
     }
+    if (has_out && target(out).id == kNoSignal) note_name(ctx, out);  // a checker's
     if (ctx.prim_locs) {
       if (ctx.prim_locs->size() < ctx.nl->num_prims()) {
         ctx.prim_locs->resize(ctx.nl->num_prims());
       }
-      diag::SourceLoc loc{t_diag.current_file, inst.line, inst.column};
+      diag::SourceLoc loc{t_diag->current_file, inst.line, inst.column};
       for (std::size_t p = before; p < ctx.nl->num_prims(); ++p) (*ctx.prim_locs)[p] = loc;
     }
   }
@@ -609,32 +647,43 @@ void expand_body(ExpandCtx& ctx, const Body& body, const Scope& scope) {
     // At the design's top level in diagnostic mode, a bad instance is
     // reported and the walk continues with the next statement, so one run
     // surfaces every elaboration error (capped by --max-errors).
-    if (t_diag.diags && ctx.depth == 0) {
+    if (t_diag && ctx.depth == 0) {
       try {
         expand_instance(ctx, inst, scope);
       } catch (const ElabBail&) {
-        if (t_diag.diags->error_limit_reached()) throw;
+        if (t_diag->diags->error_limit_reached()) throw;
       }
     } else {
       expand_instance(ctx, inst, scope);
     }
   }
+  // The netlist creates these references' signals after expansion, so
+  // their text is checked here, where the macro backtrace is still known.
   for (const WireDelayDecl& d : body.wire_delays) {
-    Resolved r = resolve_signal(d.signal, scope, d.line);
-    note_signal(ctx, r);
+    Resolved r = resolve_signal(ctx.store, d.signal, scope, d.line, d.column);
+    check_assertion(r, d.line, d.column);
+    note_name(ctx, r);
     Time lo = from_ns(eval_expr(*d.dmin, scope.env, d.line, d.column));
     Time hi = from_ns(eval_expr(*d.dmax, scope.env, d.line, d.column));
-    ctx.wire_delays.emplace_back(std::move(r), std::make_pair(lo, hi));
+    if (lo < 0 || hi < lo) {
+      fail(d.line, d.column, diag::kErrBadDelay,
+           "wire_delay \"" + d.signal + "\": invalid delay range " + format_ns(lo) + ":" +
+               format_ns(hi) + " (need 0 <= min <= max)");
+    }
+    ctx.wire_delays.emplace_back(own(r), std::make_pair(lo, hi));
   }
   for (const SynonymDecl& d : body.synonyms) {
-    ctx.synonyms.push_back(SynonymPair{resolve_signal(d.a, scope, d.line),
-                                       resolve_signal(d.b, scope, d.line), d.line, d.column,
-                                       t_diag.current_file});
+    ctx.synonyms.push_back(SynonymPair{
+        own(resolve_signal(ctx.store, d.a, scope, d.line, d.column)),
+        own(resolve_signal(ctx.store, d.b, scope, d.line, d.column)), d.line, d.column,
+        t_diag ? t_diag->current_file : std::string()});
   }
   for (const CaseDecl& c : body.cases) {
-    std::vector<std::pair<std::string, int>> pins;
+    std::vector<std::pair<Resolved, int>> pins;
     for (const auto& [sig, val] : c.pins) {
-      pins.emplace_back(resolve_signal(sig, scope, c.line).text, val);
+      Resolved r = resolve_signal(ctx.store, sig, scope, c.line, c.column);
+      check_assertion(r, c.line, c.column);
+      pins.emplace_back(own(r), val);
     }
     ctx.raw_cases.emplace_back(c.name, std::move(pins));
   }
@@ -643,15 +692,20 @@ void expand_body(ExpandCtx& ctx, const Body& body, const Scope& scope) {
 ExpandCtx run_expansion(const File& file, Netlist* nl,
                         std::vector<diag::SourceLoc>* prim_locs = nullptr) {
   if (!file.has_design) {
-    if (t_diag.diags) {
+    if (t_diag) {
       fail(file.end_line, 0, diag::kErrNoDesign, "SHDL file has no design block");
     }
     throw std::invalid_argument("SHDL file has no design block");
   }
-  ExpandCtx ctx{file, nl, {}, {}, {}, {}, {}, 0, 0, prim_locs};
+  ExpandCtx ctx{file, nl, prim_locs, {}, {}, {}, {}, {}, {}};
   Scope top;
   expand_body(ctx, file.design, top);
-  ctx.sum.unique_signals = ctx.signal_names.size();
+  if (nl) {
+    std::erase_if(ctx.names, [&](std::string_view n) { return nl->find(n) != kNoSignal; });
+    ctx.sum.unique_signals = nl->num_signals() + ctx.names.size();
+  } else {
+    ctx.sum.unique_signals = ctx.names.size();
+  }
   return ctx;
 }
 
@@ -660,16 +714,16 @@ ElaboratedDesign elaborate_impl(const File& file) {
   out.name = file.design_name;
 
   ExpandCtx ctx = run_expansion(file, &out.netlist,
-                                t_diag.diags ? &out.prim_locs : nullptr);
+                                t_diag ? &out.prim_locs : nullptr);
   out.summary = ctx.sum;
 
   // Don't pile structural errors on top of expansion errors: the netlist is
   // incomplete once any instance failed to build.
-  if (t_diag.diags && t_diag.diags->has_errors()) throw ElabBail{};
+  if (t_diag && t_diag->diags->has_errors()) throw ElabBail{};
 
   const Body& d = file.design;
   if (d.period_ns <= 0) {
-    if (t_diag.diags) {
+    if (t_diag) {
       int line = d.period_line > 0 ? d.period_line : (d.line > 0 ? d.line : file.design_line);
       int column = d.period_line > 0 ? d.period_column : 0;
       fail(line, column, diag::kErrBadPeriod, "design must specify a positive period");
@@ -692,30 +746,30 @@ ElaboratedDesign elaborate_impl(const File& file) {
 
   for (const SynonymPair& syn : ctx.synonyms) {
     try {
-      Ref ra = out.netlist.ref(syn.a.text, syn.a.width);
-      Ref rb = out.netlist.ref(syn.b.text, syn.b.width);
-      out.netlist.merge_signals(ra.id, rb.id);
+      SignalId a = out.netlist.add_signal(syn.a.sig, syn.a.width);
+      SignalId b = out.netlist.add_signal(syn.b.sig, syn.b.width);
+      out.netlist.merge_signals(a, b);
     } catch (const std::exception& e) {
-      if (!t_diag.diags) throw;
-      t_diag.current_file = syn.file;
+      if (!t_diag) throw;
+      t_diag->current_file = syn.file;
       fail(syn.line, syn.column, diag::kErrElab, e.what());
     }
   }
   for (const auto& [resolved, range] : ctx.wire_delays) {
-    Ref r = out.netlist.ref(resolved.text, resolved.width);
-    out.netlist.set_wire_delay(r.id, range.first, range.second);
+    SignalId id = out.netlist.add_signal(resolved.sig, resolved.width);
+    out.netlist.set_wire_delay(id, range.first, range.second);
   }
   for (const auto& [name, pins] : ctx.raw_cases) {
     CaseSpec spec;
     spec.name = name;
     for (const auto& [sig, val] : pins) {
-      Ref r = out.netlist.ref(sig);
-      spec.pins.emplace_back(r.id, val ? Value::One : Value::Zero);
+      spec.pins.emplace_back(out.netlist.add_signal(sig.sig),
+                             val ? Value::One : Value::Zero);
     }
     out.cases.push_back(std::move(spec));
   }
-  if (t_diag.diags) {
-    if (!out.netlist.finalize(*t_diag.diags, &out.prim_locs)) throw ElabBail{};
+  if (t_diag) {
+    if (!out.netlist.finalize(*t_diag->diags, &out.prim_locs)) throw ElabBail{};
   } else {
     out.netlist.finalize();
   }

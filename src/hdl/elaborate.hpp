@@ -27,7 +27,9 @@ namespace tv::hdl {
 struct ExpandSummary {
   std::size_t macro_instances = 0;   // "chips": every `use` expanded
   std::size_t primitives = 0;        // primitive instances after expansion
-  std::size_t unique_signals = 0;    // after synonym resolution
+  /// Distinct full names that primitives and wire_delay statements
+  /// reference, counted before synonyms merge (a synonym pair counts twice).
+  std::size_t unique_signals = 0;
   std::size_t total_bits = 0;        // sum of primitive widths
   std::map<std::string, std::size_t> prims_by_kind;
 };

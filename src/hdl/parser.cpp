@@ -112,6 +112,13 @@ class Parser {
     return take();
   }
 
+  /// expect() for a string token, moving its contents out: the parser
+  /// takes each token once.
+  std::string take_string(const char* what) {
+    expect(Tok::String, what);
+    return std::move(toks_[pos_ - 1].text);
+  }
+
   struct Note {
     int line;
     const char* message;
@@ -275,8 +282,8 @@ class Parser {
     std::vector<std::string> pins;
     expect(Tok::LParen, "'('");
     if (peek().kind == Tok::String) {
-      pins.push_back(take().text);
-      while (accept(Tok::Comma)) pins.push_back(expect(Tok::String, "signal string").text);
+      pins.push_back(take_string("signal string"));
+      while (accept(Tok::Comma)) pins.push_back(take_string("signal string"));
     }
     expect(Tok::RParen, "')'");
     return pins;
@@ -335,9 +342,9 @@ class Parser {
       } else if (dir.text != "in") {
         fail(dir.line, dir.column, diag::kErrExpectedToken, "expected 'in' or 'out'");
       }
-      d.names.push_back(expect(Tok::String, "parameter signal").text);
+      d.names.push_back(take_string("parameter signal"));
       while (accept(Tok::Comma)) {
-        d.names.push_back(expect(Tok::String, "parameter signal").text);
+        d.names.push_back(take_string("parameter signal"));
       }
       expect(Tok::Semi, "';'");
       b.params.push_back(std::move(d));
@@ -345,16 +352,16 @@ class Parser {
       SynonymDecl d;
       d.line = t.line;
       d.column = t.column;
-      d.a = expect(Tok::String, "signal string").text;
+      d.a = take_string("signal string");
       expect(Tok::Equal, "'='");
-      d.b = expect(Tok::String, "signal string").text;
+      d.b = take_string("signal string");
       expect(Tok::Semi, "';'");
       b.synonyms.push_back(std::move(d));
     } else if (t.text == "wire_delay") {
       WireDelayDecl d;
       d.line = t.line;
       d.column = t.column;
-      d.signal = expect(Tok::String, "signal string").text;
+      d.signal = take_string("signal string");
       d.dmin = parse_expr();
       expect(Tok::Colon, "':'");
       d.dmax = parse_expr();
@@ -364,10 +371,10 @@ class Parser {
       CaseDecl c;
       c.line = t.line;
       c.column = t.column;
-      c.name = expect(Tok::String, "case name").text;
+      c.name = take_string("case name");
       expect(Tok::LBrace, "'{'");
       while (!accept(Tok::RBrace)) {
-        std::string sig = expect(Tok::String, "signal string").text;
+        std::string sig = take_string("signal string");
         expect(Tok::Equal, "'='");
         const Token& vt = peek();
         double v = expect(Tok::Number, "0 or 1").number;
@@ -396,7 +403,7 @@ class Parser {
       inst.kind = t.text;
       inst.attrs = parse_attrs();
       inst.pins = parse_pins();
-      if (accept(Tok::Arrow)) inst.output = expect(Tok::String, "output signal").text;
+      if (accept(Tok::Arrow)) inst.output = take_string("output signal");
       expect(Tok::Semi, "';'");
       b.instances.push_back(std::move(inst));
     }

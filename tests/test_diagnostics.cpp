@@ -33,7 +33,7 @@ const char* const kCorpus[] = {
     "unterminated_string", "bad_char",       "bad_number",     "three_errors",
     "duplicate_macro",     "no_design",      "bad_period",     "bad_case_value",
     "unknown_macro",       "unknown_param",  "wrong_pin_count", "negative_delay",
-    "duplicate_driver",    "zero_delay_loop", "macro_backtrace",
+    "duplicate_driver",    "zero_delay_loop", "macro_backtrace", "bad_signal_text",
 };
 
 std::string corpus_dir() { return std::string(TV_REPO_ROOT) + "/tests/diagnostics"; }

@@ -2,15 +2,19 @@
 // Description Language, thesis sec. 3.1): lexer, parser, macro expansion
 // with width parameters and scope markers, and end-to-end elaboration of
 // the Fig 2-5 / Fig 3-5 register-file design.
+#include <cstdint>
+#include <fstream>
+#include <sstream>
+
 #include <gtest/gtest.h>
 
+#include "core/compiled.hpp"
 #include "core/verifier.hpp"
+#include "gen/s1_design.hpp"
 #include "hdl/elaborate.hpp"
 #include "hdl/lexer.hpp"
 #include "hdl/parser.hpp"
 #include "hdl/stdlib.hpp"
-
-#include "core/verifier.hpp"
 
 namespace tv::hdl {
 namespace {
@@ -150,6 +154,23 @@ TEST(HdlElaborate, ComplementAndDirectivesSurviveSubstitution) {
   // The AND gate's first pin carries the "&H" directive.
   const Primitive& gate = d.netlist.prim(1);
   EXPECT_EQ(gate.inputs[0].directives, "H");
+}
+
+// An '&' inside a name is part of it: only an '&' that begins a token
+// starts a directive string (sec. 2.6), in the elaborator as in the netlist.
+TEST(HdlElaborate, EmbeddedAmpersandIsPartOfTheName) {
+  ElaboratedDesign d = elaborate_source(R"(
+    design T {
+      period 50.0;
+      clock_unit 1.0;
+      buf [delay=1.0:2.0] ("A&B .S0-6") -> "X";
+    }
+  )");
+  SignalId s = d.netlist.find("A&B .S0-6");
+  ASSERT_NE(s, kNoSignal);
+  EXPECT_EQ(d.netlist.signal(s).base_name, "A&B");
+  EXPECT_EQ(d.netlist.signal(s).assertion, parse_signal_name("X .S0-6").assertion);
+  EXPECT_TRUE(d.netlist.prim(0).inputs[0].directives.empty());
 }
 
 TEST(HdlElaborate, ErrorsAreDiagnosed) {
@@ -351,6 +372,125 @@ TEST(HdlSynonym, AssertionTransfersAcrossSynonym) {
   v.verify();
   EXPECT_EQ(d.netlist.signal(s).wave.at(from_ns(20)), Value::Stable);
   EXPECT_EQ(d.netlist.signal(s).wave.at(from_ns(5)), Value::Change);
+}
+
+}  // namespace
+}  // namespace tv::hdl
+
+// --- front-end output pins ---------------------------------------------------
+//
+// The elaborator's output is pinned by content digest: signal and primitive
+// ids, names, the summary and the case map all feed the compiled artifact's
+// bytes, so any change to creation order or naming moves a digest. A front
+// end change that is meant to be invisible must leave these values alone.
+
+namespace tv::hdl {
+namespace {
+
+std::string read_design(const std::string& name) {
+  std::ifstream in(std::string(TV_REPO_ROOT) + "/designs/" + name);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+// Parses the standard library and `design` into one File, the way
+// elaborate_sources merges them.
+File merge_with_stdlib(std::string_view design) {
+  File merged = parse(std_chip_library());
+  File f = parse(design);
+  merged.has_design = f.has_design;
+  merged.design_name = f.design_name;
+  merged.design = std::move(f.design);
+  merged.design_line = f.design_line;
+  merged.end_line = f.end_line;
+  return merged;
+}
+
+// Artifact bytes exactly as scaldtvc writes them, digested with 64-bit FNV-1a.
+std::uint64_t artifact_digest(ElaboratedDesign& d) {
+  CompiledSummary summary;
+  summary.macro_instances = d.summary.macro_instances;
+  summary.primitives = d.summary.primitives;
+  summary.unique_signals = d.summary.unique_signals;
+  summary.total_bits = d.summary.total_bits;
+  summary.prims_by_kind = d.summary.prims_by_kind;
+  CompiledDesign c = compile_design(d.name, d.netlist, d.options, d.cases, summary);
+  std::string bytes = serialize_compiled(c);
+  std::uint64_t h = 14695981039346656037ull;
+  for (unsigned char b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+gen::S1Params s1_16() {
+  gen::S1Params p;
+  p.stages = 16;
+  return p;
+}
+
+TEST(HdlFrontEndPins, CompiledBytesMatchRecordedDigests) {
+  diag::DiagnosticEngine diags;
+  diags.set_current_file("designs/regfile_example.shdl");
+  std::optional<ElaboratedDesign> regfile =
+      elaborate_source(read_design("regfile_example.shdl"), diags);
+  ASSERT_TRUE(regfile.has_value());
+  EXPECT_EQ(artifact_digest(*regfile), 0x69cc433b08614ac6ull);
+
+  std::string pipeline_src = read_design("stdlib_pipeline.shdl");
+  std::optional<ElaboratedDesign> pipeline = elaborate_sources(
+      {{"<stdlib>", std_chip_library()}, {"designs/stdlib_pipeline.shdl", pipeline_src}},
+      diags);
+  ASSERT_TRUE(pipeline.has_value());
+  EXPECT_EQ(artifact_digest(*pipeline), 0xdd245cfbcfc23093ull);
+  EXPECT_FALSE(diags.has_errors());
+
+  ElaboratedDesign s1 = gen::build_s1_design(s1_16());
+  EXPECT_EQ(artifact_digest(s1), 0xfd239e12469a9b50ull);
+}
+
+// A wire_delay-only signal, one a macro's wire_delay names before a later pin
+// creates it, and a synonym pair: pass 1 and pass 2 count the same names.
+constexpr const char* kCountFixture = R"(
+  macro SLOW(SIZE) {
+    param in "D<0:SIZE-1>";
+    param out "Q<0:SIZE-1>";
+    buf [delay=1.0:2.0, width=SIZE] ("D<0:SIZE-1>") -> "T/M";
+    buf [delay=1.0:2.0, width=SIZE] ("T/M") -> "Q<0:SIZE-1>";
+    wire_delay "LATER NET" 0:1;
+    wire_delay "U/M" 0:1;
+  }
+  design COUNT {
+    period 50.0;
+    clock_unit 1.0;
+    buf [delay=1.0:2.0] ("A .S0-6") -> "B";
+    use SLOW [SIZE=4] ("B", "C<0:3>");
+    not [delay=1.0:2.0] ("LATER NET") -> "E";
+    wire_delay "B" 0:1;
+    wire_delay "ONLY WIRE" 0:1;
+    wire_delay "- ONLY WIRE &H" 0:2;
+    synonym "E" = "E ALIAS";
+  }
+)";
+
+TEST(HdlFrontEndPins, PassOneAndPassTwoCountTheSameSignals) {
+  File fixture = parse(kCountFixture);
+  ElaboratedDesign fd = elaborate(fixture);
+  // A, B, C<0:3>, SLOW#0/T, LATER NET, E, SLOW#0/U, ONLY WIRE.
+  EXPECT_EQ(fd.summary.unique_signals, 8u);
+  EXPECT_EQ(expand_summary(fixture).unique_signals, fd.summary.unique_signals);
+
+  File regfile = parse(read_design("regfile_example.shdl"));
+  EXPECT_EQ(expand_summary(regfile).unique_signals, elaborate(regfile).summary.unique_signals);
+
+  File pipeline = merge_with_stdlib(read_design("stdlib_pipeline.shdl"));
+  EXPECT_EQ(expand_summary(pipeline).unique_signals,
+            elaborate(pipeline).summary.unique_signals);
+
+  File s1 = parse(gen::generate_s1_shdl(s1_16()));
+  EXPECT_EQ(expand_summary(s1).unique_signals, elaborate(s1).summary.unique_signals);
 }
 
 }  // namespace

@@ -23,8 +23,9 @@
 //
 // --parser-fuzz mutates valid SHDL sources (byte- and token-level, seeded)
 // and feeds them to the diagnostic front end: it must never crash, never
-// let an exception escape, and always report at least one error
-// diagnostic when it rejects an input.
+// let an exception escape, always report at least one error diagnostic
+// when it rejects an input, and never report the internal-error code
+// SHDL-E099.
 //
 // --serve-chaos pushes seeded batches of generated designs with random
 // fault specs through a real scaldtvd worker pool and asserts every job
