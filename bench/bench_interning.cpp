@@ -1,7 +1,6 @@
-// Interning + memoization benchmark: whole-run evaluation with the
-// hash-consed waveform table and evaluation memo-cache on versus off, the
-// memo hit rates backing the CI cache-stats floor, and the unique-waveform
-// sharing numbers against the Table 3-3 storage claim.
+// Interning + memoization benchmark: whole-run timings, the memo hit rates
+// backing the CI cache-stats floor, and the unique-waveform sharing numbers
+// against the Table 3-3 storage claim.
 //
 //   $ ./bench_interning            # human-readable report
 //   $ ./bench_interning --json     # machine-readable (CI cache-stats job)
@@ -13,6 +12,7 @@
 //   * s1/N     -- the synthetic S-1 pipeline at N stages: repeated
 //                 identical stage macros are where cross-primitive memo
 //                 sharing pays off within a single cold run.
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <string>
@@ -32,29 +32,24 @@ double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
-struct ModeTiming {
-  double cold_ms = 0;    // first verify() on a fresh Verifier
+struct RunTiming {
+  double cold_ms = 0;      // first verify() on a fresh Verifier
   double reverify_ms = 0;  // second verify() on the same Verifier
-  std::size_t events = 0;
-  InternStats stats;  // zeroed when interning off
+  InternStats stats;
 };
 
 template <class BuildFn>
-ModeTiming run_mode(BuildFn&& build_design, bool interning) {
+RunTiming run_twice(BuildFn&& build_design) {
   auto d = build_design();
-  d.options.interning = interning;
   Verifier v(*d.netlist, d.options);
   auto t0 = Clock::now();
-  VerifyResult r = v.verify(d.cases);
-  ModeTiming m;
+  v.verify(d.cases);
+  RunTiming m;
   m.cold_ms = ms_since(t0);
-  m.events = r.base_events;
   t0 = Clock::now();
   v.verify(d.cases);
   m.reverify_ms = ms_since(t0);
-  if (v.evaluator().intern_context()) {
-    m.stats = collect_intern_stats(*v.evaluator().intern_context());
-  }
+  m.stats = collect_intern_stats(*v.evaluator().intern_context());
   return m;
 }
 
@@ -81,41 +76,30 @@ S1Design build_s1(int stages) {
 int main(int argc, char** argv) {
   bool json = argc > 1 && std::strcmp(argv[1], "--json") == 0;
 
-  // Best-of-3 to keep the JSON stable under scheduler noise.
-  auto best = [](auto&& fn, bool interning) {
-    ModeTiming best_m = fn(interning);
+  // Best-of-3 timings to keep the JSON stable under scheduler noise; the
+  // counters are deterministic.
+  auto best = [](auto&& build_design) {
+    RunTiming best_m = run_twice(build_design);
     for (int i = 0; i < 2; ++i) {
-      ModeTiming m = fn(interning);
-      if (m.cold_ms < best_m.cold_ms) {
-        m.reverify_ms = std::min(m.reverify_ms, best_m.reverify_ms);
-        best_m = m;
-      } else {
-        best_m.reverify_ms = std::min(best_m.reverify_ms, m.reverify_ms);
-      }
+      RunTiming m = run_twice(build_design);
+      best_m.cold_ms = std::min(best_m.cold_ms, m.cold_ms);
+      best_m.reverify_ms = std::min(best_m.reverify_ms, m.reverify_ms);
     }
     return best_m;
   };
 
-  auto regfile = [&](bool interning) {
-    return run_mode([] { return examples::regfile_pipeline(); }, interning);
-  };
-  ModeTiming reg_on = best(regfile, true);
-  ModeTiming reg_off = best(regfile, false);
+  RunTiming reg = best([] { return examples::regfile_pipeline(); });
 
   struct S1Row {
     int stages;
-    ModeTiming on, off;
+    RunTiming run;
     StorageBreakdown storage;
   };
   std::vector<S1Row> s1_rows;
   for (int stages : {16, 48, 96}) {
-    auto s1 = [&](bool interning) {
-      return run_mode([&] { return build_s1(stages); }, interning);
-    };
     S1Row row;
     row.stages = stages;
-    row.on = best(s1, true);
-    row.off = best(s1, false);
+    row.run = best([&] { return build_s1(stages); });
     {
       // Storage snapshot from a verified design (unique-waveform figures).
       auto d = build_s1(stages);
@@ -131,26 +115,19 @@ int main(int argc, char** argv) {
     std::printf("  \"bench\": \"interning\",\n");
     std::printf("  \"regfile\": {\"memo_hits\": %zu, \"memo_misses\": %zu, "
                 "\"hit_rate\": %.4f, \"unique_waveforms\": %zu, "
-                "\"cold_ms\": %.3f, \"reverify_ms\": %.3f, "
-                "\"cold_ms_off\": %.3f, \"reverify_ms_off\": %.3f},\n",
-                reg_on.stats.memo_hits, reg_on.stats.memo_misses,
-                reg_on.stats.memo_hit_rate(), reg_on.stats.unique_waveforms,
-                reg_on.cold_ms, reg_on.reverify_ms, reg_off.cold_ms,
-                reg_off.reverify_ms);
+                "\"cold_ms\": %.3f, \"reverify_ms\": %.3f},\n",
+                reg.stats.memo_hits, reg.stats.memo_misses, reg.stats.memo_hit_rate(),
+                reg.stats.unique_waveforms, reg.cold_ms, reg.reverify_ms);
     std::printf("  \"s1\": [");
     for (std::size_t i = 0; i < s1_rows.size(); ++i) {
       const S1Row& r = s1_rows[i];
-      std::printf("%s\n    {\"stages\": %d, \"cold_ms_on\": %.3f, \"cold_ms_off\": %.3f, "
-                  "\"cold_speedup\": %.3f, \"reverify_ms_on\": %.3f, "
-                  "\"reverify_ms_off\": %.3f, \"reverify_speedup\": %.3f, "
+      std::printf("%s\n    {\"stages\": %d, \"cold_ms\": %.3f, \"reverify_ms\": %.3f, "
                   "\"memo_hits\": %zu, \"memo_misses\": %zu, \"hit_rate\": %.4f, "
                   "\"unique_waveforms\": %zu, \"signals\": %zu, "
                   "\"signals_per_unique_waveform\": %.2f}",
-                  i ? "," : "", r.stages, r.on.cold_ms, r.off.cold_ms,
-                  r.off.cold_ms / r.on.cold_ms, r.on.reverify_ms, r.off.reverify_ms,
-                  r.off.reverify_ms / r.on.reverify_ms, r.on.stats.memo_hits,
-                  r.on.stats.memo_misses, r.on.stats.memo_hit_rate(),
-                  r.on.stats.unique_waveforms,
+                  i ? "," : "", r.stages, r.run.cold_ms, r.run.reverify_ms,
+                  r.run.stats.memo_hits, r.run.stats.memo_misses,
+                  r.run.stats.memo_hit_rate(), r.run.stats.unique_waveforms,
                   static_cast<std::size_t>(r.storage.unique_waveforms
                                                ? r.storage.unique_waveforms *
                                                      r.storage.signals_per_unique_waveform
@@ -163,27 +140,20 @@ int main(int argc, char** argv) {
 
   std::printf("Waveform interning + evaluation memo-cache\n\n");
   std::printf("regfile pipeline (Fig 2-5):\n");
-  std::printf("  cold verify:      %.3f ms interned vs %.3f ms plain (%.2fx)\n",
-              reg_on.cold_ms, reg_off.cold_ms, reg_off.cold_ms / reg_on.cold_ms);
-  std::printf("  re-verify:        %.3f ms interned vs %.3f ms plain (%.2fx)\n",
-              reg_on.reverify_ms, reg_off.reverify_ms,
-              reg_off.reverify_ms / reg_on.reverify_ms);
+  std::printf("  cold verify:      %.3f ms\n", reg.cold_ms);
+  std::printf("  re-verify:        %.3f ms\n", reg.reverify_ms);
   std::printf("  memo:             %zu hits / %zu misses (%.1f%% hit rate)\n",
-              reg_on.stats.memo_hits, reg_on.stats.memo_misses,
-              100.0 * reg_on.stats.memo_hit_rate());
-  std::printf("  unique waveforms: %zu (%zu intern lookups)\n\n",
-              reg_on.stats.unique_waveforms, reg_on.stats.intern_lookups);
+              reg.stats.memo_hits, reg.stats.memo_misses, 100.0 * reg.stats.memo_hit_rate());
+  std::printf("  unique waveforms: %zu (%zu intern lookups)\n\n", reg.stats.unique_waveforms,
+              reg.stats.intern_lookups);
 
   std::printf("synthetic S-1 pipeline (identical stage macros):\n");
-  std::printf("  %7s %12s %12s %9s %12s %12s %9s %10s %9s\n", "stages", "cold on",
-              "cold off", "speedup", "reverify on", "reverify off", "speedup",
-              "hit rate", "uniq wf");
+  std::printf("  %7s %12s %12s %10s %9s\n", "stages", "cold", "reverify", "hit rate",
+              "uniq wf");
   for (const S1Row& r : s1_rows) {
-    std::printf("  %7d %10.2fms %10.2fms %8.2fx %10.2fms %10.2fms %8.2fx %9.1f%% %9zu\n",
-                r.stages, r.on.cold_ms, r.off.cold_ms, r.off.cold_ms / r.on.cold_ms,
-                r.on.reverify_ms, r.off.reverify_ms,
-                r.off.reverify_ms / r.on.reverify_ms,
-                100.0 * r.on.stats.memo_hit_rate(), r.on.stats.unique_waveforms);
+    std::printf("  %7d %10.2fms %10.2fms %9.1f%% %9zu\n", r.stages, r.run.cold_ms,
+                r.run.reverify_ms, 100.0 * r.run.stats.memo_hit_rate(),
+                r.run.stats.unique_waveforms);
   }
   std::printf("\n  sharing (Table 3-3 claim: value lists are massively shared):\n");
   for (const S1Row& r : s1_rows) {

@@ -16,8 +16,8 @@ using Clock = std::chrono::steady_clock;
 
 int main() {
   std::printf("Scaling sweep: synthetic S-1 pipeline\n");
-  std::printf("  %7s %8s %8s %10s %12s %12s %12s %14s\n", "stages", "chips", "prims",
-              "events", "evts/prim", "verify ms", "no-memo ms", "storage KB");
+  std::printf("  %7s %8s %8s %10s %12s %12s %14s\n", "stages", "chips", "prims", "events",
+              "evts/prim", "verify ms", "storage KB");
   for (int stages : {8, 16, 32, 64, 128}) {
     gen::S1Params p;
     p.stages = stages;
@@ -28,22 +28,11 @@ int main() {
     auto t0 = Clock::now();
     VerifyResult r = v.verify();
     auto t1 = Clock::now();
-    // The same re-verification without the interning/memo layer, for the
-    // speedup column (EXPERIMENTS.md).
-    hdl::ElaboratedDesign d2 = gen::build_s1_design(p);
-    d2.options.interning = false;
-    Verifier v2(d2.netlist, d2.options);
-    v2.verify();
-    auto t2 = Clock::now();
-    v2.verify();
-    auto t3 = Clock::now();
     StorageBreakdown b = compute_storage(d.netlist);
-    std::printf("  %7d %8zu %8zu %10zu %12.2f %12.2f %12.2f %14zu\n", stages,
-                gen::s1_chip_count(p), d.summary.primitives, r.base_events,
+    std::printf("  %7d %8zu %8zu %10zu %12.2f %12.2f %14zu\n", stages, gen::s1_chip_count(p),
+                d.summary.primitives, r.base_events,
                 static_cast<double>(r.base_events) / d.summary.primitives,
-                std::chrono::duration<double, std::milli>(t1 - t0).count(),
-                std::chrono::duration<double, std::milli>(t3 - t2).count(),
-                b.total() >> 10);
+                std::chrono::duration<double, std::milli>(t1 - t0).count(), b.total() >> 10);
   }
 
   std::printf("\nIncremental case analysis vs full reevaluation (32 stages)\n");

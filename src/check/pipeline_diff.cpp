@@ -189,7 +189,7 @@ struct World {
   /// pre-interned as `scaldtv --compiled` does.
   std::unique_ptr<Verifier> verifier() {
     auto v = std::make_unique<Verifier>(nl(), opts);
-    if (loaded && v->evaluator().intern_context()) {
+    if (loaded) {
       preintern_seeds(*loaded, v->evaluator().intern_context()->table);
     }
     return v;
@@ -250,6 +250,7 @@ class PathRun {
   }
 
   Netlist& netlist() { return world_->nl(); }
+  const Verifier& verifier() const { return *verifier_; }
   const VerifyResult& result() const { return result_; }
   const std::vector<CaseSpec>& cases() const { return verifier_->baseline_cases(); }
   Time period() const { return world_->opts.period; }
@@ -311,7 +312,6 @@ class PathRun {
       w->opts = w->built->opts;
       w->cases = w->built->cases;
     }
-    w->opts.interning = path_.memo;
     w->opts.batch_eval = path_.batch_eval;
     if (guard_.max_segments_per_signal) {
       w->opts.max_segments_per_signal = guard_.max_segments_per_signal;
@@ -355,7 +355,50 @@ const Violation* hidden_violation(const std::vector<Violation>& clean,
   return nullptr;
 }
 
-/// The five axes, in Path's declaration order: the field, and how
+// ---------------------------------------------------------------- memo audit
+
+/// A fresh evaluate_primitive of the inputs `key` describes: the key's kind
+/// and delays, each input prepared from a pin with the key's inversion and
+/// resolved directive string, on a signal with the key's wire delay.
+PrimEvalResult evaluate_key(const MemoKey& key, const WaveformTable& table,
+                            const VerifierOptions& opts) {
+  Primitive p;
+  p.kind = static_cast<PrimKind>(key.kind);
+  p.dmin = key.dmin;
+  p.dmax = key.dmax;
+  if (key.has_rise_fall) {
+    const auto& rf = key.rise_fall;
+    p.rise_fall = RiseFallDelay{rf[0], rf[1], rf[2], rf[3]};
+  }
+  std::vector<PreparedInput> ins;
+  for (const MemoPin& mp : key.pins) {
+    Pin pin{kNoSignal, mp.invert, mp.dirs};
+    Signal s;
+    s.wire_delay = WireDelay{mp.wire_min, mp.wire_max};
+    ins.push_back(prepare_input(pin, s, table.get(mp.wave), std::string(), opts));
+    p.inputs.push_back(std::move(pin));
+  }
+  PrimEvalResult r = evaluate_primitive(p, ins, opts.period);
+  r.wave.canonicalize();
+  return r;
+}
+
+std::string describe_key(const MemoKey& key) {
+  std::ostringstream os;
+  os << prim_kind_name(static_cast<PrimKind>(key.kind)) << " delay " << to_ns(key.dmin)
+     << "-" << to_ns(key.dmax) << (key.has_rise_fall ? " rise/fall" : "");
+  for (const MemoPin& mp : key.pins) {
+    os << "\n    pin" << (mp.invert ? " inverted" : "") << " wire " << to_ns(mp.wire_min)
+       << "-" << to_ns(mp.wire_max) << " dirs \"" << mp.dirs << "\"";
+  }
+  return os.str();
+}
+
+std::string describe_output(const Waveform& w, const std::string& eval_str) {
+  return w.to_string() + " \"" + eval_str + "\"";
+}
+
+/// The four axes, in Path's declaration order: the field, and how
 /// describe() names its true and false options.
 struct Axis {
   const char* field;
@@ -366,7 +409,6 @@ struct Axis {
 constexpr Axis kAxes[] = {
     {"compiled", &Path::compiled, "tvc", "source"},
     {"batch_eval", &Path::batch_eval, "sweep", "per-case"},
-    {"memo", &Path::memo, "memo", "no-memo"},
     {"restored", &Path::restored, "restored", "cold"},
     {"incremental", &Path::incremental, "reverify", "cold-edits"},
 };
@@ -527,9 +569,59 @@ std::optional<Failure> check_degradation_conservatism(const CircuitSpec& spec,
   return std::nullopt;
 }
 
+std::optional<Failure> audit_memo(const Verifier& v, const VerifyResult& r) {
+  const Evaluator& ev = v.evaluator();
+  const InternContext& ctx = *ev.intern_context();
+  std::optional<Failure> stale;
+  ctx.memo.for_each([&](const MemoKey& key, const MemoResult& stored) {
+    if (stale) return;
+    PrimEvalResult fresh = evaluate_key(key, ctx.table, ev.options());
+    const Waveform& cached = ctx.table.get(stored.wave);
+    if (fresh.wave.equivalent(cached) && fresh.eval_str == stored.eval_str) return;
+    stale = Failure{"memo-stale-entry",
+                    "the memo entry for " + describe_key(key) + "\n  holds   " +
+                        describe_output(cached, stored.eval_str) + "\n  but a fresh " +
+                        "evaluation gives " + describe_output(fresh.wave, fresh.eval_str)};
+  });
+  if (stale || !r.converged || r.partial) return stale;
+  const Netlist& nl = ev.netlist();
+  for (PrimId pid = 0; pid < nl.num_prims(); ++pid) {
+    const Primitive& p = nl.prim(pid);
+    if (prim_is_checker(p.kind) || p.output == kNoSignal) continue;
+    std::vector<PreparedInput> ins;
+    for (const Pin& pin : p.inputs) ins.push_back(ev.prepare(pin));
+    PrimEvalResult fresh = evaluate_primitive(p, ins, ev.options().period);
+    fresh.wave.canonicalize();
+    const Signal& out = nl.signal(p.output);
+    if (fresh.wave.equivalent(out.wave) && fresh.eval_str == out.eval_str) continue;
+    return Failure{"fixpoint-inconsistent",
+                   "primitive \"" + p.name + "\" drives \"" + out.full_name + "\" with " +
+                       describe_output(out.wave, out.eval_str) + " in a converged " +
+                       "fixpoint, but re-evaluating its inputs gives " +
+                       describe_output(fresh.wave, fresh.eval_str)};
+  }
+  return std::nullopt;
+}
+
+std::optional<Failure> check_memo_audit(const CircuitSpec& spec, const Path& path,
+                                        const PipelineOptions& opts) {
+  const std::uint64_t edit_seed = opts.edit_seed ? opts.edit_seed : default_edit_seed(spec.seed);
+  PathRun run(spec, path, Guard{}, edit_seed);
+  std::vector<NetlistDelta> script;
+  Rng rng(edit_seed);
+  for (int step = 0; step <= opts.steps; ++step) {
+    if (step > 0) script.push_back(random_delta(rng, run.netlist(), run.cases()));
+    if (auto f = run.advance(script)) return f;
+    if (auto f = audit_memo(run.verifier(), run.result())) {
+      f->detail = run.where() + " " + run.label() + ": " + f->detail;
+      return f;
+    }
+  }
+  return std::nullopt;
+}
+
 std::vector<MatrixPair> matrix_pairs(std::uint64_t seed) {
   std::vector<MatrixPair> pairs = {
-      {"memo", {}, {.memo = false}},
       {"batch", {}, {.batch_eval = false}},
       {"compile", {}, {.compiled = true}},
   };
@@ -549,6 +641,10 @@ std::vector<MatrixPair> matrix_pairs(std::uint64_t seed) {
     pairs.push_back({"random", path_from_bits(x), path_from_bits(y)});
   }
   return pairs;
+}
+
+Path random_path(std::uint64_t seed) {
+  return path_from_bits(Rng(seed ^ 0x3C6EF372ULL).range(1, kPathCount - 1));
 }
 
 Guard random_guard(std::uint64_t seed) {
@@ -593,6 +689,10 @@ std::string degradation_call(const Path& path, const Guard& guard,
     << ", .time_limit_seconds = " << guard.time_limit_seconds << "}";
   return "tv::check::check_degradation_conservatism(s, " + to_cpp(path) + ", " + g.str() +
          ", " + to_cpp(opts) + ")";
+}
+
+std::string memo_audit_call(const Path& path, const PipelineOptions& opts) {
+  return "tv::check::check_memo_audit(s, " + to_cpp(path) + ", " + to_cpp(opts) + ")";
 }
 
 }  // namespace tv::check

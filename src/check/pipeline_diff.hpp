@@ -6,7 +6,6 @@
 //
 //   front end  source build | compiled .tvc round trip (core/compiled.hpp)
 //   cases      batch sweep | per-case reference worklist (batch_eval off)
-//   memo       waveform interning + evaluation memo on | off
 //   baseline   cold verify | restored from a .tvf its cold twin wrote
 //   edits      a fresh cold verify per step | reverify on one live verifier
 //
@@ -25,6 +24,14 @@
 // contract of docs/diagnostics.md: a recorded degradation marks the result
 // partial, and UNKNOWN never hides a violation -- except where the run
 // carries TV-W204, whose skipped checks the docs admit may hide one.
+//
+// The memo audit column (check_memo_audit) holds the evaluation memo to the
+// thesis' own definitions instead of to a second, uncached engine: every
+// memo entry must equal a fresh evaluate_primitive of the inputs its key
+// describes, and a converged, undegraded fixpoint must be one (sec. 2.9):
+// re-evaluating any primitive from its current inputs, with no memo,
+// reproduces its output. The first check catches a stale or mis-stored
+// entry; the second a key that omits an input, which no entry can show.
 #pragma once
 
 #include <cstddef>
@@ -40,12 +47,11 @@
 
 namespace tv::check {
 
-/// One pipeline through the verifier: a choice on each of the five axes.
+/// One pipeline through the verifier: a choice on each of the four axes.
 /// The defaults are the production path of a cold `scaldtv` run.
 struct Path {
   bool compiled = false;     // load from a serialized .tvc artifact
   bool batch_eval = true;    // cases on the batch sweep, else per-case
-  bool memo = true;          // VerifierOptions::interning
   bool restored = false;     // baseline restored from its twin's .tvf
   bool incremental = false;  // edits via reverify on one live verifier
 };
@@ -99,23 +105,40 @@ std::optional<Failure> check_degradation_conservatism(const CircuitSpec& spec,
                                                       const Path& path, const Guard& guard,
                                                       const PipelineOptions& opts = {});
 
+/// The memo audit of one verified state: `v`'s memo entries against fresh
+/// evaluations of their keys ("memo-stale-entry"), and -- when `r` is
+/// converged and not partial -- every non-checker primitive's output
+/// waveform and evaluation string against a memo-free evaluation of its
+/// current inputs ("fixpoint-inconsistent").
+std::optional<Failure> audit_memo(const Verifier& v, const VerifyResult& r);
+
+/// Runs `path` over the spec's circuit and edit script, auditing the
+/// verifier (audit_memo) after the baseline and after every step. Kinds:
+/// the two audit kinds plus the harness kinds above.
+std::optional<Failure> check_memo_audit(const CircuitSpec& spec, const Path& path,
+                                        const PipelineOptions& opts = {});
+
 /// One named entry of the matrix a seed runs.
 struct MatrixPair {
   std::string name;
   Path a, b;
 };
 
-/// The pairs tvfuzz --matrix runs for one seed: memo, batch and compile
-/// (each toggles one axis off the default path), incr and snapshot on both
-/// front ends (incr diffs reverify against the per-case reference on odd
-/// seeds), then two distinct paths drawn from the seed over all 32.
+/// The pairs tvfuzz --matrix runs for one seed: batch and compile (each
+/// toggles one axis off the default path), incr and snapshot on both front
+/// ends (incr diffs reverify against the per-case reference on odd seeds),
+/// then two distinct paths drawn from the seed over all 16.
 std::vector<MatrixPair> matrix_pairs(std::uint64_t seed);
+
+/// The second path the seed's memo audit runs (the first is the default
+/// path): one of the 15 others, drawn from the seed.
+Path random_path(std::uint64_t seed);
 
 /// The guard the seed's degradation twin arms: a segment cap of 1, 2 or
 /// 4, a shard cap of 1 or 4, or an already-expired deadline.
 Guard random_guard(std::uint64_t seed);
 
-/// "{source, sweep, memo, cold, cold-edits}"-style one-line summaries.
+/// "{source, sweep, cold, cold-edits}"-style one-line summaries.
 std::string describe(const Path& p);
 std::string describe(const Guard& g);
 
@@ -124,5 +147,6 @@ std::string describe(const Guard& g);
 std::string pipeline_call(const Path& a, const Path& b, const PipelineOptions& opts);
 std::string degradation_call(const Path& path, const Guard& guard,
                              const PipelineOptions& opts);
+std::string memo_audit_call(const Path& path, const PipelineOptions& opts);
 
 }  // namespace tv::check

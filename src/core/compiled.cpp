@@ -73,7 +73,7 @@ std::string build_meta(const CompiledDesign& d) {
   w.f64(o.assertion_defaults.clock_skew_plus_ns);
   w.u64(o.max_evals_per_prim);
   w.u64(o.max_segments_per_signal);
-  w.u8(o.interning ? 1 : 0);
+  w.u8(1);  // reserved, always 1: keeps the bytes of the removed interning switch
   w.u8(o.batch_eval ? 1 : 0);
   w.u32(o.batch_lanes);
   w.u64(d.summary.macro_instances);
@@ -199,7 +199,7 @@ bool read_meta(ByteReader& r, CompiledDesign& d, Loader& L) {
   d.options.assertion_defaults.clock_skew_plus_ns = r.f64();
   d.options.max_evals_per_prim = r.u64();
   d.options.max_segments_per_signal = r.u64();
-  d.options.interning = r.u8() != 0;
+  r.u8();  // reserved (see build_meta)
   d.options.batch_eval = r.u8() != 0;
   d.options.batch_lanes = r.u32();
   d.summary.macro_instances = r.u64();

@@ -47,13 +47,13 @@ PreparedInput prepare_input(const Pin& pin, const Signal& s, const Waveform& wav
   return in;
 }
 
-Evaluator::Evaluator(Netlist& nl, VerifierOptions opts) : nl_(nl), opts_(opts) {
+Evaluator::Evaluator(Netlist& nl, VerifierOptions opts)
+    : nl_(nl),
+      opts_(opts),
+      intern_(std::make_shared<InternContext>(opts_.max_waveforms_per_shard)) {
   if (!nl.finalized()) nl.finalize();
   in_worklist_.assign(nl.num_prims(), 0);
   eval_count_.assign(nl.num_prims(), 0);
-  if (opts_.interning) {
-    intern_ = std::make_shared<InternContext>(opts_.max_waveforms_per_shard);
-  }
   wave_refs_.assign(nl.num_signals(), kNoWaveform);
 }
 
@@ -77,38 +77,37 @@ void Evaluator::cap_segments(SignalId id, Waveform& w) {
   w.canonicalize();
 }
 
-void Evaluator::store_wave(SignalId id, Waveform w) {
-  Signal& s = nl_.signal(id);
-  if (intern_) {
-    if (wave_refs_.size() < nl_.num_signals()) {
-      wave_refs_.resize(nl_.num_signals(), kNoWaveform);
-    }
-    WaveformRef ref = intern_->table.intern(w);
-    if (ref == kNoWaveform) {
-      // Table full: keep the uninterned copy. build_memo_key sees the
-      // kNoWaveform ref and turns the memo off for consumers of this signal.
-      if (!table_full_reported_) {
-        table_full_reported_ = true;
-        record_degradation(diag::kWarnTableFull,
-                           "waveform table full; interning disabled for signal \"" +
-                               s.full_name + "\" and later waveforms");
-      }
-      wave_refs_[id] = kNoWaveform;
-      s.wave = std::move(w);
-      return;
-    }
-    wave_refs_[id] = ref;
-    s.wave = intern_->table.get(ref);
-  } else {
-    s.wave = std::move(w);
+WaveformRef Evaluator::intern_wave(SignalId id, const Waveform& w) {
+  if (wave_refs_.size() < nl_.num_signals()) wave_refs_.resize(nl_.num_signals(), kNoWaveform);
+  WaveformRef ref = intern_->table.intern(w);
+  if (ref == kNoWaveform && !table_full_reported_) {
+    // Table full: the caller keeps the uninterned copy. build_memo_key sees
+    // the kNoWaveform ref and turns the memo off for consumers of the signal.
+    table_full_reported_ = true;
+    record_degradation(diag::kWarnTableFull,
+                       "waveform table full; interning disabled for signal \"" +
+                           nl_.signal(id).full_name + "\" and later waveforms");
   }
+  return ref;
+}
+
+void Evaluator::put_wave(SignalId id, WaveformRef ref, Waveform w) {
+  wave_refs_[id] = ref;
+  if (ref == kNoWaveform) {
+    nl_.signal(id).wave = std::move(w);
+  } else {
+    nl_.signal(id).wave = intern_->table.get(ref);
+  }
+}
+
+void Evaluator::store_wave(SignalId id, Waveform w) {
+  WaveformRef ref = intern_wave(id, w);
+  put_wave(id, ref, std::move(w));
 }
 
 void Evaluator::seed_signal(SignalId id) {
   Signal& s = nl_.signal(id);
   Waveform w = seed_waveform(s, opts_);
-  // Seeds are canonicalized in both modes so evaluation -- and every report
-  // downstream -- is byte-identical with interning on or off.
   w.canonicalize();
   store_wave(id, std::move(w));
   s.eval_str.clear();
@@ -162,17 +161,7 @@ void Evaluator::restore_fixpoint(const std::vector<Waveform>& waves,
     Waveform w = waves[id];
     w.canonicalize();
     s.eval_str = eval_strs[id];
-    if (intern_) {
-      WaveformRef ref = intern_->table.intern(w);
-      if (ref != kNoWaveform) {
-        wave_refs_[id] = ref;
-        s.wave = intern_->table.get(ref);
-        continue;
-      }
-      // Table full: keep the uninterned copy, exactly like store_wave --
-      // consumers of this signal fall back to uncached evaluation.
-    }
-    s.wave = std::move(w);
+    store_wave(id, std::move(w));
   }
 }
 
@@ -202,44 +191,16 @@ bool Evaluator::build_memo_key(const Primitive& p, MemoKey& key) const {
 
 void Evaluator::assign(SignalId id, Waveform w, std::string eval_str, bool& changed) {
   Signal& s = nl_.signal(id);
-  // Canonical form in both modes: the convergence test below is then the
-  // same predicate whether expressed as a ref compare or a deep compare
-  // (Waveform::equivalent), and reports match byte-for-byte across modes.
+  // Canonical form: the convergence test is a ref compare, and a deep
+  // compare (the same predicate) only for an uninterned copy.
   w.canonicalize();
   cap_segments(id, w);
-  if (intern_) {
-    if (wave_refs_.size() < nl_.num_signals()) {
-      wave_refs_.resize(nl_.num_signals(), kNoWaveform);
-    }
-    WaveformRef ref = intern_->table.intern(w);
-    if (ref == kNoWaveform) {
-      // Table full: fall back to the deep compare for this assignment.
-      if (!table_full_reported_) {
-        table_full_reported_ = true;
-        record_degradation(diag::kWarnTableFull,
-                           "waveform table full; interning disabled for signal \"" +
-                               s.full_name + "\" and later waveforms");
-      }
-      changed = !(w == s.wave) || eval_str != s.eval_str;
-      if (changed) {
-        wave_refs_[id] = kNoWaveform;
-        s.wave = std::move(w);
-        s.eval_str = std::move(eval_str);
-      }
-      return;
-    }
-    changed = ref != wave_refs_[id] || eval_str != s.eval_str;
-    if (changed) {
-      wave_refs_[id] = ref;
-      s.wave = intern_->table.get(ref);
-      s.eval_str = std::move(eval_str);
-    }
-  } else {
-    changed = !(w == s.wave) || eval_str != s.eval_str;
-    if (changed) {
-      s.wave = std::move(w);
-      s.eval_str = std::move(eval_str);
-    }
+  WaveformRef ref = intern_wave(id, w);
+  changed = (ref == kNoWaveform ? !(w == s.wave) : ref != wave_refs_[id]) ||
+            eval_str != s.eval_str;
+  if (changed) {
+    put_wave(id, ref, std::move(w));
+    s.eval_str = std::move(eval_str);
   }
 }
 
@@ -278,7 +239,7 @@ std::size_t Evaluator::run_worklist() {
 
     bool changed = false;
     MemoKey key;
-    bool keyed = intern_ && build_memo_key(p, key);
+    bool keyed = build_memo_key(p, key);
     if (keyed) {
       if (std::optional<MemoResult> hit = intern_->memo.lookup(key)) {
         assign(p.output, intern_->table.get(hit->wave), hit->eval_str, changed);
@@ -411,9 +372,7 @@ std::size_t Evaluator::propagate_incremental(const std::vector<SignalId>& reseed
   eval_count_.assign(nl_.num_prims(), 0);
   if (in_worklist_.size() < nl_.num_prims()) in_worklist_.resize(nl_.num_prims(), 0);
   if (seg_degraded_.size() < nl_.num_signals()) seg_degraded_.resize(nl_.num_signals(), 0);
-  if (intern_ && wave_refs_.size() < nl_.num_signals()) {
-    wave_refs_.resize(nl_.num_signals(), kNoWaveform);
-  }
+  if (wave_refs_.size() < nl_.num_signals()) wave_refs_.resize(nl_.num_signals(), kNoWaveform);
   track_touched_ = true;
   touched_.clear();
   touched_mark_.assign(nl_.num_signals(), 0);

@@ -38,18 +38,13 @@ struct VerifierOptions {
   /// are independent and results are identical for every job count.
   /// 0 = one thread per hardware core.
   unsigned jobs = 1;
-  /// Hash-consed waveform interning + evaluation memo-cache (wave_table.hpp).
-  /// Reports are byte-identical either way (both modes evaluate canonical
-  /// waveforms); off turns every intern/memo lookup into the legacy deep
-  /// compare, which the golden suite and tvfuzz --matrix memo exploit.
-  bool interning = true;
   /// Structure-of-arrays batch case evaluation (core/batch_eval.hpp): case
   /// instances advance in lockstep lanes through one topological sweep of
   /// the design instead of one event-driven pass per case. Reports are
   /// byte-identical to the per-case path (the golden suite and tvfuzz
   /// --matrix batch exploit the toggle); the engine silently defers to the
-  /// per-case path when interning is off, a wall-clock budget is armed, or
-  /// the base fixpoint is degraded or non-convergent.
+  /// per-case path when a wall-clock budget is armed or the base fixpoint
+  /// is degraded or non-convergent.
   bool batch_eval = true;
   /// Lane-block size for batch case evaluation: cases are grouped into
   /// blocks of this many lanes and `jobs` workers split blocks. Results are
@@ -190,14 +185,15 @@ class Evaluator {
                         bool degraded, std::vector<Degradation> degradations);
 
   const Waveform& wave(SignalId id) const { return nl_.signal(id).wave; }
-  /// Interned ref of the signal's current waveform; kNoWaveform when
-  /// interning is off or the signal was created after the last initialize().
+  /// Interned ref of the signal's current waveform; kNoWaveform when the
+  /// table was full (TV-W203) or the signal was created after the last
+  /// initialize().
   WaveformRef wave_ref(SignalId id) const {
     return id < wave_refs_.size() ? wave_refs_[id] : kNoWaveform;
   }
-  /// The shared interning state (arena + memo); null when interning is off.
-  /// Case snapshots borrow it, so it must outlive them -- the Evaluator
-  /// keeps it alive for its own lifetime.
+  /// The shared interning state (arena + memo); never null. Case snapshots
+  /// borrow it, so it must outlive them -- the Evaluator keeps it alive for
+  /// its own lifetime.
   const std::shared_ptr<InternContext>& intern_context() const { return intern_; }
   const std::vector<WaveformRef>& wave_refs() const { return wave_refs_; }
   bool converged() const { return converged_; }
@@ -245,8 +241,14 @@ class Evaluator {
   /// Applies the segment cap to a computed waveform; on trip replaces it
   /// with all-UNKNOWN and records the degradation (once per signal).
   void cap_segments(SignalId id, Waveform& w);
-  /// Stores `w` into the signal, interning when enabled and falling back to
-  /// an uninterned deep copy (ref = kNoWaveform) when the table is full.
+  /// Interns canonical `w` for signal `id`; when the table is full, records
+  /// TV-W203 (once per run) and returns kNoWaveform.
+  WaveformRef intern_wave(SignalId id, const Waveform& w);
+  /// Writes the signal's waveform: the table's copy of `ref`, or `w` itself
+  /// uninterned when `ref` is kNoWaveform.
+  void put_wave(SignalId id, WaveformRef ref, Waveform w);
+  /// intern_wave then put_wave: the one write every seed, restore and
+  /// degradation takes.
   void store_wave(SignalId id, Waveform w);
   /// Time-limit trip: degrades every signal reachable from the remaining
   /// worklist to UNKNOWN and drains the worklist.
@@ -257,8 +259,8 @@ class Evaluator {
 
   Netlist& nl_;
   VerifierOptions opts_;
-  std::shared_ptr<InternContext> intern_;  // null when interning is off
-  std::vector<WaveformRef> wave_refs_;     // per-signal interned wave
+  std::shared_ptr<InternContext> intern_;
+  std::vector<WaveformRef> wave_refs_;  // per-signal interned wave
   std::deque<PrimId> worklist_;
   std::vector<char> in_worklist_;
   std::vector<std::size_t> eval_count_;

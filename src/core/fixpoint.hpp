@@ -74,9 +74,9 @@ std::uint64_t netlist_shape_digest(const Netlist& nl);
 
 /// Digest of the verifier options that can change report bytes: period,
 /// units, wire/assertion defaults, oscillation and resource-guard caps.
-/// Deliberately excludes the performance-only knobs (jobs, interning,
-/// batch_eval, batch_lanes, time_limit/deadline) -- reports are
-/// byte-identical across those by contract.
+/// Deliberately excludes the performance-only knobs (jobs, batch_eval,
+/// batch_lanes, time_limit/deadline) -- reports are byte-identical across
+/// those by contract.
 std::uint64_t options_semantic_digest(const VerifierOptions& o);
 
 /// Serializes `v`'s baseline fixpoint (the state left by its last

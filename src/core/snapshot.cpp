@@ -21,21 +21,10 @@ EvalSnapshot::EvalSnapshot(const Netlist& nl, std::shared_ptr<const Cone> cone,
 
 void EvalSnapshot::set(SignalId id, Waveform w, std::string eval_str) {
   w.canonicalize();
-  if (intern_) {
-    WaveformRef ref = intern_->table.intern(w);
-    if (ref != kNoWaveform) {
-      set_ref(id, ref, std::move(eval_str));
-      return;
-    }
-    // Table full: keep the uninterned copy in the overlay slot; wave_ref()
-    // then reports kNoWaveform and the memo path turns itself off.
-  }
-  std::int32_t slot = cone_->signal_slot[id];
-  if (slot < 0) throw std::logic_error("EvalSnapshot::set outside the cone");
-  waves_[slot] = std::move(w);
-  eval_strs_[slot] = std::move(eval_str);
-  refs_[slot] = kNoWaveform;
-  written_[slot] = 1;
+  // Table full: the slot keeps the uninterned copy; wave_ref() then reports
+  // kNoWaveform and the memo path turns itself off.
+  WaveformRef ref = intern_->table.intern(w);
+  set_ref(id, ref, std::move(eval_str), std::move(w));
 }
 
 std::size_t EvalSnapshot::disturbed_signals() const {
@@ -59,10 +48,14 @@ std::size_t EvalSnapshot::disturbed_signals() const {
   return n;
 }
 
-void EvalSnapshot::set_ref(SignalId id, WaveformRef ref, std::string eval_str) {
+void EvalSnapshot::set_ref(SignalId id, WaveformRef ref, std::string eval_str, Waveform w) {
   std::int32_t slot = cone_->signal_slot[id];
   if (slot < 0) throw std::logic_error("EvalSnapshot::set outside the cone");
-  waves_[slot] = intern_->table.get(ref);
+  if (ref == kNoWaveform) {
+    waves_[slot] = std::move(w);
+  } else {
+    waves_[slot] = intern_->table.get(ref);
+  }
   eval_strs_[slot] = std::move(eval_str);
   refs_[slot] = ref;
   written_[slot] = 1;
@@ -142,28 +135,23 @@ class CaseRunner {
   }
 
   /// Applies the case map, canonicalizes, and writes the output if it
-  /// changed -- the change test is a ref compare when interning is on and
-  /// the equivalent() deep compare otherwise (the same predicate).
+  /// changed -- the change test is a ref compare, and the equivalent() deep
+  /// compare (the same predicate) only for an uninterned copy.
   void commit(SignalId out, Waveform w, std::string eval_str) {
     w = apply_case_map(out, std::move(w));
     w.canonicalize();
     cap_segments(out, w);
-    InternContext* ctx = snap_.intern_context();
-    WaveformRef ref = ctx ? ctx->table.intern(w) : kNoWaveform;
-    if (ctx && ref == kNoWaveform && !table_full_reported_) {
+    WaveformRef ref = snap_.intern_context()->table.intern(w);
+    if (ref == kNoWaveform && !table_full_reported_) {
       table_full_reported_ = true;
       record_degradation(diag::kWarnTableFull,
                          "waveform table full; interning disabled for signal \"" +
                              nl_.signal(out).full_name + "\" and later waveforms");
     }
-    if (ctx && ref != kNoWaveform) {
-      if (ref != snap_.wave_ref(out) || eval_str != snap_.eval_str(out)) {
-        snap_.set_ref(out, ref, std::move(eval_str));
-        ++stats_.events;
-        enqueue_fanout(out);
-      }
-    } else if (!w.equivalent(snap_.wave(out)) || eval_str != snap_.eval_str(out)) {
-      snap_.set(out, std::move(w), std::move(eval_str));
+    bool changed = ref == kNoWaveform ? !w.equivalent(snap_.wave(out))
+                                      : ref != snap_.wave_ref(out);
+    if (changed || eval_str != snap_.eval_str(out)) {
+      snap_.set_ref(out, ref, std::move(eval_str), std::move(w));
       ++stats_.events;
       enqueue_fanout(out);
     }
@@ -255,14 +243,9 @@ class CaseRunner {
 
       InternContext* ctx = snap_.intern_context();
       MemoKey key;
-      bool keyed =
-          ctx && build_memo_key(
-                     p, nl_, opts_,
-                     [this](SignalId id) { return snap_.wave_ref(id); },
-                     [this](SignalId id) -> const std::string& {
-                       return snap_.eval_str(id);
-                     },
-                     key);
+      bool keyed = build_memo_key(
+          p, nl_, opts_, [this](SignalId id) { return snap_.wave_ref(id); },
+          [this](SignalId id) -> const std::string& { return snap_.eval_str(id); }, key);
       if (keyed) {
         if (std::optional<MemoResult> hit = ctx->memo.lookup(key)) {
           commit(p.output, ctx->table.get(hit->wave), hit->eval_str);

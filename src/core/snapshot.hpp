@@ -30,8 +30,7 @@ class EvalSnapshot {
   /// concurrent case workers may intern through it) and `base_refs` the
   /// baseline's per-signal refs. Interned storage is never mutated -- the
   /// snapshot only writes its own cone-local slots -- so copy-on-write
-  /// semantics are preserved. Both pointers must outlive the snapshot;
-  /// pass nullptr to run without interning.
+  /// semantics are preserved. Both pointers must outlive the snapshot.
   EvalSnapshot(const Netlist& nl, std::shared_ptr<const Cone> cone,
                InternContext* ctx, const std::vector<WaveformRef>* base_refs);
 
@@ -52,7 +51,8 @@ class EvalSnapshot {
   }
 
   /// Interned ref of the signal's current waveform: the overlay's ref once
-  /// written, else the baseline ref. kNoWaveform when interning is off.
+  /// written, else the baseline ref. kNoWaveform for an uninterned copy
+  /// (the table filled, TV-W203).
   WaveformRef wave_ref(SignalId id) const {
     std::int32_t slot = cone_->signal_slot[id];
     if (slot >= 0 && written_[slot]) return refs_[slot];
@@ -62,11 +62,12 @@ class EvalSnapshot {
 
   /// Writes a cone signal's overlay slot (copy-on-write: the first write
   /// materializes the slot; the baseline is never modified). The signal
-  /// must be inside the cone.
+  /// must be inside the cone. Interns `w` first; when the table is full
+  /// the slot keeps `w` uninterned.
   void set(SignalId id, Waveform w, std::string eval_str);
-  /// Interning write path: stores the ref and materializes the table's
-  /// canonical copy into the overlay slot.
-  void set_ref(SignalId id, WaveformRef ref, std::string eval_str);
+  /// Stores `ref` -- the table's canonical copy, or `w` itself when `ref` is
+  /// kNoWaveform -- into the overlay slot.
+  void set_ref(SignalId id, WaveformRef ref, std::string eval_str, Waveform w = {});
 
   /// Number of cone signals whose final (waveform, evaluation string)
   /// differ from the baseline fixpoint -- the signals this case disturbs.

@@ -205,13 +205,12 @@ void Verifier::run_cases(const std::vector<CaseSpec>& cases,
   };
 
   // Batch engine eligibility (docs/batch_eval.md): the lockstep sweep
-  // needs an interned, converged, non-degraded baseline and no wall-clock
-  // budget (deadline-degradation points are inherently order-dependent, so
-  // those runs keep the reference path's exact behavior).
+  // needs a converged, non-degraded baseline and no wall-clock budget
+  // (deadline-degradation points are inherently order-dependent, so those
+  // runs keep the reference path's exact behavior).
   InternContext* ctx = ev_.intern_context().get();
-  const bool use_batch = opts.batch_eval && ctx != nullptr && !base_partial &&
-                         base_converged && !opts.deadline.armed() &&
-                         opts.time_limit_seconds <= 0 &&
+  const bool use_batch = opts.batch_eval && !base_partial && base_converged &&
+                         !opts.deadline.armed() && opts.time_limit_seconds <= 0 &&
                          opts.max_evals_per_prim > 0;
   if (use_batch) {
     const std::size_t lanes =

@@ -159,6 +159,16 @@ class EvalMemo {
   std::size_t misses() const { return misses_.load(std::memory_order_relaxed); }
   std::size_t entries() const;
 
+  /// Calls fn(key, result) for every entry, each shard under its lock (the
+  /// memo audit, check/pipeline_diff.hpp; not for the evaluation path).
+  template <class Fn>
+  void for_each(Fn&& fn) const {
+    for (const Shard& sh : shards_) {
+      std::lock_guard<std::mutex> lock(sh.mu);
+      for (const auto& [key, result] : sh.map) fn(key, result);
+    }
+  }
+
  private:
   static constexpr unsigned kShardCount = 16;
 

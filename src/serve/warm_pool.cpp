@@ -457,7 +457,7 @@ int warm_worker_main(const std::string& design, bool stdlib, bool compiled,
       if (rc != 0) return rc;
       if (!verifier) {
         verifier = std::make_unique<Verifier>(loaded->netlist, loaded->options);
-        if (seeds && verifier->evaluator().intern_context()) {
+        if (seeds) {
           preintern_seeds(*seeds, verifier->evaluator().intern_context()->table);
         }
         if (snapshot_ok) {

@@ -131,7 +131,7 @@ TEST(CheckRegression, DegradeHidesViolationSeed3107) {
     s.sink_dmin_ns = 1; s.sink_dmax_ns = 1;
     s.setup_ns = 1; s.hold_ns = 0;
     s.second_stage = false; s.stage2_edge_units = 0; s.with_case = false;
-    auto fail = tv::check::check_degradation_conservatism(s, tv::check::Path{.compiled = false, .batch_eval = true, .memo = true, .restored = false, .incremental = false}, tv::check::Guard{.max_segments_per_signal = 2, .max_waveforms_per_shard = 0, .time_limit_seconds = 0}, tv::check::PipelineOptions{.edit_seed = 12082169897304126497ULL, .steps = 4});
+    auto fail = tv::check::check_degradation_conservatism(s, tv::check::Path{.compiled = false, .batch_eval = true, .restored = false, .incremental = false}, tv::check::Guard{.max_segments_per_signal = 2, .max_waveforms_per_shard = 0, .time_limit_seconds = 0}, tv::check::PipelineOptions{.edit_seed = 12082169897304126497ULL, .steps = 4});
     ASSERT_FALSE(fail.has_value()) << fail->kind << ": " << fail->detail;
 }
 

@@ -129,9 +129,9 @@ TEST(Shrinker, MatrixReproNamesTheFailingPair) {
                                 pipeline_call(a, b, {.edit_seed = 42, .steps = 3}));
   EXPECT_NE(txt.find("TEST(CheckRegression, PipelineDiffSeed11)"), std::string::npos);
   EXPECT_NE(txt.find("auto fail = tv::check::check_pipeline_equivalence(s, "
-                     "tv::check::Path{.compiled = false, .batch_eval = true, .memo = true, "
+                     "tv::check::Path{.compiled = false, .batch_eval = true, "
                      ".restored = false, .incremental = false}, "
-                     "tv::check::Path{.compiled = false, .batch_eval = false, .memo = true, "
+                     "tv::check::Path{.compiled = false, .batch_eval = false, "
                      ".restored = false, .incremental = true}, "
                      "tv::check::PipelineOptions{.edit_seed = 42ULL, .steps = 3});"),
             std::string::npos)

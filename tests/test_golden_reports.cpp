@@ -1,11 +1,12 @@
 // Golden-report regression suite: runs the full verifier over every example
 // design and the checked-in SHDL designs, renders a canonical report, and
 // byte-compares it against the files in tests/golden/. Each design is
-// verified three ways -- interning + batch case evaluation (the default),
-// interning with the batch engine disabled, and interning off entirely --
-// and all three reports must be byte-identical to each other: this is the
-// safety net proving the hash-consing layer and the lockstep batch sweep
-// change no verdicts, waveforms, or event counts.
+// verified with the batch case sweep (the default) and with the per-case
+// engine, and both reports must be byte-identical: the lockstep sweep
+// changes no verdicts, waveforms, or event counts. Every run also passes
+// the memo audit (check::audit_memo): each evaluation-memo entry equals a
+// fresh evaluation of its key, and the converged fixpoint re-evaluates to
+// itself without the memo.
 //
 // To regenerate after an intentional report change:
 //   TV_UPDATE_GOLDEN=1 ./tv_tests --gtest_filter='GoldenReports.*'
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/pipeline_diff.hpp"
 #include "core/compiled.hpp"
 #include "core/incremental.hpp"
 #include "core/verifier.hpp"
@@ -27,13 +29,16 @@ namespace {
 
 using namespace tv;
 
+/// Verifies and renders the design; a memo-audit failure fails the test.
 std::string render_report(Netlist& nl, VerifierOptions opts,
-                          const std::vector<CaseSpec>& cases, bool interning,
-                          bool batch_eval = true) {
-  opts.interning = interning;
+                          const std::vector<CaseSpec>& cases, bool batch_eval = true) {
   opts.batch_eval = batch_eval;
   Verifier v(nl, opts);
   VerifyResult r = v.verify(cases);
+  if (std::optional<check::Failure> f = check::audit_memo(v, r)) {
+    ADD_FAILURE() << (batch_eval ? "batch" : "per-case") << " run: " << f->kind << ": "
+                  << f->detail;
+  }
   std::ostringstream os;
   os << "signals " << nl.num_signals() << "  primitives " << nl.num_prims() << "\n";
   os << "base events " << r.base_events << "  converged "
@@ -70,22 +75,18 @@ void compare_to_golden(const std::string& name, const std::string& report) {
                                    << " diverged from " << path;
 }
 
-// Builds the unit fresh for each mode (verification mutates the netlist's
-// baseline waveforms), renders both reports, and checks mode-identity plus
-// the golden file.
+// Builds the unit fresh for each engine (verification mutates the
+// netlist's baseline waveforms), renders both reports, and checks
+// engine-identity plus the golden file.
 void check_example(std::size_t index) {
-  examples::ExampleDesign on = examples::all_example_designs()[index];
-  std::string with_interning = render_report(*on.netlist, on.options, on.cases, true);
-  examples::ExampleDesign off = examples::all_example_designs()[index];
-  std::string without = render_report(*off.netlist, off.options, off.cases, false);
-  EXPECT_EQ(with_interning, without)
-      << on.name << ": interned and uninterned runs must render identically";
+  examples::ExampleDesign batch = examples::all_example_designs()[index];
+  std::string report = render_report(*batch.netlist, batch.options, batch.cases);
   examples::ExampleDesign per_case = examples::all_example_designs()[index];
   std::string without_batch =
-      render_report(*per_case.netlist, per_case.options, per_case.cases, true, false);
-  EXPECT_EQ(with_interning, without_batch)
-      << on.name << ": batch and per-case engines must render identically";
-  compare_to_golden(on.name, with_interning);
+      render_report(*per_case.netlist, per_case.options, per_case.cases, false);
+  EXPECT_EQ(report, without_batch)
+      << batch.name << ": batch and per-case engines must render identically";
+  compare_to_golden(batch.name, report);
 }
 
 TEST(GoldenReports, ExampleDesigns) {
@@ -113,16 +114,12 @@ void check_shdl(const std::string& name, bool with_stdlib) {
                ? hdl::elaborate_sources({hdl::std_chip_library(), text})
                : hdl::elaborate_source(text);
   };
-  hdl::ElaboratedDesign on = elaborate();
-  std::string with_interning = render_report(on.netlist, on.options, on.cases, true);
-  hdl::ElaboratedDesign off = elaborate();
-  std::string without = render_report(off.netlist, off.options, off.cases, false);
-  EXPECT_EQ(with_interning, without)
-      << name << ": interned and uninterned runs must render identically";
+  hdl::ElaboratedDesign batch = elaborate();
+  std::string report = render_report(batch.netlist, batch.options, batch.cases);
   hdl::ElaboratedDesign per_case = elaborate();
   std::string without_batch =
-      render_report(per_case.netlist, per_case.options, per_case.cases, true, false);
-  EXPECT_EQ(with_interning, without_batch)
+      render_report(per_case.netlist, per_case.options, per_case.cases, false);
+  EXPECT_EQ(report, without_batch)
       << name << ": batch and per-case engines must render identically";
   hdl::ElaboratedDesign src = elaborate();
   CompiledDesign compiled =
@@ -131,11 +128,10 @@ void check_shdl(const std::string& name, bool with_stdlib) {
   diag::DiagnosticEngine diags;
   std::optional<CompiledDesign> loaded = load_compiled(bytes, name + ".tvc", diags);
   ASSERT_TRUE(loaded.has_value()) << name << ": artifact round-trip failed";
-  std::string via_artifact =
-      render_report(loaded->netlist, loaded->options, loaded->cases, true);
-  EXPECT_EQ(with_interning, via_artifact)
+  std::string via_artifact = render_report(loaded->netlist, loaded->options, loaded->cases);
+  EXPECT_EQ(report, via_artifact)
       << name << ": the compiled-artifact path must render identically";
-  compare_to_golden(name, with_interning);
+  compare_to_golden(name, report);
 }
 
 TEST(GoldenReports, RegfileExampleShdl) { check_shdl("regfile_example", false); }
@@ -190,6 +186,8 @@ void check_shdl_delta(const std::string& design, const std::string& dir,
   ReverifyStats st;
   VerifyResult spliced = v.reverify(delta, &st);
   EXPECT_TRUE(st.incremental) << dir << ": fell back (" << st.fallback_reason << ")";
+  std::optional<check::Failure> audit = check::audit_memo(v, spliced);
+  EXPECT_FALSE(audit.has_value()) << dir << ": " << audit->kind << ": " << audit->detail;
   const std::string report = render_delta_report(incr.netlist, spliced);
 
   // The cold world: the same delta applied wholesale, verified from scratch.

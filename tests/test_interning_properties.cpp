@@ -1,8 +1,9 @@
 // Property tests for the waveform interning layer (core/wave_table.hpp):
 // canonicalization is idempotent, interning is exactly semantic equality,
 // the waveform algebra preserves the sum-of-widths invariant on canonical
-// inputs, and memo-cached evaluation is bit-identical to uncached
-// evaluation across tvfuzz-generated netlists.
+// inputs, and every memo entry and converged fixpoint across
+// tvfuzz-generated netlists passes the memo audit
+// (check/pipeline_diff.hpp).
 #include <gtest/gtest.h>
 
 #include "check/oracles.hpp"
@@ -110,17 +111,55 @@ TEST(InterningProperties, AlgebraPreservesWidthSum) {
 }
 
 TEST(InterningProperties, MemoCachedEvaluationIsBitIdentical) {
-  // The tentpole's soundness property across 64 tvfuzz-generated netlists:
-  // interning + memo on vs off must produce identical waveforms, events,
-  // reports, and per-case results over an edit script (the memo pair of
-  // tvfuzz --matrix).
+  // The memo's soundness property across 64 tvfuzz-generated netlists, the
+  // memo audit column of tvfuzz --matrix: over an edit script on the default
+  // path and one seeded path, every memo entry equals a fresh evaluation of
+  // its key, and every converged fixpoint re-evaluates to itself without
+  // the memo.
   for (std::uint64_t seed = 1; seed <= 64; ++seed) {
     check::CircuitSpec spec = check::random_spec(seed);
-    auto failure = check::check_pipeline_equivalence(spec, check::Path{},
-                                                     check::Path{.memo = false});
-    EXPECT_FALSE(failure.has_value())
-        << "seed " << seed << ": " << (failure ? failure->detail : "");
+    for (const check::Path& path : {check::Path{}, check::random_path(seed)}) {
+      auto failure = check::check_memo_audit(spec, path);
+      EXPECT_FALSE(failure.has_value())
+          << "seed " << seed << " " << check::describe(path) << ": "
+          << (failure ? failure->kind + ": " + failure->detail : "");
+    }
   }
+}
+
+TEST(MemoAudit, FlagsAPlantedStaleEntry) {
+  {
+    check::BuiltCircuit clean = check::build(check::random_spec(11));
+    Verifier v(clean.nl, clean.opts);
+    VerifyResult r = v.verify(clean.cases);
+    ASSERT_FALSE(check::audit_memo(v, r).has_value());
+  }
+  check::BuiltCircuit bc = check::build(check::random_spec(11));
+  Verifier v(bc.nl, bc.opts);
+  // A real key, before anything is cached: the first primitive's inputs at
+  // their seeded values.
+  Evaluator& ev = v.evaluator();
+  InternContext& ctx = *ev.intern_context();
+  ev.initialize();
+  PrimId pid = 0;
+  while (prim_is_checker(bc.nl.prim(pid).kind)) ++pid;
+  const Primitive& p = bc.nl.prim(pid);
+  MemoKey key;
+  ASSERT_TRUE(build_memo_key(
+      p, bc.nl, ev.options(), [&](SignalId id) { return ev.wave_ref(id); },
+      [&](SignalId id) -> const std::string& { return bc.nl.signal(id).eval_str; }, key));
+  std::vector<PreparedInput> ins;
+  for (const Pin& pin : p.inputs) ins.push_back(ev.prepare(pin));
+  PrimEvalResult right = evaluate_primitive(p, ins, ev.options().period);
+  Waveform wrong(ev.options().period, Value::Change);
+  if (wrong.equivalent(right.wave.canonical())) wrong = Waveform(wrong.period(), Value::Stable);
+  ASSERT_EQ(ctx.memo.entries(), 0u);
+  ctx.memo.store(key, MemoResult{ctx.table.intern(wrong), right.eval_str});
+
+  VerifyResult r = v.verify(bc.cases);
+  std::optional<check::Failure> f = check::audit_memo(v, r);
+  ASSERT_TRUE(f.has_value());
+  EXPECT_EQ(f->kind, "memo-stale-entry") << f->detail;
 }
 
 TEST(InterningProperties, EvaluatorExposesInternStats) {
@@ -138,15 +177,6 @@ TEST(InterningProperties, EvaluatorExposesInternStats) {
   InternStats st2 = collect_intern_stats(*ev.intern_context());
   EXPECT_GT(st2.memo_hits, 0u);
   EXPECT_EQ(st2.unique_waveforms, st.unique_waveforms);
-
-  // Interning off: no context, evaluation still works.
-  check::BuiltCircuit bc2 = check::build(check::random_spec(11));
-  bc2.opts.interning = false;
-  Evaluator ev2(bc2.nl, bc2.opts);
-  ev2.initialize();
-  ev2.propagate();
-  EXPECT_EQ(ev2.intern_context(), nullptr);
-  EXPECT_EQ(ev.events_processed(), ev2.events_processed());
 }
 
 TEST(InterningProperties, StorageStatsReportsUniqueWaveforms) {

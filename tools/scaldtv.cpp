@@ -264,7 +264,7 @@ int main(int argc, char** argv) {
     design.options.batch_lanes = static_cast<unsigned>(batch_lanes);
     design.options.time_limit_seconds = time_limit;
     tv::Verifier verifier(design.netlist, design.options);
-    if (compiled && verifier.evaluator().intern_context()) {
+    if (compiled) {
       // Warm the intern table with the artifact's pre-interned seed arena.
       tv::preintern_seeds(*compiled, verifier.evaluator().intern_context()->table);
     }

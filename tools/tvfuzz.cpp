@@ -12,14 +12,17 @@
 // repro; the exit code is nonzero.
 //
 // --matrix [PAIR] runs the differential pipeline matrix
-// (src/check/pipeline_diff.hpp): each random circuit goes through the memo,
-// batch and compile pairs, the incr and snapshot pairs on both front ends,
-// and two pairs drawn from the seed over all 32 paths -- every pair over the
+// (src/check/pipeline_diff.hpp): each random circuit goes through the batch
+// and compile pairs, the incr and snapshot pairs on both front ends, and
+// two pairs drawn from the seed over all 16 paths -- every pair over the
 // same K-step random edit script (--steps K) and diffed through one
-// canonical render -- plus the degradation column, which re-runs the first
-// path with a seed-chosen resource guard armed and fails if degradation
-// hides a violation or leaves the result unmarked. PAIR (memo, batch,
-// compile, incr, snapshot, random or degrade) runs only that entry.
+// canonical render -- plus two columns. The degradation column re-runs the
+// first path with a seed-chosen resource guard armed and fails if
+// degradation hides a violation or leaves the result unmarked. The memo
+// audit column runs the first path and one path drawn from the seed and
+// fails if a memo entry differs from a fresh evaluation of its key or a
+// converged fixpoint is not one. PAIR (batch, compile, incr, snapshot,
+// random, degrade or memo) runs only that entry.
 //
 // --parser-fuzz mutates valid SHDL sources (byte- and token-level, seeded)
 // and feeds them to the diagnostic front end: it must never crash, never
@@ -63,7 +66,7 @@ struct Options {
   int circuit_seeds = 500;
   int wave_seeds = 500;
   bool matrix = false;
-  std::string matrix_pair;  // empty = every pair and the degradation column
+  std::string matrix_pair;  // empty = every pair and both columns
   int steps = 4;
   bool parser_fuzz = false;
   bool serve_chaos = false;
@@ -83,10 +86,11 @@ void usage(const char* argv0) {
                "  --wave N      waveform-algebra cases to run (default 500)\n"
                "  --start S     first seed (default 1)\n"
                "  --smoke       quick CI gate: 120 circuit + 250 wave cases\n"
-               "  --matrix [PAIR] run each circuit through the pipeline matrix (memo,\n"
-               "                batch, compile, incr, snapshot and two seeded random\n"
-               "                pairs, plus the degradation column) and fail on any\n"
-               "                divergence; PAIR runs only that entry (or 'degrade')\n"
+               "  --matrix [PAIR] run each circuit through the pipeline matrix (batch,\n"
+               "                compile, incr, snapshot and two seeded random pairs,\n"
+               "                plus the degradation and memo audit columns) and fail\n"
+               "                on any divergence; PAIR runs only that entry (or\n"
+               "                'degrade' or 'memo')\n"
                "  --steps K     edit-script steps per --matrix check (default 4)\n"
                "  --parser-fuzz mutate valid SHDL sources and assert the front end\n"
                "                never crashes and always diagnoses rejected input\n"
@@ -101,7 +105,7 @@ void usage(const char* argv0) {
 }
 
 bool known_pair(const std::string& name) {
-  if (name == "degrade") return true;
+  if (name == "degrade" || name == "memo") return true;
   for (const tv::check::MatrixPair& p : tv::check::matrix_pairs(1)) {
     if (p.name == name) return true;
   }
@@ -289,8 +293,9 @@ int main(int argc, char** argv) {
 
   if (opt.matrix) {
     // Differential pipeline matrix: every pair of the seed, then the
-    // degradation column on the first pair's reference path, all over the
-    // seed's edit script (pinned, so shrinking keeps it fixed).
+    // degradation column on the first pair's reference path and the memo
+    // audit on it and one seeded path, all over the seed's edit script
+    // (pinned, so shrinking keeps it fixed).
     int checks = 0;
     auto selected = [&](const std::string& name) {
       return opt.matrix_pair.empty() || opt.matrix_pair == name;
@@ -321,15 +326,24 @@ int main(int argc, char** argv) {
             },
             tv::check::pipeline_call(p.a, p.b, po));
       }
-      if (!selected("degrade")) continue;
       const tv::check::Path& path = pairs.front().a;
-      const tv::check::Guard guard = tv::check::random_guard(seed);
-      run("matrix degrade " + tv::check::describe(path) + " under " +
-              tv::check::describe(guard),
-          [&](const tv::check::CircuitSpec& s) {
-            return tv::check::check_degradation_conservatism(s, path, guard, po);
-          },
-          tv::check::degradation_call(path, guard, po));
+      if (selected("degrade")) {
+        const tv::check::Guard guard = tv::check::random_guard(seed);
+        run("matrix degrade " + tv::check::describe(path) + " under " +
+                tv::check::describe(guard),
+            [&](const tv::check::CircuitSpec& s) {
+              return tv::check::check_degradation_conservatism(s, path, guard, po);
+            },
+            tv::check::degradation_call(path, guard, po));
+      }
+      if (!selected("memo")) continue;
+      for (const tv::check::Path& audited : {path, tv::check::random_path(seed)}) {
+        run("matrix memo " + tv::check::describe(audited),
+            [&](const tv::check::CircuitSpec& s) {
+              return tv::check::check_memo_audit(s, audited, po);
+            },
+            tv::check::memo_audit_call(audited, po));
+      }
     }
     std::printf("tvfuzz --matrix: %d circuit cases, %d checks x %d steps, %d failure%s\n",
                 opt.circuit_seeds, checks, opt.steps, failures, failures == 1 ? "" : "s");
