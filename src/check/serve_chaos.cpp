@@ -16,6 +16,7 @@
 #include "check/parser_fuzz.hpp"
 #include "serve/job.hpp"
 #include "serve/supervisor.hpp"
+#include "util/json.hpp"
 
 namespace tv::check {
 
@@ -36,29 +37,21 @@ struct ManifestRecord {
   int attempts = 0;
 };
 
-/// Pulls the job records back out of a manifest the harness itself wrote.
-/// The format is the fixed-order JSON from serve/manifest.cpp, so a string
-/// scan is exact (no general JSON parser needed in the check library).
+/// Pulls the job records back out of a manifest; an unreadable manifest
+/// yields no records.
 std::vector<ManifestRecord> scan_manifest(const std::string& text) {
   std::vector<ManifestRecord> out;
-  std::size_t at = 0;
-  while ((at = text.find("{\"id\": \"", at)) != std::string::npos) {
+  json::Value root;
+  const json::Value* jobs = json::parse(text, root, nullptr) ? root.get("jobs") : nullptr;
+  if (!jobs) return out;
+  for (const json::Value& job : jobs->arr) {
     ManifestRecord r;
-    std::size_t start = at + 8;
-    std::size_t end = text.find('"', start);
-    if (end == std::string::npos) break;
-    r.id = text.substr(start, end - start);
-    std::size_t st = text.find("\"state\": \"", end);
-    if (st != std::string::npos) {
-      st += 10;
-      r.state = text.substr(st, text.find('"', st) - st);
-    }
-    std::size_t att = text.find("\"attempts\": ", end);
-    if (att != std::string::npos) {
-      r.attempts = std::atoi(text.c_str() + att + 12);
+    if (const json::Value* id = job.get("id")) r.id = id->str;
+    if (const json::Value* state = job.get("state")) r.state = state->str;
+    if (const json::Value* attempts = job.get("attempts")) {
+      r.attempts = static_cast<int>(attempts->as_int64().value_or(0));
     }
     out.push_back(std::move(r));
-    at = end;
   }
   return out;
 }

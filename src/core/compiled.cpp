@@ -1,15 +1,6 @@
 // Compiled-design artifact serialization (see compiled.hpp for the format).
 #include "core/compiled.hpp"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cstring>
-#include <fstream>
-#include <sstream>
-#include <unordered_map>
 
 #include "core/wire_format.hpp"
 #include "util/atomic_file.hpp"
@@ -19,14 +10,7 @@ namespace {
 
 using wire::ByteReader;
 using wire::ByteWriter;
-using wire::fnv1a;
-using wire::kEndianTag;
-using wire::kEndianTagSwapped;
-using wire::kHeaderSize;
-using wire::kSectionEntrySize;
 using wire::Loader;
-using wire::read_waveform;
-using wire::write_waveform;
 
 // Section ids (the table is written in this order).
 enum : std::uint32_t {
@@ -38,7 +22,23 @@ enum : std::uint32_t {
 };
 constexpr std::uint32_t kSectionIds[] = {kSecMeta, kSecSignals, kSecPrims, kSecCases,
                                          kSecWaves};
-constexpr std::size_t kSectionCount = sizeof(kSectionIds) / sizeof(kSectionIds[0]);
+
+constexpr wire::Format kFormat{
+    kCompiledMagic,
+    kCompiledFormatVersion,
+    kSectionIds,
+    diag::kErrArtifactIo,
+    diag::kErrArtifactMagic,
+    diag::kErrArtifactVersion,
+    diag::kErrArtifactTruncated,
+    diag::kErrArtifactHash,
+    diag::kErrArtifactMalformed,
+    diag::kErrArtifactEndian,
+    "artifact",
+    "an artifact",
+    "compiled design",
+    "recompile with scaldtvc",
+};
 
 // ---------------------------------------------------------------- writing
 
@@ -139,24 +139,9 @@ std::string build_prims(const Netlist& nl) {
   return w.take();
 }
 
-std::string build_cases(const std::vector<CaseSpec>& cases) {
-  ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(cases.size()));
-  for (const CaseSpec& c : cases) {
-    w.str(c.name);
-    w.u32(static_cast<std::uint32_t>(c.pins.size()));
-    for (const auto& [sig, value] : c.pins) {
-      w.u32(sig);
-      w.u8(static_cast<std::uint8_t>(value));
-    }
-  }
-  return w.take();
-}
-
 std::string build_waves(const CompiledDesign& d) {
   ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(d.seed_arena.size()));
-  for (const Waveform& wave : d.seed_arena) write_waveform(w, wave);
+  wire::write_arena(w, d.seed_arena);
   w.u32(static_cast<std::uint32_t>(d.seed_refs.size()));
   for (std::uint32_t ref : d.seed_refs) w.u32(ref);
   return w.take();
@@ -167,7 +152,7 @@ std::string build_waves(const CompiledDesign& d) {
 bool read_assertion(ByteReader& r, Assertion& a, Loader& L) {
   std::uint8_t kind = r.u8();
   if (kind > static_cast<std::uint8_t>(Assertion::Kind::Stable))
-    return L.fail(diag::kErrArtifactMalformed, "bad assertion kind");
+    return L.bad("bad assertion kind");
   a.kind = static_cast<Assertion::Kind>(kind);
   a.active_low = r.u8() != 0;
   if (r.u8() != 0) {
@@ -176,7 +161,6 @@ bool read_assertion(ByteReader& r, Assertion& a, Loader& L) {
     a.skew_ns = {minus, plus};
   }
   std::uint32_t nranges = r.u32();
-  a.ranges.reserve(nranges);
   for (std::uint32_t i = 0; i < nranges && !r.truncated(); ++i) {
     Assertion::Range range;
     range.begin = r.f64();
@@ -213,7 +197,7 @@ bool read_meta(ByteReader& r, CompiledDesign& d, Loader& L) {
     d.summary.prims_by_kind[kind] = count;
   }
   if (!r.truncated() && d.options.period <= 0)
-    return L.fail(diag::kErrArtifactMalformed, "non-positive clock period");
+    return L.bad("non-positive clock period");
   return true;
 }
 
@@ -226,7 +210,7 @@ bool read_signals(ByteReader& r, CompiledDesign& d, Loader& L) {
     if (!read_assertion(r, s.assertion, L)) return false;
     std::uint8_t scope = r.u8();
     if (!r.truncated() && scope > static_cast<std::uint8_t>(SignalScope::Parameter))
-      return L.fail(diag::kErrArtifactMalformed, "bad signal scope");
+      return L.bad("bad signal scope");
     s.scope = static_cast<SignalScope>(scope);
     s.width = static_cast<int>(r.u32());
     if (r.u8() != 0) {
@@ -248,7 +232,7 @@ bool read_prims(ByteReader& r, CompiledDesign& d, Loader& L) {
     Primitive p;
     std::uint8_t kind = r.u8();
     if (!r.truncated() && kind > static_cast<std::uint8_t>(PrimKind::MinPulseWidthChk))
-      return L.fail(diag::kErrArtifactMalformed, "bad primitive kind");
+      return L.bad("bad primitive kind");
     p.kind = static_cast<PrimKind>(kind);
     p.name = r.str();
     p.dmin = r.i64();
@@ -268,15 +252,13 @@ bool read_prims(ByteReader& r, CompiledDesign& d, Loader& L) {
     p.width = static_cast<int>(r.u32());
     p.output = r.u32();
     if (!r.truncated() && p.output != kNoSignal && p.output >= nsignals)
-      return L.fail(diag::kErrArtifactMalformed,
-                    "primitive \"" + p.name + "\": output signal out of range");
+      return L.bad("primitive \"" + p.name + "\": output signal out of range");
     std::uint32_t ninputs = r.u32();
     for (std::uint32_t j = 0; j < ninputs && !r.truncated(); ++j) {
       Pin pin;
       pin.sig = r.u32();
       if (!r.truncated() && pin.sig >= nsignals)
-        return L.fail(diag::kErrArtifactMalformed,
-                      "primitive \"" + p.name + "\": input signal out of range");
+        return L.bad("primitive \"" + p.name + "\": input signal out of range");
       pin.invert = r.u8() != 0;
       pin.directives = r.str();
       p.inputs.push_back(std::move(pin));
@@ -285,54 +267,23 @@ bool read_prims(ByteReader& r, CompiledDesign& d, Loader& L) {
     try {
       d.netlist.add_prim(std::move(p));
     } catch (const std::exception& e) {
-      return L.fail(diag::kErrArtifactMalformed, e.what());
+      return L.bad(e.what());
     }
-  }
-  return true;
-}
-
-bool read_cases(ByteReader& r, CompiledDesign& d, Loader& L) {
-  const std::uint32_t nsignals = static_cast<std::uint32_t>(d.netlist.num_signals());
-  std::uint32_t count = r.u32();
-  for (std::uint32_t i = 0; i < count && !r.truncated(); ++i) {
-    CaseSpec c;
-    c.name = r.str();
-    std::uint32_t npins = r.u32();
-    for (std::uint32_t j = 0; j < npins && !r.truncated(); ++j) {
-      std::uint32_t sig = r.u32();
-      std::uint8_t value = r.u8();
-      if (r.truncated()) break;
-      if (sig >= nsignals)
-        return L.fail(diag::kErrArtifactMalformed,
-                      "case \"" + c.name + "\": signal out of range");
-      if (value >= kNumValues)
-        return L.fail(diag::kErrArtifactMalformed, "case \"" + c.name + "\": bad value");
-      c.pins.emplace_back(sig, static_cast<Value>(value));
-    }
-    if (r.truncated()) break;
-    d.cases.push_back(std::move(c));
   }
   return true;
 }
 
 bool read_waves(ByteReader& r, CompiledDesign& d, Loader& L) {
-  std::uint32_t arena = r.u32();
-  for (std::uint32_t i = 0; i < arena && !r.truncated(); ++i) {
-    Waveform w;
-    if (!read_waveform(r, w, L)) return false;
-    if (r.truncated()) break;
-    d.seed_arena.push_back(std::move(w));
-  }
+  if (!wire::read_arena(r, d.seed_arena, L)) return false;
   std::uint32_t nrefs = r.u32();
   for (std::uint32_t i = 0; i < nrefs && !r.truncated(); ++i) {
     std::uint32_t ref = r.u32();
     if (!r.truncated() && ref >= d.seed_arena.size())
-      return L.fail(diag::kErrArtifactMalformed, "seed-waveform ref out of range");
+      return L.bad("seed-waveform ref out of range");
     d.seed_refs.push_back(ref);
   }
   if (!r.truncated() && d.seed_refs.size() != d.netlist.num_signals())
-    return L.fail(diag::kErrArtifactMalformed,
-                  "seed-ref table does not match the signal count");
+    return L.bad("seed-ref table does not match the signal count");
   return true;
 }
 
@@ -350,152 +301,40 @@ CompiledDesign compile_design(std::string name, const Netlist& netlist,
 
   // Deduplicated seed arena: every signal's initial waveform (materialized
   // assertion / always-STABLE / UNKNOWN), one unique canonical copy each.
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets;
+  wire::WaveArena arena;
   d.seed_refs.reserve(netlist.num_signals());
   for (SignalId id = 0; id < netlist.num_signals(); ++id) {
-    Waveform w = seed_waveform(netlist.signal(id), options).canonical();
-    std::uint64_t h = w.canonical_hash();
-    std::uint32_t ref = kNoWaveform;
-    for (std::uint32_t cand : buckets[h]) {
-      if (d.seed_arena[cand].equivalent(w)) {
-        ref = cand;
-        break;
-      }
-    }
-    if (ref == kNoWaveform) {
-      ref = static_cast<std::uint32_t>(d.seed_arena.size());
-      buckets[h].push_back(ref);
-      d.seed_arena.push_back(std::move(w));
-    }
-    d.seed_refs.push_back(ref);
+    d.seed_refs.push_back(arena.add(seed_waveform(netlist.signal(id), options).canonical()));
   }
+  d.seed_arena = std::move(arena.waves());
   return d;
 }
 
 std::string serialize_compiled(CompiledDesign& design) {
-  const std::string sections[kSectionCount] = {
-      build_meta(design), build_signals(design.netlist), build_prims(design.netlist),
-      build_cases(design.cases), build_waves(design)};
-
-  // Section table + payload, then the header over them.
-  ByteWriter body;
-  std::uint64_t offset = 0;
-  for (std::size_t i = 0; i < kSectionCount; ++i) {
-    body.u32(kSectionIds[i]);
-    body.u32(0);  // reserved
-    body.u64(offset);
-    body.u64(sections[i].size());
-    offset += sections[i].size();
-  }
-  std::string out = body.take();
-  for (const std::string& s : sections) out += s;
-
-  design.content_hash = fnv1a(out.data(), out.size(), 14695981039346656037ull);
-
-  ByteWriter header;
-  for (char c : kCompiledMagic) header.u8(static_cast<std::uint8_t>(c));
-  header.u32(kEndianTag);
-  header.u32(kCompiledFormatVersion);
-  header.u64(design.content_hash);
-  header.u64(out.size());
-  header.u32(static_cast<std::uint32_t>(kSectionCount));
-  header.u32(0);  // reserved
-  return header.take() + out;
+  const std::string sections[] = {build_meta(design), build_signals(design.netlist),
+                                  build_prims(design.netlist), wire::build_cases(design.cases),
+                                  build_waves(design)};
+  return wire::assemble(kFormat, sections, &design.content_hash);
 }
 
 std::optional<CompiledDesign> load_compiled(std::string_view bytes, std::string_view origin,
                                             diag::DiagnosticEngine& diags) {
-  Loader L{diags, origin};
-  if (bytes.size() < kHeaderSize) {
-    L.fail(diag::kErrArtifactTruncated, "file too small to hold an artifact header");
-    return std::nullopt;
-  }
-  ByteReader h(bytes.substr(0, kHeaderSize));
-  char magic[8];
-  for (char& c : magic) c = static_cast<char>(h.u8());
-  if (std::memcmp(magic, kCompiledMagic, sizeof magic) != 0) {
-    L.fail(diag::kErrArtifactMagic, "not a compiled design (bad magic)");
-    return std::nullopt;
-  }
-  std::uint32_t endian = h.u32();
-  if (endian != kEndianTag) {
-    L.fail(endian == kEndianTagSwapped ? diag::kErrArtifactEndian : diag::kErrArtifactMalformed,
-           endian == kEndianTagSwapped ? "artifact written with opposite byte order"
-                                       : "bad endianness tag");
-    return std::nullopt;
-  }
-  std::uint32_t version = h.u32();
-  if (version != kCompiledFormatVersion) {
-    L.fail(diag::kErrArtifactVersion,
-           "format version " + std::to_string(version) + " (this build reads version " +
-               std::to_string(kCompiledFormatVersion) + "); recompile with scaldtvc");
-    return std::nullopt;
-  }
-  std::uint64_t stored_hash = h.u64();
-  std::uint64_t payload_size = h.u64();
-  std::uint32_t nsections = h.u32();
-  if (payload_size != bytes.size() - kHeaderSize) {
-    L.fail(diag::kErrArtifactTruncated,
-           payload_size > bytes.size() - kHeaderSize ? "artifact is truncated"
-                                                     : "trailing bytes after the payload");
-    return std::nullopt;
-  }
-  std::string_view payload = bytes.substr(kHeaderSize);
-  std::uint64_t hash = fnv1a(payload.data(), payload.size(), 14695981039346656037ull);
-  if (hash != stored_hash) {
-    L.fail(diag::kErrArtifactHash, "content hash mismatch (artifact is corrupted)");
-    return std::nullopt;
-  }
-  if (nsections != kSectionCount || payload.size() < nsections * kSectionEntrySize) {
-    L.fail(diag::kErrArtifactMalformed, "bad section table");
-    return std::nullopt;
-  }
-
-  // Section table: ids in fixed order, ranges inside the payload.
-  std::string_view sections[kSectionCount];
-  {
-    ByteReader t(payload.substr(0, kSectionCount * kSectionEntrySize));
-    std::string_view data = payload.substr(kSectionCount * kSectionEntrySize);
-    for (std::size_t i = 0; i < kSectionCount; ++i) {
-      std::uint32_t id = t.u32();
-      t.u32();  // reserved
-      std::uint64_t off = t.u64();
-      std::uint64_t size = t.u64();
-      if (id != kSectionIds[i] || off > data.size() || size > data.size() - off) {
-        L.fail(diag::kErrArtifactMalformed, "bad section table");
-        return std::nullopt;
-      }
-      sections[i] = data.substr(off, size);
-    }
-  }
-
+  Loader L{diags, origin, kFormat};
+  std::optional<wire::Container> c = wire::open(bytes, L);
+  if (!c) return std::nullopt;
   CompiledDesign d;
-  d.content_hash = stored_hash;
-  ByteReader readers[kSectionCount] = {ByteReader(sections[0]), ByteReader(sections[1]),
-                                       ByteReader(sections[2]), ByteReader(sections[3]),
-                                       ByteReader(sections[4])};
-  bool ok = read_meta(readers[0], d, L) && read_signals(readers[1], d, L) &&
-            read_prims(readers[2], d, L) && read_cases(readers[3], d, L) &&
-            read_waves(readers[4], d, L);
-  if (ok) {
-    for (std::size_t i = 0; i < kSectionCount; ++i) {
-      if (readers[i].truncated()) {
-        L.fail(diag::kErrArtifactTruncated, "section ends mid-record");
-        break;
-      }
-      if (!readers[i].at_end()) {
-        L.fail(diag::kErrArtifactMalformed, "unconsumed bytes at the end of a section");
-        break;
-      }
-    }
-  }
-  if (!L.failed) {
+  d.content_hash = c->content_hash;
+  std::vector<ByteReader>& r = c->sections;
+  if (read_meta(r[0], d, L) && read_signals(r[1], d, L) && read_prims(r[2], d, L) &&
+      wire::read_cases(r[3], static_cast<std::uint32_t>(d.netlist.num_signals()), d.cases,
+                       L) &&
+      read_waves(r[4], d, L) && wire::finish(*c, L)) {
     // Recompute fanout call lists and re-validate the structure exactly as
     // the front end did; a corrupt-but-well-formed artifact fails here.
     try {
       d.netlist.finalize();
     } catch (const std::exception& e) {
-      L.fail(diag::kErrArtifactMalformed, e.what());
+      L.bad(e.what());
     }
   }
   if (L.failed) return std::nullopt;
@@ -504,45 +343,12 @@ std::optional<CompiledDesign> load_compiled(std::string_view bytes, std::string_
 
 std::optional<CompiledDesign> load_compiled_file(const std::string& path,
                                                  diag::DiagnosticEngine& diags) {
-  // Map the artifact read-only and parse straight out of the mapping; the
-  // layout has been position-independent since PR 7, and load_compiled
-  // copies everything it keeps, so the mapping is released before return.
-  // Anything mmap can't serve (pipes, /proc, zero-length, exotic
-  // filesystems) falls back to a plain buffered read.
-  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    diags.report(diag::Severity::Error, diag::kErrArtifactIo, diag::SourceLoc{},
-                 path + ": cannot open compiled design");
-    return std::nullopt;
-  }
-  struct stat st{};
-  if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) && st.st_size > 0) {
-    std::size_t len = static_cast<std::size_t>(st.st_size);
-    void* map = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (map != MAP_FAILED) {
-      ::close(fd);
-      auto result = load_compiled(
-          std::string_view(static_cast<const char*>(map), len), path, diags);
-      ::munmap(map, len);
-      return result;
-    }
-  }
-  ::close(fd);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    diags.report(diag::Severity::Error, diag::kErrArtifactIo, diag::SourceLoc{},
-                 path + ": cannot open compiled design");
-    return std::nullopt;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  if (!in.good() && !in.eof()) {
-    diags.report(diag::Severity::Error, diag::kErrArtifactIo, diag::SourceLoc{},
-                 path + ": read error");
-    return std::nullopt;
-  }
-  std::string bytes = buf.str();
-  return load_compiled(bytes, path, diags);
+  // Parsed straight out of the mapping; load_compiled copies everything it
+  // keeps.
+  std::optional<CompiledDesign> d;
+  wire::load_file(kFormat, path, diags,
+                  [&](std::string_view bytes) { d = load_compiled(bytes, path, diags); });
+  return d;
 }
 
 bool write_compiled_file(CompiledDesign& design, const std::string& path, std::string* error) {

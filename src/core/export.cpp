@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 
+#include "util/json.hpp"
+
 namespace tv {
 
 namespace {
@@ -24,24 +26,6 @@ std::string vcd_id(std::size_t index) {
     index /= 94;
   } while (index != 0);
   return id;
-}
-
-void json_escape_into(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -127,7 +111,7 @@ std::string export_json(const Netlist& nl, const VerifyResult& result, Time peri
     out += "\": ";
     if (quote) {
       out += '"';
-      json_escape_into(out, value);
+      json::escape_into(out, value);
       out += '"';
     } else {
       out += value;
@@ -146,9 +130,9 @@ std::string export_json(const Netlist& nl, const VerifyResult& result, Time peri
   for (std::size_t i = 0; i < result.degradations.size(); ++i) {
     const Degradation& d = result.degradations[i];
     out += "    {\"code\": \"";
-    json_escape_into(out, d.code);
+    json::escape_into(out, d.code);
     out += "\", \"message\": \"";
-    json_escape_into(out, d.message);
+    json::escape_into(out, d.message);
     out += "\"}";
     if (i + 1 < result.degradations.size()) out += ',';
     out += '\n';
@@ -158,11 +142,11 @@ std::string export_json(const Netlist& nl, const VerifyResult& result, Time peri
   auto violation_json = [&](const Violation& v) {
     std::string j = "    {\"type\": \"" + violation_type_name(v.type) + "\", ";
     j += "\"checker\": \"";
-    if (v.prim != kNoPrim) json_escape_into(j, nl.prim(v.prim).name);
+    if (v.prim != kNoPrim) json::escape_into(j, nl.prim(v.prim).name);
     j += "\", \"signal\": \"";
-    if (v.signal != kNoSignal) json_escape_into(j, nl.signal(v.signal).full_name);
+    if (v.signal != kNoSignal) json::escape_into(j, nl.signal(v.signal).full_name);
     j += "\", \"missed_by_ns\": " + format_ns(v.missed_by) + ", \"message\": \"";
-    json_escape_into(j, v.message);
+    json::escape_into(j, v.message);
     j += "\"}";
     return j;
   };
@@ -179,7 +163,7 @@ std::string export_json(const Netlist& nl, const VerifyResult& result, Time peri
   for (std::size_t c = 0; c < result.cases.size(); ++c) {
     const auto& cr = result.cases[c];
     out += "    {\"name\": \"";
-    json_escape_into(out, cr.name);
+    json::escape_into(out, cr.name);
     out += "\", \"events\": " + std::to_string(cr.events) + ", \"violations\": [\n";
     for (std::size_t i = 0; i < cr.violations.size(); ++i) {
       out += "  " + violation_json(cr.violations[i]);
@@ -196,7 +180,7 @@ std::string export_json(const Netlist& nl, const VerifyResult& result, Time peri
   for (std::size_t i = 0; i < slacks.size(); ++i) {
     const SlackEntry& e = slacks[i];
     out += "    {\"checker\": \"";
-    json_escape_into(out, nl.prim(e.checker).name);
+    json::escape_into(out, nl.prim(e.checker).name);
     out += "\"";
     if (e.has_setup) out += ", \"setup_slack_ns\": " + format_ns(e.setup_slack);
     if (e.has_hold) out += ", \"hold_slack_ns\": " + format_ns(e.hold_slack);

@@ -3,33 +3,18 @@
 // reverify lives in incremental.cpp.
 #include "core/fixpoint.hpp"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "core/wire_format.hpp"
 #include "util/atomic_file.hpp"
+#include "util/hash.hpp"
 
 namespace tv {
 namespace {
 
 using wire::ByteReader;
 using wire::ByteWriter;
-using wire::fnv1a;
-using wire::kEndianTag;
-using wire::kEndianTagSwapped;
-using wire::kHeaderSize;
-using wire::kSectionEntrySize;
 using wire::Loader;
-using wire::read_waveform;
-using wire::write_waveform;
 
 // Section ids (the table is written in this order).
 enum : std::uint32_t {
@@ -41,7 +26,23 @@ enum : std::uint32_t {
 };
 constexpr std::uint32_t kSectionIds[] = {kSecBind, kSecWaves, kSecSigs, kSecResult,
                                          kSecCases};
-constexpr std::size_t kSectionCount = sizeof(kSectionIds) / sizeof(kSectionIds[0]);
+
+constexpr wire::Format kFormat{
+    kFixpointMagic,
+    kFixpointFormatVersion,
+    kSectionIds,
+    diag::kErrSnapshotIo,
+    diag::kErrSnapshotMagic,
+    diag::kErrSnapshotVersion,
+    diag::kErrSnapshotTruncated,
+    diag::kErrSnapshotHash,
+    diag::kErrSnapshotMalformed,
+    diag::kErrSnapshotEndian,
+    "snapshot",
+    "a snapshot",
+    "fixpoint snapshot",
+    "re-run to regenerate",
+};
 
 /// Degradation codes are static diag constants in-process; on disk they are
 /// strings. Restore maps them back so Degradation::code keeps pointing at
@@ -83,36 +84,19 @@ std::string build_bind(const std::string& design, const Netlist& nl,
 }
 
 /// Deduplicated waveform arena + per-signal (arena ref, eval string): the
-/// on-disk mirror of the evaluator's interned wave table. Shared waveforms
-/// (clocks, constants -- the common case by far) serialize once.
+/// on-disk mirror of the evaluator's interned wave table.
 void build_waves_and_sigs(const Netlist& nl, std::string& waves_out,
                           std::string& sigs_out) {
-  ByteWriter waves;
+  wire::WaveArena arena;
   ByteWriter sigs;
-  std::vector<Waveform> arena;
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets;
   sigs.u32(static_cast<std::uint32_t>(nl.num_signals()));
   for (SignalId id = 0; id < nl.num_signals(); ++id) {
     const Signal& s = nl.signal(id);
-    Waveform w = s.wave.canonical();
-    std::uint64_t h = w.canonical_hash();
-    std::uint32_t ref = kNoWaveform;
-    for (std::uint32_t cand : buckets[h]) {
-      if (arena[cand].equivalent(w)) {
-        ref = cand;
-        break;
-      }
-    }
-    if (ref == kNoWaveform) {
-      ref = static_cast<std::uint32_t>(arena.size());
-      buckets[h].push_back(ref);
-      arena.push_back(std::move(w));
-    }
-    sigs.u32(ref);
+    sigs.u32(arena.add(s.wave.canonical()));
     sigs.str(s.eval_str);
   }
-  waves.u32(static_cast<std::uint32_t>(arena.size()));
-  for (const Waveform& w : arena) write_waveform(waves, w);
+  ByteWriter waves;
+  wire::write_arena(waves, arena.waves());
   waves_out = waves.take();
   sigs_out = sigs.take();
 }
@@ -142,20 +126,6 @@ std::string build_result(const VerifyResult& r) {
   return w.take();
 }
 
-std::string build_cases(const std::vector<CaseSpec>& cases) {
-  ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(cases.size()));
-  for (const CaseSpec& c : cases) {
-    w.str(c.name);
-    w.u32(static_cast<std::uint32_t>(c.pins.size()));
-    for (const auto& [sig, value] : c.pins) {
-      w.u32(sig);
-      w.u8(static_cast<std::uint8_t>(value));
-    }
-  }
-  return w.take();
-}
-
 // ---------------------------------------------------------------- reading
 
 bool read_violations(ByteReader& r, std::vector<Violation>& out, std::uint32_t nsignals,
@@ -165,14 +135,14 @@ bool read_violations(ByteReader& r, std::vector<Violation>& out, std::uint32_t n
     Violation v;
     std::uint8_t type = r.u8();
     if (!r.truncated() && type > static_cast<std::uint8_t>(Violation::Type::Unconverged))
-      return L.fail(diag::kErrSnapshotMalformed, "bad violation kind");
+      return L.bad("bad violation kind");
     v.type = static_cast<Violation::Type>(type);
     v.prim = r.u32();
     if (!r.truncated() && v.prim != kNoPrim && v.prim >= nprims)
-      return L.fail(diag::kErrSnapshotMalformed, "violation primitive out of range");
+      return L.bad("violation primitive out of range");
     v.signal = r.u32();
     if (!r.truncated() && v.signal != kNoSignal && v.signal >= nsignals)
-      return L.fail(diag::kErrSnapshotMalformed, "violation signal out of range");
+      return L.bad("violation signal out of range");
     v.missed_by = r.i64();
     v.message = r.str();
     if (r.truncated()) break;
@@ -192,29 +162,17 @@ bool read_bind(ByteReader& r, FixpointState& st, std::uint32_t& nsignals) {
   return true;
 }
 
-bool read_waves(ByteReader& r, std::vector<Waveform>& arena, Loader& L) {
-  std::uint32_t count = r.u32();
-  for (std::uint32_t i = 0; i < count && !r.truncated(); ++i) {
-    Waveform w;
-    if (!read_waveform(r, w, L)) return false;
-    if (r.truncated()) break;
-    arena.push_back(std::move(w));
-  }
-  return true;
-}
-
 bool read_sigs(ByteReader& r, const std::vector<Waveform>& arena, std::uint32_t nsignals,
                FixpointState& st, Loader& L) {
   std::uint32_t count = r.u32();
   if (!r.truncated() && count != nsignals)
-    return L.fail(diag::kErrSnapshotMalformed,
-                  "signal table does not match the bound signal count");
+    return L.bad("signal table does not match the bound signal count");
   for (std::uint32_t i = 0; i < count && !r.truncated(); ++i) {
     std::uint32_t ref = r.u32();
     std::string eval_str = r.str();
     if (r.truncated()) break;
     if (ref >= arena.size())
-      return L.fail(diag::kErrSnapshotMalformed, "waveform ref out of range");
+      return L.bad("waveform ref out of range");
     st.waves.push_back(arena[ref]);
     st.eval_strs.push_back(std::move(eval_str));
   }
@@ -236,8 +194,7 @@ bool read_result(ByteReader& r, std::uint32_t nsignals, std::uint32_t nprims,
     if (r.truncated()) break;
     const char* interned = intern_degradation_code(code);
     if (interned == nullptr)
-      return L.fail(diag::kErrSnapshotMalformed,
-                    "unknown degradation code \"" + code + "\"");
+      return L.bad("unknown degradation code \"" + code + "\"");
     res.degradations.push_back(Degradation{interned, std::move(message)});
   }
   std::uint32_t ncases = r.u32();
@@ -255,32 +212,8 @@ bool read_result(ByteReader& r, std::uint32_t nsignals, std::uint32_t nprims,
   for (std::uint32_t i = 0; i < nxref && !r.truncated(); ++i) {
     std::uint32_t id = r.u32();
     if (!r.truncated() && id >= nsignals)
-      return L.fail(diag::kErrSnapshotMalformed, "cross-reference signal out of range");
+      return L.bad("cross-reference signal out of range");
     res.cross_reference.push_back(id);
-  }
-  return true;
-}
-
-bool read_cases(ByteReader& r, std::uint32_t nsignals, FixpointState& st, Loader& L) {
-  std::uint32_t count = r.u32();
-  for (std::uint32_t i = 0; i < count && !r.truncated(); ++i) {
-    CaseSpec c;
-    c.name = r.str();
-    std::uint32_t npins = r.u32();
-    for (std::uint32_t j = 0; j < npins && !r.truncated(); ++j) {
-      std::uint32_t sig = r.u32();
-      std::uint8_t value = r.u8();
-      if (r.truncated()) break;
-      if (sig >= nsignals)
-        return L.fail(diag::kErrSnapshotMalformed,
-                      "case \"" + c.name + "\": signal out of range");
-      if (value != static_cast<std::uint8_t>(Value::Zero) &&
-          value != static_cast<std::uint8_t>(Value::One))
-        return L.fail(diag::kErrSnapshotMalformed, "case \"" + c.name + "\": bad value");
-      c.pins.emplace_back(sig, static_cast<Value>(value));
-    }
-    if (r.truncated()) break;
-    st.cases.push_back(std::move(c));
   }
   return true;
 }
@@ -360,128 +293,29 @@ std::string serialize_fixpoint(const Verifier& v, const std::string& design,
   build_waves_and_sigs(nl, waves_sec, sigs_sec);
   std::string result_sec = build_result(v.baseline());
   std::uint64_t report_digest = fnv1a(result_sec.data(), result_sec.size());
-  const std::string sections[kSectionCount] = {
+  const std::string sections[] = {
       build_bind(design, nl, v.evaluator().options(), artifact_hash, report_digest),
       std::move(waves_sec), std::move(sigs_sec), std::move(result_sec),
-      build_cases(v.baseline_cases())};
-
-  // Section table + payload, then the header over them (same assembly as
-  // serialize_compiled).
-  ByteWriter body;
-  std::uint64_t offset = 0;
-  for (std::size_t i = 0; i < kSectionCount; ++i) {
-    body.u32(kSectionIds[i]);
-    body.u32(0);  // reserved
-    body.u64(offset);
-    body.u64(sections[i].size());
-    offset += sections[i].size();
-  }
-  std::string out = body.take();
-  for (const std::string& s : sections) out += s;
-
-  std::uint64_t content_hash = fnv1a(out.data(), out.size());
-
-  ByteWriter header;
-  for (std::size_t i = 0; i < 8; ++i) header.u8(static_cast<std::uint8_t>(kFixpointMagic[i]));
-  header.u32(kEndianTag);
-  header.u32(kFixpointFormatVersion);
-  header.u64(content_hash);
-  header.u64(out.size());
-  header.u32(static_cast<std::uint32_t>(kSectionCount));
-  header.u32(0);  // reserved
-  return header.take() + out;
+      wire::build_cases(v.baseline_cases())};
+  return wire::assemble(kFormat, sections);
 }
 
 std::optional<FixpointState> load_fixpoint(std::string_view bytes, std::string_view origin,
                                            diag::DiagnosticEngine& diags) {
-  Loader L{diags, origin, diag::kErrSnapshotMalformed};
-  if (bytes.size() < kHeaderSize) {
-    L.fail(diag::kErrSnapshotTruncated, "file too small to hold a snapshot header");
-    return std::nullopt;
-  }
-  ByteReader h(bytes.substr(0, kHeaderSize));
-  char magic[8];
-  for (char& c : magic) c = static_cast<char>(h.u8());
-  if (std::memcmp(magic, kFixpointMagic, sizeof magic) != 0) {
-    L.fail(diag::kErrSnapshotMagic, "not a fixpoint snapshot (bad magic)");
-    return std::nullopt;
-  }
-  std::uint32_t endian = h.u32();
-  if (endian != kEndianTag) {
-    L.fail(endian == kEndianTagSwapped ? diag::kErrSnapshotEndian
-                                       : diag::kErrSnapshotMalformed,
-           endian == kEndianTagSwapped ? "snapshot written with opposite byte order"
-                                       : "bad endianness tag");
-    return std::nullopt;
-  }
-  std::uint32_t version = h.u32();
-  if (version != kFixpointFormatVersion) {
-    L.fail(diag::kErrSnapshotVersion,
-           "format version " + std::to_string(version) + " (this build reads version " +
-               std::to_string(kFixpointFormatVersion) + "); re-run to regenerate");
-    return std::nullopt;
-  }
-  std::uint64_t stored_hash = h.u64();
-  std::uint64_t payload_size = h.u64();
-  std::uint32_t nsections = h.u32();
-  if (payload_size != bytes.size() - kHeaderSize) {
-    L.fail(diag::kErrSnapshotTruncated,
-           payload_size > bytes.size() - kHeaderSize ? "snapshot is truncated"
-                                                     : "trailing bytes after the payload");
-    return std::nullopt;
-  }
-  std::string_view payload = bytes.substr(kHeaderSize);
-  std::uint64_t hash = fnv1a(payload.data(), payload.size());
-  if (hash != stored_hash) {
-    L.fail(diag::kErrSnapshotHash, "content hash mismatch (snapshot is corrupted)");
-    return std::nullopt;
-  }
-  if (nsections != kSectionCount || payload.size() < nsections * kSectionEntrySize) {
-    L.fail(diag::kErrSnapshotMalformed, "bad section table");
-    return std::nullopt;
-  }
-
-  std::string_view sections[kSectionCount];
-  {
-    ByteReader t(payload.substr(0, kSectionCount * kSectionEntrySize));
-    std::string_view data = payload.substr(kSectionCount * kSectionEntrySize);
-    for (std::size_t i = 0; i < kSectionCount; ++i) {
-      std::uint32_t id = t.u32();
-      t.u32();  // reserved
-      std::uint64_t off = t.u64();
-      std::uint64_t size = t.u64();
-      if (id != kSectionIds[i] || off > data.size() || size > data.size() - off) {
-        L.fail(diag::kErrSnapshotMalformed, "bad section table");
-        return std::nullopt;
-      }
-      sections[i] = data.substr(off, size);
-    }
-  }
-
+  Loader L{diags, origin, kFormat};
+  std::optional<wire::Container> c = wire::open(bytes, L);
+  if (!c) return std::nullopt;
   FixpointState st;
   std::uint32_t nsignals = 0;
   std::vector<Waveform> arena;
-  ByteReader readers[kSectionCount] = {ByteReader(sections[0]), ByteReader(sections[1]),
-                                       ByteReader(sections[2]), ByteReader(sections[3]),
-                                       ByteReader(sections[4])};
-  bool ok = read_bind(readers[0], st, nsignals) && read_waves(readers[1], arena, L) &&
-            read_sigs(readers[2], arena, nsignals, st, L) &&
-            read_result(readers[3], nsignals, st.num_prims, st, L) &&
-            read_cases(readers[4], nsignals, st, L);
-  if (ok) {
-    for (std::size_t i = 0; i < kSectionCount; ++i) {
-      if (readers[i].truncated()) {
-        L.fail(diag::kErrSnapshotTruncated, "section ends mid-record");
-        break;
-      }
-      if (!readers[i].at_end()) {
-        L.fail(diag::kErrSnapshotMalformed, "unconsumed bytes at the end of a section");
-        break;
-      }
-    }
-  }
-  if (!L.failed && st.report_digest != fnv1a(sections[3].data(), sections[3].size())) {
-    L.fail(diag::kErrSnapshotMalformed, "report digest mismatch");
+  std::vector<ByteReader>& r = c->sections;
+  const std::string_view result_sec = r[3].bytes();
+  if (read_bind(r[0], st, nsignals) && wire::read_arena(r[1], arena, L) &&
+      read_sigs(r[2], arena, nsignals, st, L) &&
+      read_result(r[3], nsignals, st.num_prims, st, L) &&
+      wire::read_cases(r[4], nsignals, st.cases, L) && wire::finish(*c, L) &&
+      st.report_digest != fnv1a(result_sec.data(), result_sec.size())) {
+    L.bad("report digest mismatch");
   }
   if (L.failed) return std::nullopt;
   return st;
@@ -489,42 +323,10 @@ std::optional<FixpointState> load_fixpoint(std::string_view bytes, std::string_v
 
 std::optional<FixpointState> load_fixpoint_file(const std::string& path,
                                                 diag::DiagnosticEngine& diags) {
-  // Same mmap-with-fallback discipline as load_compiled_file: parse out of
-  // a read-only mapping, release it before return (load_fixpoint copies).
-  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    diags.report(diag::Severity::Error, diag::kErrSnapshotIo, diag::SourceLoc{},
-                 path + ": cannot open fixpoint snapshot");
-    return std::nullopt;
-  }
-  struct stat st{};
-  if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) && st.st_size > 0) {
-    std::size_t len = static_cast<std::size_t>(st.st_size);
-    void* map = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (map != MAP_FAILED) {
-      ::close(fd);
-      auto result = load_fixpoint(
-          std::string_view(static_cast<const char*>(map), len), path, diags);
-      ::munmap(map, len);
-      return result;
-    }
-  }
-  ::close(fd);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    diags.report(diag::Severity::Error, diag::kErrSnapshotIo, diag::SourceLoc{},
-                 path + ": cannot open fixpoint snapshot");
-    return std::nullopt;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  if (!in.good() && !in.eof()) {
-    diags.report(diag::Severity::Error, diag::kErrSnapshotIo, diag::SourceLoc{},
-                 path + ": read error");
-    return std::nullopt;
-  }
-  std::string bytes = buf.str();
-  return load_fixpoint(bytes, path, diags);
+  std::optional<FixpointState> st;
+  wire::load_file(kFormat, path, diags,
+                  [&](std::string_view bytes) { st = load_fixpoint(bytes, path, diags); });
+  return st;
 }
 
 bool write_fixpoint_file(const Verifier& v, const std::string& design,

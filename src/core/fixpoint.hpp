@@ -15,7 +15,7 @@
 // snapshot (enforced by tvfuzz --matrix snapshot), including the effort
 // counters: the cold baseline evaluation is never paid.
 //
-// The container mirrors the compiled artifact (core/compiled.hpp): a
+// The container is the compiled artifact's (core/wire_format.hpp): a
 // 40-byte little-endian header ("SCALDTVF", endian tag, format version,
 // FNV-1a content hash, payload size, section count), a section table, and
 // sections BIND / WAVES / SIGS / RESULT / CASES in fixed order. Rejection

@@ -1,8 +1,6 @@
 #include "core/incremental.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
@@ -12,6 +10,7 @@
 #include "core/cone.hpp"
 #include "core/verifier.hpp"
 #include "util/fault.hpp"
+#include "util/json.hpp"
 
 namespace tv {
 
@@ -261,169 +260,6 @@ AppliedDelta apply_delta(Netlist& nl, std::vector<CaseSpec>& cases,
 
 namespace {
 
-struct JValue {
-  enum Type { Null, Bool, Num, Str, Arr, Obj };
-  Type type = Null;
-  bool b = false;
-  double num = 0;
-  std::string str;
-  std::vector<JValue> arr;
-  std::vector<std::pair<std::string, JValue>> obj;
-
-  const JValue* get(const std::string& key) const {
-    for (const auto& [k, v] : obj) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-/// Minimal recursive-descent JSON reader: objects, arrays, strings with the
-/// common escapes, numbers, literals. Deltas are small hand-written or
-/// tool-generated files; there is no need for a streaming parser here.
-struct JsonReader {
-  const char* p;
-  const char* end;
-  std::string err;
-
-  explicit JsonReader(const std::string& text)
-      : p(text.data()), end(text.data() + text.size()) {}
-
-  bool fail(const std::string& msg) {
-    if (err.empty()) err = msg;
-    return false;
-  }
-  void skip_ws() {
-    while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) ++p;
-  }
-  bool parse(JValue& out) {
-    skip_ws();
-    if (p >= end) return fail("unexpected end of input");
-    switch (*p) {
-      case '{': return parse_obj(out);
-      case '[': return parse_arr(out);
-      case '"': out.type = JValue::Str; return parse_str(out.str);
-      case 't':
-        if (end - p >= 4 && std::string_view(p, 4) == "true") {
-          out.type = JValue::Bool;
-          out.b = true;
-          p += 4;
-          return true;
-        }
-        return fail("bad literal");
-      case 'f':
-        if (end - p >= 5 && std::string_view(p, 5) == "false") {
-          out.type = JValue::Bool;
-          out.b = false;
-          p += 5;
-          return true;
-        }
-        return fail("bad literal");
-      case 'n':
-        if (end - p >= 4 && std::string_view(p, 4) == "null") {
-          out.type = JValue::Null;
-          p += 4;
-          return true;
-        }
-        return fail("bad literal");
-      default: return parse_num(out);
-    }
-  }
-  bool parse_str(std::string& out) {
-    ++p;  // opening quote
-    out.clear();
-    while (p < end && *p != '"') {
-      if (*p == '\\') {
-        if (++p >= end) return fail("unterminated escape");
-        switch (*p) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          default: return fail("unsupported escape in string");
-        }
-        ++p;
-      } else {
-        out += *p++;
-      }
-    }
-    if (p >= end) return fail("unterminated string");
-    ++p;  // closing quote
-    return true;
-  }
-  bool parse_num(JValue& out) {
-    const char* start = p;
-    if (p < end && (*p == '-' || *p == '+')) ++p;
-    bool any = false;
-    while (p < end && (std::isdigit(static_cast<unsigned char>(*p)) || *p == '.' ||
-                       *p == 'e' || *p == 'E' || *p == '-' || *p == '+')) {
-      ++p;
-      any = true;
-    }
-    if (!any) return fail("expected a value");
-    out.type = JValue::Num;
-    out.num = std::strtod(std::string(start, p).c_str(), nullptr);
-    return true;
-  }
-  bool parse_arr(JValue& out) {
-    out.type = JValue::Arr;
-    ++p;  // '['
-    skip_ws();
-    if (p < end && *p == ']') {
-      ++p;
-      return true;
-    }
-    while (true) {
-      JValue v;
-      if (!parse(v)) return false;
-      out.arr.push_back(std::move(v));
-      skip_ws();
-      if (p < end && *p == ',') {
-        ++p;
-        continue;
-      }
-      if (p < end && *p == ']') {
-        ++p;
-        return true;
-      }
-      return fail("expected ',' or ']' in array");
-    }
-  }
-  bool parse_obj(JValue& out) {
-    out.type = JValue::Obj;
-    ++p;  // '{'
-    skip_ws();
-    if (p < end && *p == '}') {
-      ++p;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      if (p >= end || *p != '"') return fail("expected an object key");
-      std::string key;
-      if (!parse_str(key)) return false;
-      skip_ws();
-      if (p >= end || *p != ':') return fail("expected ':' after key");
-      ++p;
-      JValue v;
-      if (!parse(v)) return false;
-      out.obj.emplace_back(std::move(key), std::move(v));
-      skip_ws();
-      if (p < end && *p == ',') {
-        ++p;
-        continue;
-      }
-      if (p < end && *p == '}') {
-        ++p;
-        return true;
-      }
-      return fail("expected ',' or '}' in object");
-    }
-  }
-};
-
 struct DeltaParser {
   const Netlist& nl;
   std::string err;
@@ -441,9 +277,9 @@ struct DeltaParser {
     if (err.empty()) err = msg;
     return false;
   }
-  bool prim_id(const JValue& obj, PrimId& out) {
-    const JValue* name = obj.get("prim");
-    if (!name || name->type != JValue::Str) return fail("edit needs a \"prim\" name");
+  bool prim_id(const json::Value& obj, PrimId& out) {
+    const json::Value* name = obj.get("prim");
+    if (!name || name->type != json::Value::Str) return fail("edit needs a \"prim\" name");
     if (ambiguous.count(name->str)) {
       return fail("primitive name \"" + name->str + "\" is ambiguous");
     }
@@ -452,9 +288,9 @@ struct DeltaParser {
     out = it->second;
     return true;
   }
-  bool signal_id(const JValue& obj, const char* key, SignalId& out) {
-    const JValue* name = obj.get(key);
-    if (!name || name->type != JValue::Str) {
+  bool signal_id(const json::Value& obj, const char* key, SignalId& out) {
+    const json::Value* name = obj.get(key);
+    if (!name || name->type != json::Value::Str) {
       return fail(std::string("edit needs a \"") + key + "\" signal name");
     }
     SignalId id = nl.find(name->str);
@@ -462,23 +298,25 @@ struct DeltaParser {
     out = id;
     return true;
   }
-  bool time_pair(const JValue& obj, const char* a, const char* b,
+  bool time_pair(const json::Value& obj, const char* a, const char* b,
                  std::optional<std::pair<Time, Time>>& out) {
-    const JValue* va = obj.get(a);
-    const JValue* vb = obj.get(b);
+    const json::Value* va = obj.get(a);
+    const json::Value* vb = obj.get(b);
     if (!va && !vb) return true;
-    if (!va || !vb || va->type != JValue::Num || vb->type != JValue::Num) {
+    std::optional<double> na = va ? va->as_double() : std::nullopt;
+    std::optional<double> nb = vb ? vb->as_double() : std::nullopt;
+    if (!na || !nb) {
       return fail(std::string("\"") + a + "\" and \"" + b + "\" must be set together");
     }
-    out = {from_ns(va->num), from_ns(vb->num)};
+    out = {from_ns(*na), from_ns(*nb)};
     return true;
   }
 
-  bool prim_edit(const JValue& v, NetlistDelta::PrimEdit& e) {
-    if (v.type != JValue::Obj) return fail("\"prims\" entries must be objects");
+  bool prim_edit(const json::Value& v, NetlistDelta::PrimEdit& e) {
+    if (v.type != json::Value::Obj) return fail("\"prims\" entries must be objects");
     if (!prim_id(v, e.prim)) return false;
-    if (const JValue* kind = v.get("kind")) {
-      if (kind->type != JValue::Str) return fail("\"kind\" must be a string");
+    if (const json::Value* kind = v.get("kind")) {
+      if (kind->type != json::Value::Str) return fail("\"kind\" must be a string");
       bool found = false;
       for (int k = 0; k <= static_cast<int>(PrimKind::MinPulseWidthChk); ++k) {
         if (prim_kind_name(static_cast<PrimKind>(k)) == kind->str) {
@@ -490,15 +328,15 @@ struct DeltaParser {
       if (!found) return fail("unknown primitive kind \"" + kind->str + "\"");
     }
     if (!time_pair(v, "dmin", "dmax", e.delay)) return false;
-    if (const JValue* rise = v.get("rise_fall")) {
-      if (rise->type == JValue::Null) {
+    if (const json::Value* rise = v.get("rise_fall")) {
+      if (rise->type == json::Value::Null) {
         e.clear_rise_fall = true;
-      } else if (rise->type == JValue::Arr && rise->arr.size() == 4 &&
+      } else if (rise->type == json::Value::Arr && rise->arr.size() == 4 &&
                  std::all_of(rise->arr.begin(), rise->arr.end(),
-                             [](const JValue& x) { return x.type == JValue::Num; })) {
+                             [](const json::Value& x) { return x.as_double().has_value(); })) {
         e.set_rise_fall = true;
-        e.rise_fall = {from_ns(rise->arr[0].num), from_ns(rise->arr[1].num),
-                       from_ns(rise->arr[2].num), from_ns(rise->arr[3].num)};
+        e.rise_fall = {from_ns(*rise->arr[0].as_double()), from_ns(*rise->arr[1].as_double()),
+                       from_ns(*rise->arr[2].as_double()), from_ns(*rise->arr[3].as_double())};
       } else {
         return fail("\"rise_fall\" must be null or [rise_min, rise_max, fall_min, fall_max]");
       }
@@ -507,39 +345,40 @@ struct DeltaParser {
     if (!time_pair(v, "min_high", "min_low", e.min_pulse)) return false;
     return true;
   }
-  bool pin_edit(const JValue& v, NetlistDelta::PinEdit& e) {
-    if (v.type != JValue::Obj) return fail("\"pins\" entries must be objects");
+  bool pin_edit(const json::Value& v, NetlistDelta::PinEdit& e) {
+    if (v.type != json::Value::Obj) return fail("\"pins\" entries must be objects");
     if (!prim_id(v, e.prim)) return false;
-    const JValue* input = v.get("input");
-    if (!input || input->type != JValue::Num) return fail("pin edit needs an \"input\" index");
-    e.input = static_cast<std::size_t>(input->num);
+    const json::Value* input = v.get("input");
+    std::optional<std::int64_t> index = input ? input->as_int64() : std::nullopt;
+    if (!index || *index < 0) return fail("pin edit needs an \"input\" index");
+    e.input = static_cast<std::size_t>(*index);
     if (!signal_id(v, "signal", e.sig)) return false;
-    if (const JValue* inv = v.get("invert")) {
-      if (inv->type != JValue::Bool) return fail("\"invert\" must be a boolean");
+    if (const json::Value* inv = v.get("invert")) {
+      if (inv->type != json::Value::Bool) return fail("\"invert\" must be a boolean");
       e.invert = inv->b;
     }
-    if (const JValue* dirs = v.get("directives")) {
-      if (dirs->type != JValue::Str) return fail("\"directives\" must be a string");
+    if (const json::Value* dirs = v.get("directives")) {
+      if (dirs->type != json::Value::Str) return fail("\"directives\" must be a string");
       e.directives = dirs->str;
     }
     return true;
   }
-  bool wire_edit(const JValue& v, NetlistDelta::WireEdit& e) {
-    if (v.type != JValue::Obj) return fail("\"wires\" entries must be objects");
+  bool wire_edit(const json::Value& v, NetlistDelta::WireEdit& e) {
+    if (v.type != json::Value::Obj) return fail("\"wires\" entries must be objects");
     if (!signal_id(v, "signal", e.sig)) return false;
-    const JValue* clear = v.get("clear");
-    if (clear && clear->type == JValue::Bool && clear->b) return true;  // e.wire stays empty
+    const json::Value* clear = v.get("clear");
+    if (clear && clear->type == json::Value::Bool && clear->b) return true;  // e.wire stays empty
     std::optional<std::pair<Time, Time>> range;
     if (!time_pair(v, "dmin", "dmax", range)) return false;
     if (!range) return fail("wire edit needs \"dmin\"/\"dmax\" or \"clear\": true");
     e.wire = WireDelay{range->first, range->second};
     return true;
   }
-  bool assertion_edit(const JValue& v, NetlistDelta::AssertionEdit& e) {
-    if (v.type != JValue::Obj) return fail("\"assertions\" entries must be objects");
+  bool assertion_edit(const json::Value& v, NetlistDelta::AssertionEdit& e) {
+    if (v.type != json::Value::Obj) return fail("\"assertions\" entries must be objects");
     if (!signal_id(v, "signal", e.sig)) return false;
-    const JValue* text = v.get("new");
-    if (!text || text->type != JValue::Str) {
+    const json::Value* text = v.get("new");
+    if (!text || text->type != json::Value::Str) {
       return fail("assertion edit needs \"new\": the replacement SCALD signal name");
     }
     try {
@@ -553,44 +392,45 @@ struct DeltaParser {
     }
     return true;
   }
-  bool case_edit(const JValue& v, NetlistDelta::CaseEdit& e) {
-    if (v.type != JValue::Obj) return fail("\"cases\" entries must be objects");
-    const JValue* name = v.get("name");
-    if (!name || name->type != JValue::Str) return fail("case edit needs a \"name\"");
+  bool case_edit(const json::Value& v, NetlistDelta::CaseEdit& e) {
+    if (v.type != json::Value::Obj) return fail("\"cases\" entries must be objects");
+    const json::Value* name = v.get("name");
+    if (!name || name->type != json::Value::Str) return fail("case edit needs a \"name\"");
     e.name = name->str;
-    const JValue* remove = v.get("remove");
-    if (remove && remove->type == JValue::Bool && remove->b) return true;
-    const JValue* pins = v.get("pins");
-    if (!pins || pins->type != JValue::Arr) {
+    const json::Value* remove = v.get("remove");
+    if (remove && remove->type == json::Value::Bool && remove->b) return true;
+    const json::Value* pins = v.get("pins");
+    if (!pins || pins->type != json::Value::Arr) {
       return fail("case edit needs \"pins\" (or \"remove\": true)");
     }
     CaseSpec spec;
     spec.name = e.name;
-    for (const JValue& pin : pins->arr) {
-      if (pin.type != JValue::Arr || pin.arr.size() != 2 ||
-          pin.arr[0].type != JValue::Str || pin.arr[1].type != JValue::Num) {
+    for (const json::Value& pin : pins->arr) {
+      if (pin.type != json::Value::Arr || pin.arr.size() != 2 ||
+          pin.arr[0].type != json::Value::Str) {
         return fail("case pins must be [\"SIGNAL NAME\", 0-or-1] pairs");
       }
       SignalId sig = nl.find(pin.arr[0].str);
       if (sig == kNoSignal) return fail("case pins unknown signal \"" + pin.arr[0].str + "\"");
-      int val = static_cast<int>(pin.arr[1].num);
+      std::optional<std::int64_t> val = pin.arr[1].as_int64();
       if (val != 0 && val != 1) return fail("case pin values must be 0 or 1");
-      spec.pins.emplace_back(sig, static_cast<Value>(val));
+      spec.pins.emplace_back(sig, *val == 0 ? Value::Zero : Value::One);
     }
     e.spec = std::move(spec);
-    if (const JValue* at = v.get("at")) {
-      if (at->type != JValue::Num || at->num < 0) return fail("\"at\" must be a position");
-      e.at = static_cast<std::size_t>(at->num);
+    if (const json::Value* at = v.get("at")) {
+      std::optional<std::int64_t> pos = at->as_int64();
+      if (!pos || *pos < 0) return fail("\"at\" must be a position");
+      e.at = static_cast<std::size_t>(*pos);
     }
     return true;
   }
 
   template <class Edit, class Fn>
-  bool section(const JValue& root, const char* key, std::vector<Edit>& out, Fn&& fn) {
-    const JValue* v = root.get(key);
+  bool section(const json::Value& root, const char* key, std::vector<Edit>& out, Fn&& fn) {
+    const json::Value* v = root.get(key);
     if (!v) return true;
-    if (v->type != JValue::Arr) return fail(std::string("\"") + key + "\" must be an array");
-    for (const JValue& entry : v->arr) {
+    if (v->type != json::Value::Arr) return fail(std::string("\"") + key + "\" must be an array");
+    for (const json::Value& entry : v->arr) {
       Edit e;
       if (!(this->*fn)(entry, e)) return false;
       out.push_back(std::move(e));
@@ -603,28 +443,19 @@ struct DeltaParser {
 
 bool parse_delta_json(const std::string& text, const Netlist& nl, NetlistDelta* out,
                       std::string* error) {
-  JsonReader reader(text);
-  JValue root;
-  if (!reader.parse(root)) {
-    if (error) *error = "delta JSON: " + reader.err;
+  json::Value root;
+  std::string json_error;
+  if (!json::parse(text, root, &json_error)) {
+    if (error) *error = "delta JSON: " + json_error;
     return false;
   }
-  reader.skip_ws();
-  if (reader.p != reader.end) {
-    if (error) *error = "delta JSON: trailing data after the top-level object";
-    return false;
-  }
-  if (root.type != JValue::Obj) {
+  if (root.type != json::Value::Obj) {
     if (error) *error = "delta JSON: the top level must be an object";
     return false;
   }
   static const char* kSections[] = {"prims", "pins", "wires", "assertions", "cases"};
   for (const auto& [key, value] : root.obj) {
-    bool known = false;
-    for (const char* s : kSections) {
-      if (key == s) known = true;
-    }
-    if (!known) {
+    if (std::find(std::begin(kSections), std::end(kSections), key) == std::end(kSections)) {
       if (error) *error = "delta JSON: unknown section \"" + key + "\"";
       return false;
     }

@@ -5,6 +5,8 @@
 #include <optional>
 #include <stdexcept>
 
+#include "util/hash.hpp"
+
 namespace tv {
 
 Waveform::Waveform(Time period, Value fill) : period_(period) {
@@ -196,15 +198,9 @@ bool Waveform::has_activity() const {
 }
 
 std::uint64_t Waveform::canonical_hash() const {
-  constexpr std::uint64_t kBasis = 0xcbf29ce484222325ull;
-  constexpr std::uint64_t kPrime = 0x100000001b3ull;
-  std::uint64_t h = kBasis;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= kPrime;
-    }
-  };
+  std::uint64_t h = kFnv1aBasis;
+  // Host byte order: the hash only places waveforms in in-process tables.
+  auto mix = [&h](std::uint64_t v) { h = fnv1a(&v, sizeof v, h); };
   mix(static_cast<std::uint64_t>(period_));
   mix(static_cast<std::uint64_t>(has_activity() ? skew_ : 0));
   for (const Segment& s : segs_) {

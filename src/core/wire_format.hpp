@@ -1,38 +1,52 @@
-// Shared binary wire-format helpers for the durable on-disk artifacts: the
-// compiled design (core/compiled.cpp, magic "SCALDTVC") and the fixpoint
-// snapshot (core/fixpoint.cpp, magic "SCALDTVF"). Both formats follow the
-// same discipline -- explicitly little-endian records, a fixed 40-byte
-// header carrying an FNV-1a content hash over the payload, a section table,
-// and bounds-checked readers that report exactly one diagnostic on the
-// first failure. This header is internal to src/core; the public surfaces
-// are compiled.hpp and fixpoint.hpp.
+// The one binary container of the durable on-disk artifacts: the compiled
+// design (core/compiled.cpp, magic "SCALDTVC") and the fixpoint snapshot
+// (core/fixpoint.cpp, magic "SCALDTVF"). A container is a fixed 40-byte
+// little-endian header (magic, endian tag, format version, FNV-1a content
+// hash over the payload, payload size, section count), a table of
+// (id, reserved, offset, size) entries, and the concatenated sections.
+// assemble() writes it, open() validates it and hands back one
+// bounds-checked cursor per section, and load_file() maps a file for
+// open(). Each format supplies a Format descriptor and keeps only its own
+// section builders and readers; every failure reports exactly one
+// diagnostic, in the format's own code family. This header is internal to
+// src/core; the public surfaces are compiled.hpp and fixpoint.hpp.
 #pragma once
 
 #include <bit>
 #include <cstdint>
+#include <functional>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
+#include "core/evaluator.hpp"
 #include "core/waveform.hpp"
 #include "diag/diagnostic.hpp"
 
 namespace tv::wire {
 
-inline constexpr std::uint32_t kEndianTag = 0x01020304u;
-inline constexpr std::uint32_t kEndianTagSwapped = 0x04030201u;
-inline constexpr std::size_t kHeaderSize = 40;
-inline constexpr std::size_t kSectionEntrySize = 24;
-
-inline std::uint64_t fnv1a(const void* data, std::size_t n,
-                           std::uint64_t h = 14695981039346656037ull) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+/// What distinguishes one container format from the other: its identity,
+/// its section order, its seven diagnostic codes, and the words its
+/// messages use.
+struct Format {
+  const char* magic;  // 8 bytes, no terminator needed
+  std::uint32_t version;
+  std::span<const std::uint32_t> section_ids;  // the table's fixed order
+  const char* io_code;
+  const char* magic_code;
+  const char* version_code;
+  const char* truncated_code;
+  const char* hash_code;
+  const char* malformed_code;
+  const char* endian_code;
+  const char* noun;          // "artifact": "<noun> is truncated"
+  const char* a_noun;        // "an artifact": "too small to hold <a_noun> header"
+  const char* what;          // "compiled design": "not a <what> (bad magic)"
+  const char* version_hint;  // how to get a readable file after version skew
+};
 
 // ---------------------------------------------------------------- writing
 
@@ -100,6 +114,7 @@ class ByteReader {
 
   bool truncated() const { return truncated_; }
   bool at_end() const { return pos_ == bytes_.size(); }
+  std::string_view bytes() const { return bytes_; }
 
  private:
   bool need(std::size_t n) {
@@ -116,13 +131,11 @@ class ByteReader {
 };
 
 /// Per-load validation state: reports exactly one diagnostic (the first
-/// failure) and remembers that loading failed. `malformed_code` is the
-/// format's own bad-record code (TV-E305 for artifacts, TV-E315 for
-/// snapshots) so shared record readers report in the caller's family.
+/// failure) and remembers that loading failed.
 struct Loader {
   diag::DiagnosticEngine& diags;
   std::string_view origin;
-  const char* malformed_code = diag::kErrArtifactMalformed;
+  const Format& format;
   bool failed = false;
 
   bool fail(const char* code, const std::string& message) {
@@ -133,43 +146,70 @@ struct Loader {
     }
     return false;
   }
+  /// A bad record: the format's malformed code (TV-E305 / TV-E315).
+  bool bad(const std::string& message) { return fail(format.malformed_code, message); }
 };
 
-// ------------------------------------------------------- waveform records
+// -------------------------------------------------------------- container
 
-inline void write_waveform(ByteWriter& w, const Waveform& wave) {
-  w.i64(wave.period());
-  w.i64(wave.skew());
-  w.u32(static_cast<std::uint32_t>(wave.segments().size()));
-  for (const Waveform::Segment& s : wave.segments()) {
-    w.u8(static_cast<std::uint8_t>(s.value));
-    w.i64(s.width);
-  }
-}
+/// Frames `sections` (one per Format::section_ids entry, in that order) as
+/// a complete file. *content_hash, when given, receives the payload hash
+/// the header carries.
+std::string assemble(const Format& format, std::span<const std::string> sections,
+                     std::uint64_t* content_hash = nullptr);
 
-inline bool read_waveform(ByteReader& r, Waveform& out, Loader& L) {
-  Time period = r.i64();
-  Time skew = r.i64();
-  std::uint32_t nsegs = r.u32();
-  if (r.truncated()) return true;  // reported by the section-end check
-  if (period <= 0 || nsegs == 0)
-    return L.fail(L.malformed_code, "bad waveform record");
-  std::vector<Waveform::Segment> segs;
-  segs.reserve(nsegs);
-  Time total = 0;
-  for (std::uint32_t i = 0; i < nsegs && !r.truncated(); ++i) {
-    std::uint8_t v = r.u8();
-    Time width = r.i64();
-    if (v >= kNumValues || width <= 0)
-      return L.fail(L.malformed_code, "bad waveform segment");
-    segs.push_back({static_cast<Value>(v), width});
-    total += width;
-  }
-  if (r.truncated()) return true;
-  if (total != period)
-    return L.fail(L.malformed_code, "waveform widths do not sum to the period");
-  out = Waveform::from_segments(period, skew, std::move(segs));
-  return true;
-}
+/// A validated container: one cursor per section, in table order. The
+/// cursors are views into the bytes passed to open().
+struct Container {
+  std::uint64_t content_hash = 0;
+  std::vector<ByteReader> sections;
+};
+
+/// Checks size, magic, endianness, version, payload size, content hash and
+/// the section table of `bytes`; reports the first failure through `L`.
+std::optional<Container> open(std::string_view bytes, Loader& L);
+
+/// The end-of-load check, run after every section reader succeeded: a
+/// section that ran out mid-record is truncated, one with bytes left over
+/// is malformed. Returns false (reported) on either.
+bool finish(const Container& c, Loader& L);
+
+/// Calls `parse` on the bytes of the file at `path`: a read-only mapping
+/// when the file can be mapped, a plain read otherwise (pipes, /proc,
+/// zero-length files). The bytes are released when `parse` returns. An
+/// unreadable file reports the format's I/O code and skips `parse`.
+void load_file(const Format& format, const std::string& path, diag::DiagnosticEngine& diags,
+               const std::function<void(std::string_view)>& parse);
+
+// --------------------------------------------------------- case-list records
+
+/// The case-list section both formats carry: per case its name and
+/// (signal, 0|1) pins.
+std::string build_cases(const std::vector<CaseSpec>& cases);
+
+/// Reads a case list written by build_cases, rejecting a signal id at or
+/// past `nsignals` and any pin value other than 0 or 1.
+bool read_cases(ByteReader& r, std::uint32_t nsignals, std::vector<CaseSpec>& out,
+                Loader& L);
+
+// ---------------------------------------------------------- waveform arenas
+
+/// Deduplicates waveforms: each distinct canonical waveform is kept once, in
+/// first-seen order, and addressed by its 32-bit index. Shared waveforms
+/// (clocks, constants -- the common case by far) serialize once.
+class WaveArena {
+ public:
+  /// The index of `w`'s copy (`w` must be canonical), added on first sight.
+  std::uint32_t add(Waveform w);
+  std::vector<Waveform>& waves() { return waves_; }
+
+ private:
+  std::vector<Waveform> waves_;
+  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets_;
+};
+
+/// An arena record: the waveform count, then each waveform.
+void write_arena(ByteWriter& w, const std::vector<Waveform>& arena);
+bool read_arena(ByteReader& r, std::vector<Waveform>& arena, Loader& L);
 
 }  // namespace tv::wire

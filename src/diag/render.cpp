@@ -1,5 +1,7 @@
 #include "diag/render.hpp"
 
+#include "util/json.hpp"
+
 namespace tv::diag {
 
 namespace {
@@ -20,29 +22,9 @@ void loc_into(std::string& out, const SourceLoc& loc) {
   if (!out.empty() && out.back() == ':') out += ' ';
 }
 
-void json_escape_into(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 void loc_json_into(std::string& out, const SourceLoc& loc) {
   out += "{\"file\": \"";
-  json_escape_into(out, loc.file);
+  json::escape_into(out, loc.file);
   out += "\", \"line\": " + std::to_string(loc.line) +
          ", \"column\": " + std::to_string(loc.column) + "}";
 }
@@ -92,17 +74,17 @@ std::string render_json(const DiagnosticEngine& engine) {
     out += "    {\"severity\": \"";
     out += severity_name(d.severity);
     out += "\", \"code\": \"";
-    json_escape_into(out, d.code);
+    json::escape_into(out, d.code);
     out += "\", \"loc\": ";
     loc_json_into(out, d.loc);
     out += ", \"message\": \"";
-    json_escape_into(out, d.message);
+    json::escape_into(out, d.message);
     out += "\", \"notes\": [";
     for (std::size_t j = 0; j < d.notes.size(); ++j) {
       out += "{\"loc\": ";
       loc_json_into(out, d.notes[j].loc);
       out += ", \"message\": \"";
-      json_escape_into(out, d.notes[j].message);
+      json::escape_into(out, d.notes[j].message);
       out += "\"}";
       if (j + 1 < d.notes.size()) out += ", ";
     }

@@ -3,28 +3,19 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cerrno>
-#include <cstdio>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "util/fault.hpp"
+#include "util/hash.hpp"
+#include "util/json.hpp"
 
 namespace tv::serve {
 
 namespace {
-
-std::uint64_t fnv1a(const void* data, std::size_t len, std::uint64_t h) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 std::uint64_t fnv1a_str(const std::string& s, std::uint64_t h) {
   // Length-prefixed so adjacent fields cannot alias ("ab"+"c" vs "a"+"bc").
@@ -33,148 +24,10 @@ std::uint64_t fnv1a_str(const std::string& s, std::uint64_t h) {
   return fnv1a(s.data(), s.size(), h);
 }
 
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-}
-
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
 bool parse_hex64(const std::string& s, std::uint64_t& out) {
   if (s.empty() || s.size() > 16) return false;
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long v = std::strtoull(s.c_str(), &end, 16);
-  if (!end || *end != '\0' || errno == ERANGE) return false;
-  out = v;
-  return true;
-}
-
-// Same minimal flat-object scanner the job parser uses (serve/job.cpp):
-// string / number / boolean values, no nesting. Journal records are flat
-// by construction.
-struct JsonScanner {
-  const std::string& s;
-  std::size_t i = 0;
-  std::string error;
-
-  explicit JsonScanner(const std::string& text) : s(text) {}
-
-  bool fail(const std::string& why) {
-    error = why + " at offset " + std::to_string(i);
-    return false;
-  }
-  void skip_ws() {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-  }
-  bool expect(char c) {
-    skip_ws();
-    if (i >= s.size() || s[i] != c) return fail(std::string("expected '") + c + "'");
-    ++i;
-    return true;
-  }
-  bool parse_string(std::string& out) {
-    skip_ws();
-    if (i >= s.size() || s[i] != '"') return fail("expected string");
-    ++i;
-    out.clear();
-    while (i < s.size() && s[i] != '"') {
-      char c = s[i++];
-      if (c == '\\') {
-        if (i >= s.size()) return fail("bad escape");
-        char e = s[i++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          default: return fail("unsupported escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-    if (i >= s.size()) return fail("unterminated string");
-    ++i;
-    return true;
-  }
-  bool parse_value(std::string& out, bool& is_string) {
-    skip_ws();
-    if (i >= s.size()) return fail("expected value");
-    if (s[i] == '"') {
-      is_string = true;
-      return parse_string(out);
-    }
-    is_string = false;
-    std::size_t start = i;
-    while (i < s.size() && (std::isalnum(static_cast<unsigned char>(s[i])) ||
-                            s[i] == '-' || s[i] == '+' || s[i] == '.')) {
-      ++i;
-    }
-    if (i == start) return fail("expected value");
-    out = s.substr(start, i - start);
-    return true;
-  }
-};
-
-struct Field {
-  std::string value;
-  bool is_string = false;
-  bool present = false;
-};
-
-// Parses one record line into its key/value fields. Flat objects only;
-// duplicate keys rejected.
-bool parse_record(const std::string& line,
-                  std::unordered_map<std::string, Field>& fields, std::string* error) {
-  JsonScanner sc(line);
-  fields.clear();
-  if (!sc.expect('{')) { *error = sc.error; return false; }
-  bool first = true;
-  for (;;) {
-    sc.skip_ws();
-    if (sc.i < sc.s.size() && sc.s[sc.i] == '}') {
-      ++sc.i;
-      break;
-    }
-    if (!first && !sc.expect(',')) { *error = sc.error; return false; }
-    first = false;
-    std::string key;
-    Field f;
-    if (!sc.parse_string(key)) { *error = sc.error; return false; }
-    if (!sc.expect(':')) { *error = sc.error; return false; }
-    if (!sc.parse_value(f.value, f.is_string)) { *error = sc.error; return false; }
-    f.present = true;
-    if (!fields.emplace(std::move(key), std::move(f)).second) {
-      *error = "duplicate key";
-      return false;
-    }
-  }
-  sc.skip_ws();
-  if (sc.i != sc.s.size()) { *error = "trailing characters after object"; return false; }
-  return true;
-}
-
-bool parse_int(const std::string& text, long& out) {
-  char* end = nullptr;
-  out = std::strtol(text.c_str(), &end, 10);
-  return end && *end == '\0';
+  auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), out, 16);
+  return ec == std::errc{} && end == s.data() + s.size();
 }
 
 JobState state_from_name(const std::string& name, bool* ok) {
@@ -211,7 +64,7 @@ std::string header_line(const std::vector<JobSpec>& jobs, std::uint64_t seed,
   line += std::to_string(kJournalVersion);
   line += ", \"jobs\": " + std::to_string(jobs.size());
   line += ", \"jobs_digest\": ";
-  append_escaped(line, hex64(jobs_digest(jobs)));
+  line += json::quote(hex64(jobs_digest(jobs)));
   line += ", \"seed\": " + std::to_string(seed);
   line += ", \"max_attempts\": " + std::to_string(max_attempts);
   line += ", \"mem_limit_mb\": " + std::to_string(policy.mem_limit_mb);
@@ -225,7 +78,7 @@ std::string header_line(const std::vector<JobSpec>& jobs, std::uint64_t seed,
 }  // namespace
 
 std::uint64_t jobs_digest(const std::vector<JobSpec>& jobs) {
-  std::uint64_t h = 14695981039346656037ull;
+  std::uint64_t h = kFnv1aBasis;
   std::uint64_t n = jobs.size();
   h = fnv1a(&n, sizeof n, h);
   for (const JobSpec& j : jobs) {
@@ -294,7 +147,7 @@ void Journal::append(const std::string& line) {
 
 void Journal::record_launch(const std::string& job_id, int attempt) {
   std::string line = "{\"job\": ";
-  append_escaped(line, job_id);
+  line += json::quote(job_id);
   line += ", \"attempt\": " + std::to_string(attempt);
   line += ", \"event\": \"launch\"}\n";
   append(line);
@@ -303,17 +156,17 @@ void Journal::record_launch(const std::string& job_id, int attempt) {
 void Journal::record_outcome(const std::string& job_id, int attempt,
                              const std::string& outcome) {
   std::string line = "{\"job\": ";
-  append_escaped(line, job_id);
+  line += json::quote(job_id);
   line += ", \"attempt\": " + std::to_string(attempt);
   line += ", \"event\": \"outcome\", \"outcome\": ";
-  append_escaped(line, outcome);
+  line += json::quote(outcome);
   line += "}\n";
   append(line);
 }
 
 void Journal::record_settle(const std::string& job_id, JobState state) {
   std::string line = "{\"job\": ";
-  append_escaped(line, job_id);
+  line += json::quote(job_id);
   line += ", \"event\": \"settle\", \"state\": \"";
   line += job_state_name(state);
   line += "\"}\n";
@@ -322,7 +175,7 @@ void Journal::record_settle(const std::string& job_id, JobState state) {
 
 void Journal::record_quarantine(const std::string& key_hex) {
   std::string line = "{\"event\": \"quarantine\", \"key\": ";
-  append_escaped(line, key_hex);
+  line += json::quote(key_hex);
   line += "}\n";
   append(line);
 }
@@ -337,7 +190,8 @@ bool derive_settlement(const std::vector<std::string>& outcomes, int max_attempt
   for (const std::string& o : outcomes) {
     if (o.rfind("exit:", 0) == 0) {
       long code = 0;
-      if (!parse_int(o.substr(5), code)) code = 127;
+      auto [end, ec] = std::from_chars(o.data() + 5, o.data() + o.size(), code);
+      if (ec != std::errc{} || end != o.data() + o.size()) code = 127;
       switch (code) {
         case 0: *out = JobState::Done; return true;
         case 1: *out = JobState::Violations; return true;
@@ -384,10 +238,11 @@ std::optional<JournalReplay> replay_journal(const std::string& path, std::string
     ++lineno;
     if (line.empty()) continue;
 
-    std::unordered_map<std::string, Field> f;
+    json::Value record;
     std::string perror;
-    if (!parse_record(line, f, &perror)) {
+    if (!json::parse(line, record, &perror) || record.type != json::Value::Obj) {
       if (torn) break;  // a torn final record is the expected crash artifact
+      if (perror.empty()) perror = "a record must be an object";
       return fail("line " + std::to_string(lineno) + ": " + perror);
     }
     if (torn) {
@@ -397,24 +252,26 @@ std::optional<JournalReplay> replay_journal(const std::string& path, std::string
       break;
     }
 
-    auto str_field = [&](const char* key) -> const Field* {
-      auto it = f.find(key);
-      return (it != f.end() && it->second.is_string) ? &it->second : nullptr;
+    auto str_field = [&](const char* key) -> const std::string* {
+      const json::Value* v = record.get(key);
+      return v && v->type == json::Value::Str ? &v->str : nullptr;
     };
     auto num_field = [&](const char* key, long& out) {
-      auto it = f.find(key);
-      return it != f.end() && !it->second.is_string && parse_int(it->second.value, out);
+      const json::Value* v = record.get(key);
+      std::optional<std::int64_t> n = v ? v->as_int64() : std::nullopt;
+      if (n) out = *n;
+      return n.has_value();
     };
 
     if (!saw_header) {
-      const Field* kind = str_field("journal");
-      if (!kind || kind->value != "scaldtvd") return fail("not a scaldtvd journal");
+      const std::string* kind = str_field("journal");
+      if (!kind || *kind != "scaldtvd") return fail("not a scaldtvd journal");
       long version = 0, njobs = 0, seed = 0, max_attempts = 0;
-      const Field* digest = str_field("jobs_digest");
+      const std::string* digest = str_field("jobs_digest");
       if (!num_field("version", version) || !num_field("jobs", njobs) ||
           !num_field("seed", seed) || !num_field("max_attempts", max_attempts) ||
           !digest || njobs < 0 || seed < 0 || max_attempts < 1 ||
-          !parse_hex64(digest->value, replay.digest)) {
+          !parse_hex64(*digest, replay.digest)) {
         return fail("malformed journal header");
       }
       if (version != kJournalVersion) {
@@ -442,20 +299,20 @@ std::optional<JournalReplay> replay_journal(const std::string& path, std::string
       continue;
     }
 
-    const Field* event = str_field("event");
-    if (event && event->value == "quarantine") {
-      const Field* key = str_field("key");
+    const std::string* event = str_field("event");
+    if (event && *event == "quarantine") {
+      const std::string* key = str_field("key");
       if (!key) return fail("line " + std::to_string(lineno) + ": quarantine without key");
-      replay.quarantined_keys.push_back(key->value);
+      replay.quarantined_keys.push_back(*key);
       continue;
     }
 
-    const Field* job = str_field("job");
+    const std::string* job = str_field("job");
     if (!job || !event) {
       return fail("line " + std::to_string(lineno) + ": record without job/event");
     }
-    ReplayedJob& rj = replay.jobs[job->value];
-    if (event->value == "launch") {
+    ReplayedJob& rj = replay.jobs[*job];
+    if (*event == "launch") {
       long attempt = 0;
       if (!num_field("attempt", attempt) ||
           attempt != static_cast<long>(rj.outcomes.size()) + 1) {
@@ -463,21 +320,21 @@ std::optional<JournalReplay> replay_journal(const std::string& path, std::string
         // (same number); a gap or regression is not.
         return fail("line " + std::to_string(lineno) + ": launch attempt " +
                     std::to_string(attempt) + " out of order for job \"" +
-                    job->value + "\"");
+                    *job + "\"");
       }
-    } else if (event->value == "outcome") {
+    } else if (*event == "outcome") {
       long attempt = 0;
-      const Field* outcome = str_field("outcome");
+      const std::string* outcome = str_field("outcome");
       if (!outcome || !num_field("attempt", attempt) ||
           attempt != static_cast<long>(rj.outcomes.size()) + 1) {
         return fail("line " + std::to_string(lineno) + ": outcome out of order for job \"" +
-                    job->value + "\"");
+                    *job + "\"");
       }
-      rj.outcomes.push_back(outcome->value);
-    } else if (event->value == "settle") {
-      const Field* state = str_field("state");
+      rj.outcomes.push_back(*outcome);
+    } else if (*event == "settle") {
+      const std::string* state = str_field("state");
       bool ok = false;
-      JobState st = state ? state_from_name(state->value, &ok) : JobState::Requeued;
+      JobState st = state ? state_from_name(*state, &ok) : JobState::Requeued;
       if (!ok) {
         return fail("line " + std::to_string(lineno) + ": unknown settle state");
       }
@@ -485,7 +342,7 @@ std::optional<JournalReplay> replay_journal(const std::string& path, std::string
       rj.state = st;
     } else {
       return fail("line " + std::to_string(lineno) + ": unknown event \"" +
-                  event->value + "\"");
+                  *event + "\"");
     }
   }
   if (!saw_header) return fail("missing journal header");

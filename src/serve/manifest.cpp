@@ -2,26 +2,9 @@
 
 #include <algorithm>
 
+#include "util/json.hpp"
+
 namespace tv::serve {
-
-namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-}
-
-}  // namespace
 
 const char* job_state_name(JobState s) {
   switch (s) {
@@ -83,9 +66,9 @@ std::string Manifest::to_json() const {
   for (std::size_t i = 0; i < sorted.size(); ++i) {
     const JobRecord& j = *sorted[i];
     out += "    {\"id\": ";
-    append_escaped(out, j.id);
+    out += json::quote(j.id);
     out += ", \"design\": ";
-    append_escaped(out, j.design);
+    out += json::quote(j.design);
     out += ", \"state\": \"";
     out += job_state_name(j.state);
     out += "\", \"exit_code\": ";
@@ -95,7 +78,7 @@ std::string Manifest::to_json() const {
     out += ", \"outcomes\": [";
     for (std::size_t k = 0; k < j.outcomes.size(); ++k) {
       if (k) out += ", ";
-      append_escaped(out, j.outcomes[k]);
+      out += json::quote(j.outcomes[k]);
     }
     out += "]}";
     if (i + 1 < sorted.size()) out += ',';

@@ -14,6 +14,7 @@
 #include "serve/journal.hpp"
 #include "serve/warm_pool.hpp"
 #include "util/fault.hpp"
+#include "util/hash.hpp"
 
 // The RLIMIT_DATA backstop is compiled out under ASan: its shadow mappings
 // count toward RLIMIT_DATA on modern kernels and would kill every worker
@@ -31,15 +32,6 @@ namespace tv::serve {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-std::uint64_t fnv1a(const void* data, std::size_t len, std::uint64_t h) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 // Per-job bookkeeping while the batch runs.
 struct Slot {
@@ -68,7 +60,7 @@ struct Breaker {
 // Unreadable designs fall back to hashing the path -- they will fail as
 // InputError anyway, and the key only has to be deterministic.
 std::string quarantine_key(const JobSpec& job) {
-  std::uint64_t h = 14695981039346656037ull;
+  std::uint64_t h = kFnv1aBasis;
   std::ifstream in(job.design, std::ios::binary);
   if (in) {
     char buf[1 << 16];
@@ -81,10 +73,7 @@ std::string quarantine_key(const JobSpec& job) {
   }
   unsigned char flags = static_cast<unsigned char>((job.compiled ? 1 : 0) |
                                                    (job.stdlib ? 2 : 0));
-  h = fnv1a(&flags, sizeof flags, h);
-  char out[17];
-  std::snprintf(out, sizeof out, "%016llx", static_cast<unsigned long long>(h));
-  return out;
+  return hex64(fnv1a(&flags, sizeof flags, h));
 }
 
 }  // namespace
@@ -154,7 +143,7 @@ std::uint64_t backoff_delay_ms(const SupervisorOptions& opts,
     delay *= 2;
   }
   if (delay > opts.backoff_max_ms) delay = opts.backoff_max_ms;
-  std::uint64_t h = fnv1a(job_id.data(), job_id.size(), 14695981039346656037ull);
+  std::uint64_t h = fnv1a(job_id.data(), job_id.size());
   h = fnv1a(&attempt, sizeof attempt, h);
   h = fnv1a(&opts.jitter_seed, sizeof opts.jitter_seed, h);
   std::uint64_t jitter = opts.backoff_base_ms ? h % opts.backoff_base_ms : 0;

@@ -66,13 +66,20 @@ class Deadline {
 
   Deadline() = default;
 
+  /// Budgets of kForeverSeconds or more (and NaN) saturate at the clock's
+  /// last instant: the nanosecond cast of a budget beyond ~292 years would
+  /// overflow into the past and expire at once.
   static Deadline after_seconds(double seconds) {
     Deadline d;
     d.armed_ = true;
-    d.at_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double>(seconds));
+    d.at_ = seconds < kForeverSeconds
+                ? Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                                     std::chrono::duration<double>(seconds))
+                : Clock::time_point::max();
     return d;
   }
+
+  static constexpr double kForeverSeconds = 1e9;  // ~31 years
 
   bool armed() const { return armed_; }
   bool expired() const { return armed_ && Clock::now() >= at_; }

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "check/pipeline_diff.hpp"
 #include "core/batch_eval.hpp"
 #include "core/cone.hpp"
 #include "core/snapshot.hpp"
@@ -31,10 +32,8 @@ VerifierOptions test_options() {
   return opts;
 }
 
-/// Canonical rendering of a full verification for byte-compares.
-std::string render(Netlist& nl, VerifierOptions opts, const std::vector<CaseSpec>& cases) {
-  Verifier v(nl, opts);
-  VerifyResult r = v.verify(cases);
+/// Canonical rendering of a verification result for byte-compares.
+std::string render_result(const Netlist& nl, const VerifyResult& r) {
   std::ostringstream os;
   os << "base " << r.base_events << " conv " << r.converged << " partial "
      << r.partial << "\n";
@@ -47,6 +46,12 @@ std::string render(Netlist& nl, VerifierOptions opts, const std::vector<CaseSpec
   }
   for (const auto& d : r.degradations) os << d.code << " " << d.message << "\n";
   return os.str();
+}
+
+/// Canonical rendering of a full verification.
+std::string render(Netlist& nl, VerifierOptions opts, const std::vector<CaseSpec>& cases) {
+  Verifier v(nl, opts);
+  return render_result(nl, v.verify(cases));
 }
 
 // Two independent AND chains, each ending in a setup/hold check. A case on
@@ -241,6 +246,45 @@ TEST(BatchEval, GatedClockLanesMatchReferencePath) {
   per_case.batch_eval = false;
   std::string without = render(nl_off, per_case, cases);
   EXPECT_EQ(with_batch, without);
+}
+
+TEST(BatchEval, PinnedDrivenSignalMatchesReferencePathAndMemoAudits) {
+  // A case may pin a *driven* signal: the sweep evaluates its driver, then
+  // maps the STABLE regions of the result to the pinned value. X = AND(C, D)
+  // keeps D's STABLE window once C is pinned to 1, and the three lanes feed
+  // the AND identical inputs while mapping X to 0, not at all, and to 1. The
+  // memo must hold the unmapped result, or the later lanes read another
+  // lane's mapping; Z = AND(X, E) with E changing inside X's STABLE window
+  // makes the setup check on Z see the difference.
+  auto build = [](std::vector<CaseSpec>& cases) {
+    Netlist nl;
+    Ref c = nl.ref("C");
+    Ref d = nl.ref("D .S10-60");
+    Ref x = nl.ref("X");
+    nl.and_gate("GX", from_ns(1), from_ns(2), {c, d}, x);
+    Ref e = nl.ref("E .S5-30");
+    Ref z = nl.ref("Z");
+    nl.and_gate("GZ", from_ns(1), from_ns(2), {x, e}, z);
+    nl.setup_hold_chk("CHK", from_ns(5), from_ns(1), z, nl.ref("CK .P40-50"));
+    nl.finalize();
+    cases = {{"X=0", {{c.id, V::One}, {x.id, V::Zero}}},
+             {"X free", {{c.id, V::One}}},
+             {"X=1", {{c.id, V::One}, {x.id, V::One}}}};
+    return nl;
+  };
+  std::vector<CaseSpec> cases;
+  Netlist nl_on = build(cases);
+  VerifierOptions batch = test_options();
+  batch.batch_eval = true;
+  Verifier v(nl_on, batch);
+  VerifyResult r = v.verify(cases);
+  std::optional<check::Failure> audit = check::audit_memo(v, r);
+  EXPECT_FALSE(audit.has_value()) << audit->kind << ": " << audit->detail;
+
+  Netlist nl_off = build(cases);
+  VerifierOptions per_case = test_options();
+  per_case.batch_eval = false;
+  EXPECT_EQ(render_result(nl_on, r), render(nl_off, per_case, cases));
 }
 
 TEST(BatchEval, ReportsInvariantUnderLaneBlockSizeAndJobs) {

@@ -222,6 +222,17 @@ TEST(CompiledReject, MalformedSectionTable) {
   expect_reject(bytes, diag::kErrArtifactMalformed, "bad section id, fixed hash");
 }
 
+TEST(CompiledReject, CaseValueOtherThanZeroOrOne) {
+  // A well-formed case record pinning STABLE (2): the artifact reader rejects
+  // it as malformed, as the snapshot reader does, rather than load a case
+  // the verifier would refuse without a TV code.
+  examples::ExampleDesign d = examples::all_example_designs()[0];
+  CompiledDesign design = compile_design(d.name, *d.netlist, d.options,
+                                         {CaseSpec{"stable pin", {{0, Value::Stable}}}}, {});
+  std::string bytes = serialize_compiled(design);
+  expect_reject(bytes, diag::kErrArtifactMalformed, "case pin value 2");
+}
+
 TEST(CompiledReject, MissingFileReportsIo) {
   diag::DiagnosticEngine diags;
   EXPECT_FALSE(

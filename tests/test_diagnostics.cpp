@@ -9,6 +9,7 @@
 //
 // To regenerate after an intentional change:
 //   TV_UPDATE_GOLDEN=1 ./tv_tests --gtest_filter='GoldenDiagnostics.*'
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -331,6 +332,27 @@ TEST(ExitCodes, WerrorPromotesDegradationToError) {
   EXPECT_EQ(run_scaldtv("--stdlib --werror --time-limit 0.000000001 " +
                         std::string(TV_REPO_ROOT) + "/designs/stdlib_pipeline.shdl"),
             2);
+}
+
+TEST(ExitCodes, HugeTimeLimitDoesNotExpireAtOnce) {
+  // 1e10 s is past the deadline clock's range: the run must report like an
+  // unlimited one (two setup errors, exit 1), not degrade at once (exit 3).
+  EXPECT_EQ(run_scaldtv("--time-limit 1e10 " + std::string(TV_REPO_ROOT) +
+                        "/designs/regfile_example.shdl"),
+            1);
+}
+
+TEST(ExitCodes, DeeplyNestedDeltaExitsTwo) {
+  // A megabyte of '[' is an input error, not a stack overflow (SIGSEGV).
+  const std::string path = ::testing::TempDir() + "tv_deep_delta.json";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << std::string(1 << 20, '[');
+  }
+  EXPECT_EQ(run_scaldtv("--reverify " + path + " " + std::string(TV_REPO_ROOT) +
+                        "/designs/regfile_example.shdl"),
+            2);
+  std::remove(path.c_str());
 }
 
 TEST(ExitCodes, UsageErrorExitsTwo) { EXPECT_EQ(run_scaldtv("--no-such-flag"), 2); }

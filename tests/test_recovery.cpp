@@ -45,6 +45,7 @@
 #include "serve/journal.hpp"
 #include "util/atomic_file.hpp"
 #include "util/fault.hpp"
+#include "util/hash.hpp"
 
 namespace {
 
@@ -140,6 +141,34 @@ void corruption_sweep(const std::string& bytes, const char* code_prefix,
   std::uint64_t seed = 0x5eedf00dULL ^ bytes.size();
   for (int i = 0; i < 64; ++i) {
     flip(static_cast<std::size_t>(next_rand(seed) % bytes.size()), "random");
+  }
+}
+
+/// Single-bit flips anywhere in the payload with the content hash re-stamped,
+/// so the damage reaches the section readers: each load either succeeds or
+/// is rejected with exactly one diagnostic in the format's family, and never
+/// throws: a corrupt record count must not become a huge allocation, which
+/// the tools would report as a transient out-of-memory exit 5.
+template <typename LoadFn>
+void restamped_sweep(const std::string& bytes, const char* code_prefix, LoadFn load,
+                     const char* what) {
+  constexpr std::size_t kHdr = 40, kHashOff = 16;
+  for (std::size_t off = kHdr; off < bytes.size(); ++off) {
+    for (int bit : {0, 7}) {
+      std::string mutated = bytes;
+      mutated[off] = static_cast<char>(mutated[off] ^ (1 << bit));
+      std::uint64_t h = fnv1a(mutated.data() + kHdr, mutated.size() - kHdr);
+      for (int i = 0; i < 8; ++i) {
+        mutated[kHashOff + i] = static_cast<char>((h >> (8 * i)) & 0xff);
+      }
+      diag::DiagnosticEngine diags;
+      bool loaded = false;
+      ASSERT_NO_THROW(loaded = load(mutated, diags)) << what << ": offset " << off;
+      if (loaded) continue;
+      ASSERT_EQ(diags.error_count(), 1u) << what << ": offset " << off;
+      EXPECT_EQ(diags.diagnostics().at(0).code.substr(0, 6), code_prefix)
+          << what << ": offset " << off;
+    }
   }
 }
 
@@ -266,6 +295,21 @@ TEST(CorruptionSweep, SnapshotAlwaysRejectsCleanly) {
                      return load_fixpoint(bytes, "sweep", diags).has_value();
                    },
                    "snapshot");
+}
+
+TEST(CorruptionSweep, HashRestampedFlipsNeverThrow) {
+  for (std::size_t i : {0u, 8u}) {
+    restamped_sweep(serialize_example_artifact(i), "TV-E30",
+                    [](const std::string& bytes, diag::DiagnosticEngine& diags) {
+                      return load_compiled(bytes, "sweep", diags).has_value();
+                    },
+                    "artifact");
+    restamped_sweep(snapshot_example(i), "TV-E31",
+                    [](const std::string& bytes, diag::DiagnosticEngine& diags) {
+                      return load_fixpoint(bytes, "sweep", diags).has_value();
+                    },
+                    "snapshot");
+  }
 }
 
 TEST(CorruptionSweep, ArtifactAlwaysRejectsCleanly) {

@@ -72,6 +72,17 @@ TEST(JobParse, RejectsBadLines) {
       R"({"id": "j", "design": "d", "fault": "io.read@1:explode"})",
       R"({"id": "j", "design": "d", "fault": "io.read@x:fail"})",  // bad hit count
       R"({"id": "j", "design": "d", "fault": "io.read@0:fail"})",  // 1-based
+      R"({"id": null, "design": true})",                     // untyped id/design
+      R"({"id": 5, "design": "d"})",
+      R"({"id": "j", "design": "d", "time_limit": nan})",    // not JSON numbers
+      R"({"id": "j", "design": "d", "time_limit": inf})",
+      R"({"id": "j", "design": "d", "time_limit": 1e400})",  // not finite
+      R"({"id": "j", "design": "d", "time_limit": "5"})",
+      R"({"id": "j", "design": "d", "jobs": 1.5})",
+      R"({"id": "j", "design": "d", "jobs": 4294967296})",   // past unsigned
+      R"({"id": "j", "design": "d", "fault": 5})",
+      R"({"id": "j", "design": "d", "id": "k"})",            // duplicate key
+      R"({"id": "j", "design": "d", "stdlib": "true"})",
   };
   for (const char* line : bad) {
     std::string error;

@@ -1,5 +1,7 @@
 // Tests for the utility layer: exact picosecond time, clock units, string
 // helpers, phase timers and the storage ledger.
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "util/stats.hpp"
@@ -50,6 +52,19 @@ TEST(TimeUtil, ClockUnits) {
   EXPECT_EQ(u.to_time(2.0), from_ns(12.5));
   EXPECT_EQ(u.to_time(0.5), from_ns(3.125));
   EXPECT_DOUBLE_EQ(u.from_time(from_ns(50.0)), 8.0);
+}
+
+TEST(TimeUtil, DeadlineSaturatesInsteadOfOverflowing) {
+  EXPECT_TRUE(Deadline::after_seconds(0).expired());
+  EXPECT_FALSE(Deadline::after_seconds(3600).expired());
+  // Budgets past the nanosecond clock's ~292-year range must saturate, not
+  // wrap into the past and expire at once.
+  for (double s : {1e9, 1e10, 1e12, 1e300, std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    Deadline d = Deadline::after_seconds(s);
+    EXPECT_TRUE(d.armed()) << s;
+    EXPECT_FALSE(d.expired()) << s;
+  }
 }
 
 TEST(Strings, TrimAndSplit) {
