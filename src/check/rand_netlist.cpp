@@ -114,6 +114,19 @@ CircuitSpec random_spec(std::uint64_t seed) {
         s.period_ns - 4, s.clock.edge_units + s.clock.high_units + rng.range(5, 40));
   }
   s.with_case = rng.chance(40);
+
+  // Multi-letter evaluation strings, drawn last so every field above keeps
+  // its per-seed value. Only letters that change nothing these circuits can
+  // observe: E acts as no directive, and W zeroes a wire delay that the
+  // clock nets do not have. The simulator's realities stay the same, while
+  // every consumer down the chain sees a non-empty propagated string in its
+  // memo key, its cone and its case overlays.
+  if (s.clock.gated && rng.chance(60)) {
+    for (int i = rng.range(1, 3); i > 0; --i) {
+      s.clock_directive_tail += rng.chance(50) ? 'E' : 'W';
+    }
+  }
+  if (!s.stages.empty() && rng.chance(50)) s.data_directives.assign(rng.range(2, 4), 'E');
   return s;
 }
 
@@ -143,6 +156,7 @@ BuiltCircuit build(const CircuitSpec& spec) {
     if (st.wire_max_ns > 0) nl.set_wire_delay(out.id, 0, from_ns(st.wire_max_ns));
   };
 
+  cur.directives = spec.data_directives;  // the first stage's data pin
   for (const StageSpec& st : spec.stages) {
     std::string tag = std::to_string(n++);
     Ref out = nl.ref("N" + tag);
@@ -195,6 +209,7 @@ BuiltCircuit build(const CircuitSpec& spec) {
     }
     Ref ck_pin = ck;
     if (spec.clock.directive != '\0') ck_pin.directives = std::string(1, spec.clock.directive);
+    ck_pin.directives += spec.clock_directive_tail;
     Ref ckg = nl.ref("CKG");
     nl.and_gate("GCLK", from_ns(1), from_ns(2), {ck_pin, gen}, ckg);
     sink_ck = ckg;
@@ -284,6 +299,10 @@ std::string to_cpp(const CircuitSpec& s) {
   out += fmt("    s.second_stage = %s; s.stage2_edge_units = %d; s.with_case = %s;\n",
              s.second_stage ? "true" : "false", s.stage2_edge_units,
              s.with_case ? "true" : "false");
+  if (!s.clock_directive_tail.empty() || !s.data_directives.empty()) {
+    out += fmt("    s.clock_directive_tail = \"%s\"; s.data_directives = \"%s\";\n",
+               s.clock_directive_tail.c_str(), s.data_directives.c_str());
+  }
   return out;
 }
 

@@ -3,7 +3,8 @@
 //
 // The generator covers the territory the original hand-written
 // cross-validation test did not: registers, latches, SET/RESET inputs,
-// gated clocks carrying &A/&H/&Z evaluation directives, polarity-dependent
+// gated clocks carrying &A/&H/&Z evaluation directives, multi-letter
+// evaluation strings that propagate across gate levels, polarity-dependent
 // (rise/fall) delays, interconnection (wire) delays, skewed clock
 // assertions, and case analysis. Every circuit is described first as a
 // plain-data CircuitSpec -- a recipe of small integers -- so that a failing
@@ -94,6 +95,13 @@ struct CircuitSpec {
   bool second_stage = false;    // pipeline: sink output -> buf -> checker -> reg
   int stage2_edge_units = 0;    // second checker's clock edge (0 = reuse + offset)
   bool with_case = false;       // run case analysis on the first control, 0 and 1
+  /// Letters (E/W) after clock.directive on the gating AND's clock pin:
+  /// the gate acts on the first letter and passes the rest on with its
+  /// output (sec. 2.8), so the sink's clock pin sees a propagated string.
+  std::string clock_directive_tail;
+  /// Evaluation string (E letters) on the first stage's data pin; each
+  /// stage consumes one letter and propagates the rest downstream.
+  std::string data_directives;
 };
 
 /// Draws a random specification. The same seed always yields the same spec.

@@ -88,6 +88,7 @@ CircuitSpec shrink_circuit(const CircuitSpec& failing, const CircuitPred& still_
       CircuitSpec s = best;
       s.clock.gated = false;
       s.clock.directive = '\0';
+      s.clock_directive_tail.clear();
       s.clock.enable_from_path = false;
       try_spec(std::move(s));
     }
@@ -95,6 +96,16 @@ CircuitSpec shrink_circuit(const CircuitSpec& failing, const CircuitPred& still_
       CircuitSpec s = best;
       s.clock.directive = '\0';
       s.clock.enable_from_path = false;
+      try_spec(std::move(s));
+    }
+    if (!best.clock_directive_tail.empty()) {
+      CircuitSpec s = best;
+      s.clock_directive_tail.clear();
+      try_spec(std::move(s));
+    }
+    if (!best.data_directives.empty()) {
+      CircuitSpec s = best;
+      s.data_directives.clear();
       try_spec(std::move(s));
     }
     if (best.clock.enable_from_path) {

@@ -6,8 +6,8 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "core/propagate.hpp"
 #include "core/scc.hpp"
-#include "diag/diagnostic.hpp"
 #include "util/fault.hpp"
 
 namespace tv {
@@ -340,7 +340,7 @@ class BlockSweep {
           ctx_.memo.store(key, MemoResult{raw, r.eval_str});
           raw_str = pool_.intern(r.eval_str);
         }
-        // Case map and segment cap, mirroring the per-case commit().
+        // Case map and segment cap, mirroring the engine's commit step.
         WaveformRef final_ref = raw;
         if (mv >= 0) {
           Waveform w = ctx_.table.get(raw).replaced(Value::Stable, static_cast<Value>(mv));
@@ -357,11 +357,8 @@ class BlockSweep {
           if (!seg_degraded_[cell]) {
             seg_degraded_[cell] = 1;
             res_.lanes[l].degraded = true;
-            res_.lanes[l].degradations.push_back(Degradation{
-                diag::kWarnSegmentCap,
-                "signal \"" + nl_.signal(p.output).full_name + "\" exceeded " +
-                    std::to_string(opts_.max_segments_per_signal) +
-                    " waveform segments; degraded to UNKNOWN"});
+            res_.lanes[l].degradations.push_back(
+                segment_cap_degradation(nl_.signal(p.output), opts_.max_segments_per_signal));
           }
           final_ref = unknown_ref_;
         }

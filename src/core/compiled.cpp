@@ -171,6 +171,15 @@ bool read_assertion(ByteReader& r, Assertion& a, Loader& L) {
   return true;
 }
 
+// Interconnection delays feed Waveform::delayed, which needs
+// 0 <= min <= max; the SHDL front end rejects anything else (SHDL-E032).
+bool valid_range(const WireDelay& wd) { return wd.dmin >= 0 && wd.dmax >= wd.dmin; }
+
+std::string describe_range(const WireDelay& wd) {
+  return "invalid delay range " + format_ns(wd.dmin) + ":" + format_ns(wd.dmax) +
+         " (need 0 <= min <= max)";
+}
+
 bool read_meta(ByteReader& r, CompiledDesign& d, Loader& L) {
   d.name = r.str();
   d.options.period = r.i64();
@@ -198,6 +207,8 @@ bool read_meta(ByteReader& r, CompiledDesign& d, Loader& L) {
   }
   if (!r.truncated() && d.options.period <= 0)
     return L.bad("non-positive clock period");
+  if (!r.truncated() && !valid_range(d.options.default_wire))
+    return L.bad("default wire delay: " + describe_range(d.options.default_wire));
   return true;
 }
 
@@ -217,6 +228,8 @@ bool read_signals(ByteReader& r, CompiledDesign& d, Loader& L) {
       WireDelay wd;
       wd.dmin = r.i64();
       wd.dmax = r.i64();
+      if (!r.truncated() && !valid_range(wd))
+        return L.bad("signal \"" + s.full_name + "\" wire delay: " + describe_range(wd));
       s.wire_delay = wd;
     }
     if (r.truncated()) break;

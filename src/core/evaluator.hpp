@@ -5,13 +5,15 @@
 // on a cross-reference for the designer), everything else starts UNKNOWN.
 // Step 2 repeatedly evaluates primitives whose inputs changed -- each output
 // change is an *event* that enqueues the output's call list -- until all
-// signals stop changing. That base fixpoint (and its incremental updates
-// after netlist edits, core/incremental.hpp) is all the Evaluator computes:
-// case analysis (sec. 2.7) runs elsewhere, on cone-scoped overlays of this
-// fixpoint -- the per-case worklist of core/snapshot.hpp and the lockstep
-// sweep of core/batch_eval.hpp -- so the shared netlist never holds a case.
+// signals stop changing. The Evaluator holds that base fixpoint on the
+// shared netlist and updates it after netlist edits (core/incremental.hpp).
+// Step 2 is the propagation engine of core/propagate.hpp, which the per-case
+// reference of sec. 2.7 (core/snapshot.hpp) runs too, on a cone-scoped
+// overlay of this fixpoint; the lockstep sweep of core/batch_eval.hpp is the
+// other case engine. The shared netlist never holds a case.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <deque>
 #include <memory>
@@ -80,6 +82,48 @@ struct Degradation {
   std::string message;
 };
 
+/// Run state of the propagation engine (core/propagate.hpp) over one
+/// store's dense primitive and signal slots. The Evaluator keeps one across
+/// its base and incremental runs; each per-case run makes its own.
+struct PropagationState {
+  std::deque<PrimId> worklist;
+  std::vector<char> queued;               // prim slot: in the worklist
+  std::vector<std::size_t> eval_count;    // prim slot: oscillation guard
+  std::vector<char> seg_capped;           // signal slot: TV-W201 recorded
+  bool table_full_reported = false;       // TV-W203 recorded
+  std::size_t events = 0;
+  std::size_t evals = 0;
+  bool converged = true;
+  bool degraded = false;
+  std::vector<Degradation> degradations;
+
+  /// The state before a first run: empty worklist, zero counters, no
+  /// degradations.
+  void reset(std::size_t prims, std::size_t signals) {
+    worklist.clear();
+    queued.assign(prims, 0);
+    eval_count.assign(prims, 0);
+    seg_capped.assign(signals, 0);
+    table_full_reported = false;
+    events = 0;
+    evals = 0;
+    converged = true;
+    degraded = false;
+    degradations.clear();
+  }
+  /// A fresh oscillation budget for another run over state that may have
+  /// grown (edits add signals); counters and degradations carry over.
+  void rearm(std::size_t prims, std::size_t signals) {
+    eval_count.assign(prims, 0);
+    queued.resize(std::max(queued.size(), prims), 0);
+    seg_capped.resize(std::max(seg_capped.size(), signals), 0);
+  }
+  void record(Degradation d) {
+    degraded = true;
+    degradations.push_back(std::move(d));
+  }
+};
+
 /// One case for case analysis (sec. 2.7.1): each named signal has its
 /// STABLE values mapped to the given 0/1 value.
 struct CaseSpec {
@@ -108,7 +152,7 @@ PreparedInput prepare_input(const Pin& pin, const Signal& s, const Waveform& wav
 /// captures everything evaluate_primitive and prepare_input consume beyond
 /// the fixed per-run options: kind, delay parameters, and per-pin (waveform
 /// ref, inversion, wire delay, resolved directive string). Shared by the
-/// Evaluator and the case-snapshot runner so both populate one cache.
+/// propagation engine and the batch sweep so both populate one cache.
 template <class RefOf, class StrOf>
 bool build_memo_key(const Primitive& p, const Netlist& nl,
                     const VerifierOptions& opts, RefOf&& ref_of, StrOf&& str_of,
@@ -140,6 +184,9 @@ bool build_memo_key(const Primitive& p, const Netlist& nl,
   }
   return true;
 }
+
+template <class Store>
+class Propagator;  // core/propagate.hpp
 
 class Evaluator {
  public:
@@ -196,19 +243,19 @@ class Evaluator {
   /// its own lifetime.
   const std::shared_ptr<InternContext>& intern_context() const { return intern_; }
   const std::vector<WaveformRef>& wave_refs() const { return wave_refs_; }
-  bool converged() const { return converged_; }
+  bool converged() const { return state_.converged; }
   /// True when any resource guard (segment cap, time limit, full waveform
   /// table) degraded part of the result to UNKNOWN. Degraded results stay
   /// conservative -- UNKNOWN can only add violations, never hide one.
-  bool degraded() const { return degraded_; }
-  const std::vector<Degradation>& degradations() const { return degradations_; }
+  bool degraded() const { return state_.degraded; }
+  const std::vector<Degradation>& degradations() const { return state_.degradations; }
   /// After a non-convergent run: the actual unclocked feedback cycles, as
   /// ordered lists of driven signal names (A -> B -> ... -> A, the closing
   /// edge implied). Computed by SCC over the primitives whose oscillation
   /// guard tripped. Empty when converged.
   std::vector<std::vector<std::string>> feedback_cycles() const;
-  std::size_t events_processed() const { return events_; }
-  std::size_t evals_performed() const { return evals_; }
+  std::size_t events_processed() const { return state_.events; }
+  std::size_t evals_performed() const { return state_.evals; }
   const VerifierOptions& options() const { return opts_; }
   /// Arms the shared wall-clock deadline every phase of the run polls
   /// (called by Verifier::verify before the base fixpoint starts).
@@ -232,45 +279,15 @@ class Evaluator {
   PreparedInput prepare(const Pin& pin) const;
 
  private:
-  void seed_signal(SignalId id);
-  void enqueue(PrimId pid);
-  void enqueue_fanout(SignalId id);
-  std::size_t run_worklist();
-  void assign(SignalId id, Waveform w, std::string eval_str, bool& changed);
-  bool build_memo_key(const Primitive& p, MemoKey& key) const;
-  /// Applies the segment cap to a computed waveform; on trip replaces it
-  /// with all-UNKNOWN and records the degradation (once per signal).
-  void cap_segments(SignalId id, Waveform& w);
-  /// Interns canonical `w` for signal `id`; when the table is full, records
-  /// TV-W203 (once per run) and returns kNoWaveform.
-  WaveformRef intern_wave(SignalId id, const Waveform& w);
-  /// Writes the signal's waveform: the table's copy of `ref`, or `w` itself
-  /// uninterned when `ref` is kNoWaveform.
-  void put_wave(SignalId id, WaveformRef ref, Waveform w);
-  /// intern_wave then put_wave: the one write every seed, restore and
-  /// degradation takes.
-  void store_wave(SignalId id, Waveform w);
-  /// Time-limit trip: degrades every signal reachable from the remaining
-  /// worklist to UNKNOWN and drains the worklist.
-  void degrade_remaining();
-  void record_degradation(const char* code, std::string message);
-  /// Records a changed signal while propagate_incremental tracking is on.
-  void note_touched(SignalId id);
+  struct Store;  // the engine's view of the shared netlist (evaluator.cpp)
+  /// The propagation engine over the shared netlist and state_.
+  Propagator<Store> engine();
 
   Netlist& nl_;
   VerifierOptions opts_;
   std::shared_ptr<InternContext> intern_;
   std::vector<WaveformRef> wave_refs_;  // per-signal interned wave
-  std::deque<PrimId> worklist_;
-  std::vector<char> in_worklist_;
-  std::vector<std::size_t> eval_count_;
-  std::size_t events_ = 0;
-  std::size_t evals_ = 0;
-  bool converged_ = true;
-  bool degraded_ = false;
-  bool table_full_reported_ = false;
-  std::vector<char> seg_degraded_;  // per-signal: segment cap already fired
-  std::vector<Degradation> degradations_;
+  PropagationState state_;
   bool track_touched_ = false;       // propagate_incremental tracking active
   std::vector<char> touched_mark_;   // per-signal: already in touched_
   std::vector<SignalId> touched_;

@@ -61,12 +61,9 @@ class EvalSnapshot {
   }
 
   /// Writes a cone signal's overlay slot (copy-on-write: the first write
-  /// materializes the slot; the baseline is never modified). The signal
-  /// must be inside the cone. Interns `w` first; when the table is full
-  /// the slot keeps `w` uninterned.
-  void set(SignalId id, Waveform w, std::string eval_str);
-  /// Stores `ref` -- the table's canonical copy, or `w` itself when `ref` is
-  /// kNoWaveform -- into the overlay slot.
+  /// materializes the slot; the baseline is never modified): the table's
+  /// canonical copy of `ref`, or `w` itself when `ref` is kNoWaveform (the
+  /// table filled). The signal must be inside the cone.
   void set_ref(SignalId id, WaveformRef ref, std::string eval_str, Waveform w = {});
 
   /// Number of cone signals whose final (waveform, evaluation string)
@@ -131,10 +128,11 @@ struct CaseRunStats {
 };
 
 /// Evaluates one case inside the snapshot: reseeds the pinned signals with
-/// their STABLE values mapped, then runs the event-driven worklist to the
-/// fixpoint entirely within the cone. Worklist membership and oscillation
-/// counts are snapshot-local (dense cone slots), so concurrent case runs
-/// share nothing but the immutable baseline. Pin values must be 0/1.
+/// their STABLE values mapped, then runs the propagation engine
+/// (core/propagate.hpp) to the fixpoint entirely within the cone. Worklist
+/// membership and oscillation counts are snapshot-local (dense cone slots),
+/// so concurrent case runs share nothing but the immutable baseline (and
+/// the shard-locked intern context). Pin values must be 0/1.
 CaseRunStats run_case_on_snapshot(EvalSnapshot& snap, const CaseSpec& c,
                                   const VerifierOptions& opts);
 

@@ -24,6 +24,7 @@
 #include "hdl/stdlib.hpp"
 #include "util/crash.hpp"
 #include "util/fault.hpp"
+#include "util/json.hpp"
 
 namespace tv::serve {
 
@@ -115,7 +116,7 @@ class WarmPoolBackend : public WorkerBackend {
     std::string cmd = "run " + format_double(job.time_limit) + ' ' +
                       std::to_string(job.jobs) + ' ' +
                       (spec && !spec->empty() ? *spec : std::string("-")) + ' ' +
-                      (job.reverify.empty() ? std::string("-") : job.reverify) + '\n';
+                      json::quote(job.reverify) + '\n';
     w.resp_buf.clear();
     if (!write_all(w.cmd_fd, cmd)) {
       destroy(w);
@@ -563,25 +564,21 @@ int warm_worker_main(const std::string& design, bool stdlib, bool compiled,
   for (;;) {
     if (!read_line(cmd_fd, buf, line)) return 0;  // parent closed: retire
     std::istringstream is(line);
-    std::string verb, tl_text, jobs_text, fault_text;
+    std::string verb, tl_text, jobs_text, fault_text, rest;
     is >> verb >> tl_text >> jobs_text >> fault_text;
-    if (verb != "run" || tl_text.empty() || jobs_text.empty() ||
-        fault_text.empty()) {
+    std::getline(is, rest);  // the delta path, a JSON string
+    json::Value reverify;
+    if (verb != "run" || tl_text.empty() || jobs_text.empty() || fault_text.empty() ||
+        !json::parse(rest, reverify, nullptr) || reverify.type != json::Value::Str) {
       return 1;  // protocol error: retire loudly (parent treats as lost)
     }
-    // The delta path is the rest of the line (it may contain spaces).
-    std::string reverify_text;
-    std::getline(is, reverify_text);
-    std::size_t rstart = reverify_text.find_first_not_of(' ');
-    reverify_text = rstart == std::string::npos ? "" : reverify_text.substr(rstart);
-    if (reverify_text == "-") reverify_text.clear();
     double time_limit = std::strtod(tl_text.c_str(), nullptr);
     unsigned jobs = static_cast<unsigned>(std::strtoul(jobs_text.c_str(), nullptr, 10));
     // Reconfigure fault injection per run so @N counters behave exactly as
     // in a freshly exec'd worker.
     fault::configure(fault_text == "-" ? "" : fault_text);
     bool durability_lost = false;
-    int code = run_once(time_limit, jobs, reverify_text, durability_lost);
+    int code = run_once(time_limit, jobs, reverify.str, durability_lost);
     std::string resp = "done " + std::to_string(code);
     if (durability_lost) resp += " nodur";
     if (!write_all(resp_fd, resp + '\n')) return 0;

@@ -12,15 +12,19 @@
 // Protocol (newline-delimited text, parent -> worker on the command pipe,
 // worker -> parent on the response pipe):
 //
-//   run <time_limit> <jobs> <fault-spec|-> <delta-path|->   one job
-//   done <code> [nodur]                        its scaldtv-compatible exit code
+//   run <time_limit> <jobs> <fault-spec|-> <delta-path>   one job
+//   done <code> [nodur]                      its scaldtv-compatible exit code
+//
+// The delta path is the rest of the run line as a JSON string (util/json),
+// so any path scaldtv --reverify accepts -- newlines, leading spaces, a
+// literal "-" -- arrives intact; "" means no delta.
 //
 // The optional "nodur" token reports that the run wanted to persist its
 // fixpoint sidecar but the filesystem refused the write (ENOSPC-shaped):
 // the verdict stands, the worker serves on without durability, and the
 // parent counts the degradation into Manifest::durability_degraded.
 //
-// A non-"-" delta path makes the run a reverify job (scaldtv --reverify):
+// A non-empty delta path makes the run a reverify job (scaldtv --reverify):
 // after the baseline verification the worker applies the JSON netlist delta
 // and reports on the edited design. The worker then restores its resident
 // baseline by applying the inverse delta; if the restore fails for any

@@ -304,6 +304,103 @@ TEST(BatchEval, ReportsInvariantUnderLaneBlockSizeAndJobs) {
   }
 }
 
+// A case whose cone alone trips the segment cap. X = MUX2(B, A, NA) selects
+// between two complementary pulse trains; with B unasserted (always STABLE)
+// X is STABLE all cycle, so the base fixpoint stays under the cap. Pinning
+// B to 1 makes X the pulse train NA, more segments than the cap allows.
+// The other case pins an unrelated control and stays under the cap too.
+struct SegmentCapRig {
+  Netlist nl;
+  VerifierOptions opts = test_options();
+  SignalId x = kNoSignal, y = kNoSignal;
+  std::vector<CaseSpec> cases;
+};
+
+SegmentCapRig build_segment_cap() {
+  SegmentCapRig r;
+  r.opts.max_segments_per_signal = 4;
+  Ref a = r.nl.ref("A .C5-10,25-30,45-50,65-70");
+  Ref na = r.nl.ref("NA .C10-25,30-45,50-65,70-105");
+  Ref b = r.nl.ref("B");
+  Ref x = r.nl.ref("X");
+  Ref y = r.nl.ref("Y");
+  r.nl.mux2("MX", 0, 0, b, a, na, x);
+  r.nl.buf("BY", from_ns(1), from_ns(2), x, y);
+  Ref ck = r.nl.ref("CK .P80-90");
+  r.nl.setup_hold_chk("CHKY", from_ns(5), from_ns(1), y, ck);
+  Ref c = r.nl.ref("C");
+  Ref z = r.nl.ref("Z");
+  r.nl.and_gate("GZ", from_ns(1), from_ns(2), {c, r.nl.ref("D .S10-60")}, z);
+  r.nl.setup_hold_chk("CHKZ", from_ns(5), from_ns(1), z, ck);
+  r.nl.finalize();
+  r.x = x.id;
+  r.y = y.id;
+  r.cases = {{"B=1", {{b.id, V::One}}}, {"C=0", {{c.id, V::Zero}}}};
+  return r;
+}
+
+TEST(BatchEval, SegmentCapInOneCaseConeMatchesReferencePath) {
+  // Reports: the sweep at one lane per block and at 64, and the per-case
+  // reference on several workers, render exactly what the per-case
+  // reference renders on one, TV-W201 record included.
+  SegmentCapRig ref_rig = build_segment_cap();
+  VerifierOptions per_case = ref_rig.opts;
+  per_case.batch_eval = false;
+  const std::string reference = render(ref_rig.nl, per_case, ref_rig.cases);
+  EXPECT_NE(reference.find("TV-W201 signal \"X\" exceeded 4 waveform segments; degraded to "
+                           "UNKNOWN"),
+            std::string::npos)
+      << reference;
+  for (unsigned jobs : {1u, 4u}) {
+    for (unsigned lanes : {0u, 1u, 64u}) {  // 0: the per-case reference
+      SegmentCapRig r = build_segment_cap();
+      VerifierOptions opts = r.opts;
+      opts.batch_eval = lanes != 0;
+      opts.batch_lanes = lanes != 0 ? lanes : opts.batch_lanes;
+      opts.jobs = jobs;
+      EXPECT_EQ(render(r.nl, opts, r.cases), reference) << "lanes=" << lanes << " jobs=" << jobs;
+    }
+  }
+
+  // Engines: on a clean base, each sweep lane (both lanes in one block, and
+  // case B=1 alone in a one-lane block) records what the reference run of
+  // its case records and leaves the same waveforms; X and Y are all-UNKNOWN
+  // under B=1 only.
+  SegmentCapRig r = build_segment_cap();
+  BlockRun both(r.nl, r.opts, r.cases);
+  ASSERT_TRUE(both.result.completed);
+  EXPECT_FALSE(both.ev.degraded());
+  SegmentCapRig r1 = build_segment_cap();
+  BlockRun alone(r1.nl, r1.opts, {r1.cases[0]});
+  ASSERT_TRUE(alone.result.completed);
+  const Waveform unknown(r.opts.period, V::Unknown);
+  for (std::size_t i = 0; i < r.cases.size(); ++i) {
+    EvalSnapshot snap(r.nl, both.cones[i], both.ev.intern_context().get(), &both.ev.wave_refs());
+    CaseRunStats ref = run_case_on_snapshot(snap, r.cases[i], r.opts);
+    ASSERT_EQ(ref.degradations.size(), i == 0 ? 1u : 0u) << r.cases[i].name;
+    std::vector<const BatchLaneStats*> lanes = {&both.result.lanes[i]};
+    if (i == 0) lanes.push_back(&alone.result.lanes[0]);
+    for (const BatchLaneStats* lane : lanes) {
+      EXPECT_EQ(lane->degraded, ref.degraded) << r.cases[i].name;
+      ASSERT_EQ(lane->degradations.size(), ref.degradations.size()) << r.cases[i].name;
+      for (std::size_t k = 0; k < ref.degradations.size(); ++k) {
+        EXPECT_STREQ(lane->degradations[k].code, ref.degradations[k].code);
+        EXPECT_EQ(lane->degradations[k].message, ref.degradations[k].message);
+      }
+    }
+    for (SignalId sig : both.cones[i]->signals) {
+      EXPECT_TRUE(both.snaps[i].wave(sig).equivalent(snap.wave(sig)))
+          << r.cases[i].name << " " << r.nl.signal(sig).full_name;
+      if (i == 0) {
+        EXPECT_TRUE(alone.snaps[0].wave(sig).equivalent(snap.wave(sig)));
+      }
+    }
+    const bool capped = i == 0;
+    EXPECT_EQ(snap.wave(r.x).equivalent(unknown), capped) << r.cases[i].name;
+    EXPECT_EQ(snap.wave(r.y).equivalent(unknown), capped) << r.cases[i].name;
+  }
+}
+
 TEST(BatchEval, ScheduleCoversEveryNonCheckerPrimitiveOnce) {
   TwoConeRig r = build_two_cones();
   BatchSchedule sched = build_batch_schedule(r.nl);

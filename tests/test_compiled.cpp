@@ -233,6 +233,40 @@ TEST(CompiledReject, CaseValueOtherThanZeroOrOne) {
   expect_reject(bytes, diag::kErrArtifactMalformed, "case pin value 2");
 }
 
+// An artifact whose options or signals carry `wire` where the example has
+// its defaults: well-formed and hash-consistent, but the wire delay must be
+// 0 <= min <= max or Waveform::delayed would be asked for the impossible.
+std::string with_wire_delay(bool per_signal, WireDelay wire) {
+  examples::ExampleDesign d = examples::all_example_designs()[0];
+  VerifierOptions opts = d.options;
+  if (per_signal) {
+    d.netlist->signal(0).wire_delay = wire;
+  } else {
+    opts.default_wire = wire;
+  }
+  CompiledDesign design = compile_design(d.name, *d.netlist, opts, d.cases, {});
+  return serialize_compiled(design);
+}
+
+TEST(CompiledReject, NegativeDefaultWireDelay) {
+  expect_reject(with_wire_delay(false, {-from_ns(1.0), from_ns(2.0)}),
+                diag::kErrArtifactMalformed, "default wire delay -1:2 ns");
+}
+
+TEST(CompiledReject, ReversedDefaultWireDelay) {
+  expect_reject(with_wire_delay(false, {from_ns(3.0), from_ns(1.0)}),
+                diag::kErrArtifactMalformed, "default wire delay 3:1 ns");
+}
+
+TEST(CompiledReject, ReversedSignalWireDelay) {
+  expect_reject(with_wire_delay(true, {from_ns(2.0), from_ns(0.5)}),
+                diag::kErrArtifactMalformed, "signal 0 wire delay 2:0.5 ns");
+  // The same override in range loads.
+  diag::DiagnosticEngine diags;
+  EXPECT_TRUE(load_compiled(with_wire_delay(true, {from_ns(0.5), from_ns(2.0)}), "ok", diags)
+                  .has_value());
+}
+
 TEST(CompiledReject, MissingFileReportsIo) {
   diag::DiagnosticEngine diags;
   EXPECT_FALSE(

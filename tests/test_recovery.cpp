@@ -300,8 +300,13 @@ TEST(CorruptionSweep, SnapshotAlwaysRejectsCleanly) {
 TEST(CorruptionSweep, HashRestampedFlipsNeverThrow) {
   for (std::size_t i : {0u, 8u}) {
     restamped_sweep(serialize_example_artifact(i), "TV-E30",
-                    [](const std::string& bytes, diag::DiagnosticEngine& diags) {
-                      return load_compiled(bytes, "sweep", diags).has_value();
+                    [i](const std::string& bytes, diag::DiagnosticEngine& diags) {
+                      std::optional<CompiledDesign> d = load_compiled(bytes, "sweep", diags);
+                      // What the loader accepts must also verify: an accepted
+                      // option or delay that trips an engine assert would
+                      // abort the tools instead of exiting 2.
+                      if (d && i == 0) Verifier(d->netlist, d->options).verify(d->cases);
+                      return d.has_value();
                     },
                     "artifact");
     restamped_sweep(snapshot_example(i), "TV-E31",

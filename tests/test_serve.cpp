@@ -805,6 +805,36 @@ TEST_F(WarmSupervisorTest, MemoryBreachManifestMatchesForkExecByteForByte) {
   EXPECT_EQ(wm.to_json(), reference(batch, opts));
 }
 
+TEST_F(WarmSupervisorTest, ReverifyPathWithANewlineArrivesIntact) {
+  // The run command carries the delta path as a JSON string, so a path a
+  // space-separated line would split -- one with a newline -- reaches the
+  // worker whole: the job settles exactly like the same delta under a
+  // plain path, and like the fork/exec reference's scaldtv --reverify.
+  std::ifstream in(std::string(TV_REPO_ROOT) + "/tests/golden/regfile_example_delta1/delta.json");
+  std::stringstream delta;
+  delta << in.rdbuf();
+  const std::string plain_path = ::testing::TempDir() + "serve_delta.json";
+  const std::string odd_path = ::testing::TempDir() + "serve\ndelta.json";
+  for (const std::string& path : {plain_path, odd_path}) std::ofstream(path) << delta.str();
+  JobSpec plain = job("plain", "/designs/regfile_example.shdl");
+  plain.reverify = plain_path;
+  JobSpec odd = job("odd", "/designs/regfile_example.shdl");
+  odd.reverify = odd_path;
+  SupervisorOptions opts = fast_opts();
+  opts.workers = 1;  // one resident worker serves both, in turn
+  Manifest m = run_jobs({plain, odd}, opts);
+  const JobRecord* a = find(m, "plain");
+  const JobRecord* b = find(m, "odd");
+  ASSERT_TRUE(a && b);
+  EXPECT_EQ(a->state, JobState::Violations);
+  EXPECT_EQ(b->state, a->state);
+  EXPECT_EQ(b->attempts, a->attempts);
+  EXPECT_EQ(b->outcomes, a->outcomes);
+  EXPECT_EQ(m.to_json(), reference({plain, odd}, opts));
+  std::remove(plain_path.c_str());
+  std::remove(odd_path.c_str());
+}
+
 #endif  // TV_SCALDTV_PATH
 
 // ------------------------------------------------ warm worker OOM handling
