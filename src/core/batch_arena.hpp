@@ -53,19 +53,17 @@ class EvalStrPool {
   std::unordered_map<std::string, std::uint32_t> ids_;
 };
 
-/// The SoA lane state of one case block: `rows` signal rows (the union of
-/// the block's affected cones, densely renumbered) by `lanes` case
-/// instances. refs(row)[lane] is the lane's current interned waveform for
-/// that signal; strs(row)[lane] its evaluation-string id. Rows start filled
-/// with the baseline fixpoint, so "lane is at base" is the natural initial
-/// state and dirtiness is always an explicit divergence.
+/// The SoA lane state of one case block: one row per signal some lane has
+/// moved off the baseline, by `lanes` case instances. refs(row)[lane] is
+/// the lane's current interned waveform for that signal; strs(row)[lane]
+/// its evaluation-string id. A row is added the first time one of its
+/// cells diverges and starts filled with the baseline fixpoint, so "lane is
+/// at base" is the natural initial state and dirtiness is always an
+/// explicit divergence. Adding a row may move every row: re-fetch row
+/// pointers after add_row().
 class BatchArena {
  public:
-  BatchArena(std::size_t rows, std::size_t lanes)
-      : rows_(rows),
-        lanes_(lanes),
-        refs_(rows * lanes, kNoWaveform),
-        strs_(rows * lanes, 0) {}
+  explicit BatchArena(std::size_t lanes) : lanes_(lanes) {}
 
   std::size_t rows() const { return rows_; }
   std::size_t lanes() const { return lanes_; }
@@ -75,18 +73,16 @@ class BatchArena {
   std::uint32_t* strs(std::size_t row) { return strs_.data() + row * lanes_; }
   const std::uint32_t* strs(std::size_t row) const { return strs_.data() + row * lanes_; }
 
-  /// Seeds every lane of one row with the baseline (ref, string-id) pair.
-  void fill_row(std::size_t row, WaveformRef ref, std::uint32_t str_id) {
-    WaveformRef* r = refs(row);
-    std::uint32_t* s = strs(row);
-    for (std::size_t l = 0; l < lanes_; ++l) {
-      r[l] = ref;
-      s[l] = str_id;
-    }
+  /// Appends a row with every lane at the baseline (ref, string-id) pair;
+  /// returns its index.
+  std::size_t add_row(WaveformRef ref, std::uint32_t str_id) {
+    refs_.resize(refs_.size() + lanes_, ref);
+    strs_.resize(strs_.size() + lanes_, str_id);
+    return rows_++;
   }
 
  private:
-  std::size_t rows_;
+  std::size_t rows_ = 0;
   std::size_t lanes_;
   std::vector<WaveformRef> refs_;   // [row][lane], contiguous per row
   std::vector<std::uint32_t> strs_;  // parallel eval-string ids

@@ -1,6 +1,7 @@
 #include "core/batch_eval.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -51,19 +52,24 @@ BatchSchedule build_batch_schedule(const Netlist& nl) {
     }
     sched.components.push_back(std::move(comp));
   }
+  sched.position.assign(nl.num_prims(), BatchSchedule::kNoPosition);
+  for (std::size_t c = 0; c < sched.components.size(); ++c) {
+    for (PrimId pid : sched.components[c].prims) {
+      sched.position[pid] = static_cast<std::uint32_t>(c);
+    }
+  }
   return sched;
 }
 
 namespace {
 
 /// One block's lockstep sweep. Scratch arrays are members so the per-prim
-/// inner loops never allocate.
+/// inner loops never allocate in steady state.
 class BlockSweep {
  public:
   BlockSweep(const Netlist& nl, const VerifierOptions& opts, const BatchSchedule& sched,
              InternContext& ctx, const std::vector<WaveformRef>& base_refs,
              const std::vector<CaseSpec>& cases, std::size_t first, std::size_t count,
-             const std::vector<std::shared_ptr<const Cone>>& cones,
              std::vector<EvalSnapshot>& snaps)
       : nl_(nl),
         opts_(opts),
@@ -73,8 +79,8 @@ class BlockSweep {
         cases_(cases),
         first_(first),
         lanes_(count),
-        cones_(cones),
-        snaps_(snaps) {}
+        snaps_(snaps),
+        arena_(count) {}
 
   BatchBlockResult run() {
     res_.lanes.resize(lanes_);
@@ -85,7 +91,10 @@ class BlockSweep {
     // evaluation -- a degenerate configuration the sweep can't mirror, so
     // defer it to the reference path.
     if (opts_.max_evals_per_prim == 0) return std::move(res_);
-    if (!build_rows()) return std::move(res_);
+    row_of_.assign(nl_.num_signals(), -1);
+    pending_.assign((sched_.components.size() + 63) / 64, 0);
+    dirty_.assign(lanes_, 0);
+    lane_changed_.assign(lanes_, 0);
     if (!seed_lanes()) return std::move(res_);
     if (!sweep()) return std::move(res_);
     materialize();
@@ -94,41 +103,39 @@ class BlockSweep {
   }
 
  private:
-  /// Union of the block's cones as dense rows; arena filled with baseline.
-  bool build_rows() {
-    row_of_.assign(nl_.num_signals(), -1);
-    prim_in_.assign(nl_.num_prims(), 0);
-    for (std::size_t l = 0; l < lanes_; ++l) {
-      const Cone& cone = *cones_[first_ + l];
-      for (SignalId s : cone.signals) {
-        if (row_of_[s] < 0) {
-          row_of_[s] = static_cast<std::int32_t>(row_sig_.size());
-          row_sig_.push_back(s);
-        }
-      }
-      for (PrimId p : cone.prims) prim_in_[p] = 1;
+  /// The arena row of `sig`, added (filled with the baseline) on first
+  /// use. Sets abort_ and returns -1 for an uninterned baseline.
+  std::int32_t ensure_row(SignalId sig) {
+    std::int32_t& row = row_of_[sig];
+    if (row >= 0) return row;
+    WaveformRef br = sig < base_refs_.size() ? base_refs_[sig] : kNoWaveform;
+    if (br == kNoWaveform) {
+      abort_ = true;
+      return -1;
     }
-    const std::size_t rows = row_sig_.size();
-    base_ref_.resize(rows);
-    base_str_.resize(rows);
-    for (std::size_t r = 0; r < rows; ++r) {
-      SignalId s = row_sig_[r];
-      WaveformRef br = s < base_refs_.size() ? base_refs_[s] : kNoWaveform;
-      if (br == kNoWaveform) return false;  // uninterned baseline: defer
-      base_ref_[r] = br;
-      base_str_[r] = pool_.intern(nl_.signal(s).eval_str);
-    }
-    arena_ = std::make_unique<BatchArena>(rows, lanes_);
-    for (std::size_t r = 0; r < rows; ++r) arena_->fill_row(r, base_ref_[r], base_str_[r]);
-    seg_degraded_.assign(rows * lanes_, 0);
-    dirty_.assign(lanes_, 0);
-    lane_changed_.assign(lanes_, 0);
-    return true;
+    std::uint32_t bs = pool_.intern(nl_.signal(sig).eval_str);
+    row = static_cast<std::int32_t>(arena_.add_row(br, bs));
+    row_sig_.push_back(sig);
+    base_ref_.push_back(br);
+    base_str_.push_back(bs);
+    seg_degraded_.resize(seg_degraded_.size() + lanes_, 0);
+    return row;
   }
 
-  /// Case maps per pinned signal, plus direct reseeding of pinned undriven
-  /// signals (pinned driven signals recompute via their forced-dirty
-  /// driver, exactly like the per-case enqueue).
+  /// Marks a component for the sweep. The component being evaluated is
+  /// skipped: a cyclic one iterates over its own members.
+  void enqueue(PrimId pid) {
+    std::uint32_t pos = sched_.position[pid];
+    if (pos == BatchSchedule::kNoPosition || pos == current_) return;
+    pending_[pos >> 6] |= std::uint64_t{1} << (pos & 63);
+  }
+  void enqueue_fanout(SignalId sig) {
+    for (PrimId consumer : nl_.signal(sig).fanout) enqueue(consumer);
+  }
+
+  /// Case maps per pinned signal. A pinned driven signal recomputes via its
+  /// forced-dirty driver, exactly like the per-case enqueue; a pinned
+  /// undriven one is reseeded directly and its consumers enqueued.
   bool seed_lanes() {
     Waveform unknown(opts_.period, Value::Unknown);
     unknown.canonicalize();
@@ -146,11 +153,14 @@ class BlockSweep {
     }
     for (auto& [sig, lane_vals] : case_map_) {
       const Signal& s = nl_.signal(sig);
-      if (s.driver != kNoPrim) continue;
-      std::int32_t row = row_of_[sig];  // pinned signals are cone members
+      if (s.driver != kNoPrim) {
+        enqueue(s.driver);
+        continue;
+      }
+      const WaveformRef br = sig < base_refs_.size() ? base_refs_[sig] : kNoWaveform;
       Waveform base_seed = seed_waveform(s, opts_);
       WaveformRef seeded[2] = {kNoWaveform, kNoWaveform};
-      WaveformRef* rr = arena_->refs(static_cast<std::size_t>(row));
+      bool moved = false;
       for (std::size_t l = 0; l < lanes_; ++l) {
         std::int8_t v = lane_vals[l];
         if (v < 0) continue;
@@ -160,42 +170,48 @@ class BlockSweep {
           seeded[v] = ctx_.table.intern(std::move(w));
           if (seeded[v] == kNoWaveform) return false;
         }
+        if (seeded[v] == br) continue;
         // A reseeded signal's evaluation string is empty, same as its
         // baseline seed: only the ref cell carries the divergence.
-        rr[l] = seeded[v];
+        std::int32_t row = ensure_row(sig);
+        if (row < 0) return false;
+        arena_.refs(static_cast<std::size_t>(row))[l] = seeded[v];
+        moved = true;
       }
+      if (moved) enqueue_fanout(sig);
     }
     return true;
   }
 
-  /// Walks the schedule once; cyclic components iterate to an
-  /// intra-component fixpoint under the oscillation guard.
+  /// Drains the pending components in schedule (topological) order. A
+  /// changed cell only ever enqueues later components, so one ascending
+  /// pass sees every component after all its producers. Cyclic components
+  /// iterate to an intra-component fixpoint under the oscillation guard.
   bool sweep() {
-    for (const BatchSchedule::Component& comp : sched_.components) {
-      if (!comp.cyclic) {
-        if (prim_in_[comp.prims[0]]) {
+    for (std::size_t w = 0; w < pending_.size(); ++w) {
+      while (pending_[w] != 0) {
+        current_ = static_cast<std::uint32_t>(w * 64 + std::countr_zero(pending_[w]));
+        pending_[w] &= pending_[w] - 1;
+        const BatchSchedule::Component& comp = sched_.components[current_];
+        if (!comp.cyclic) {
           eval_prim(comp.prims[0]);
           if (abort_) return false;
+          continue;
         }
-        continue;
-      }
-      bool member = false;
-      for (PrimId pid : comp.prims) member = member || prim_in_[pid];
-      if (!member) continue;
-      for (std::size_t iter = 0; iter < opts_.max_evals_per_prim; ++iter) {
-        std::fill(lane_changed_.begin(), lane_changed_.end(), 0);
-        bool any = false;
-        for (PrimId pid : comp.prims) {
-          if (!prim_in_[pid]) continue;
-          any = eval_prim(pid) || any;
-          if (abort_) return false;
-        }
-        if (!any) break;
-        if (iter + 1 == opts_.max_evals_per_prim) {
-          // Still changing at the cap: those lanes oscillate, mirroring
-          // the per-case eval-count guard.
-          for (std::size_t l = 0; l < lanes_; ++l) {
-            if (lane_changed_[l]) res_.lanes[l].converged = false;
+        for (std::size_t iter = 0; iter < opts_.max_evals_per_prim; ++iter) {
+          std::fill(lane_changed_.begin(), lane_changed_.end(), 0);
+          bool any = false;
+          for (PrimId pid : comp.prims) {
+            any = eval_prim(pid) || any;
+            if (abort_) return false;
+          }
+          if (!any) break;
+          if (iter + 1 == opts_.max_evals_per_prim) {
+            // Still changing at the cap: those lanes oscillate, mirroring
+            // the per-case eval-count guard.
+            for (std::size_t l = 0; l < lanes_; ++l) {
+              if (lane_changed_[l]) res_.lanes[l].converged = false;
+            }
           }
         }
       }
@@ -203,13 +219,12 @@ class BlockSweep {
     return true;
   }
 
-  /// Evaluates one primitive across all dirty lanes. Returns true when any
-  /// lane's output cell changed; sets abort_ when the table fills.
+  /// Evaluates one primitive across all dirty lanes and enqueues the
+  /// consumers of its output when a lane's cell changed. Returns true on
+  /// such a change; sets abort_ when the table fills.
   bool eval_prim(PrimId pid) {
     const Primitive& p = nl_.prim(pid);
     if (prim_is_checker(p.kind) || p.output == kNoSignal) return false;
-    std::int32_t out_row = row_of_[p.output];
-    if (out_row < 0) return false;
     const std::size_t nin = p.inputs.size();
     const std::size_t L = lanes_;
 
@@ -233,9 +248,9 @@ class BlockSweep {
     for (const Pin& pin : p.inputs) in_row_.push_back(row_of_[pin.sig]);
     for (std::size_t i = 0; i < nin; ++i) {
       std::int32_t row = in_row_[i];
-      if (row < 0) continue;  // input outside every cone: at base in all lanes
-      const WaveformRef* rr = arena_->refs(static_cast<std::size_t>(row));
-      const std::uint32_t* ss = arena_->strs(static_cast<std::size_t>(row));
+      if (row < 0) continue;  // no lane moved this input: at base everywhere
+      const WaveformRef* rr = arena_.refs(static_cast<std::size_t>(row));
+      const std::uint32_t* ss = arena_.strs(static_cast<std::size_t>(row));
       const WaveformRef br = base_ref_[static_cast<std::size_t>(row)];
       const std::uint32_t bs = base_str_[static_cast<std::size_t>(row)];
       for (std::size_t l = 0; l < L; ++l) {
@@ -243,10 +258,9 @@ class BlockSweep {
       }
     }
 
-    // Most primitives in the block's cone union are dirty in only a few
-    // lanes (often none once a lane's divergence converges back to the base
-    // waveform); skip the key build and lane loop outright when the whole
-    // mask is clean.
+    // A visited primitive is often dirty in no lane at all (a divergence
+    // that converged back to the base waveform in every lane that reached
+    // it); skip the key build and lane loop outright.
     bool any_dirty = false;
     for (std::size_t l = 0; l < L; ++l) any_dirty = any_dirty || dirty_[l];
     if (!any_dirty) {
@@ -284,8 +298,29 @@ class BlockSweep {
     prev_ref_.assign(nin, kNoWaveform);
     prev_str_.assign(nin, 0);
 
-    WaveformRef* out_r = arena_->refs(static_cast<std::size_t>(out_row));
-    std::uint32_t* out_s = arena_->strs(static_cast<std::size_t>(out_row));
+    // The output row exists once some lane moved the output; until then
+    // every lane's cell is the baseline.
+    std::int32_t out_row = row_of_[p.output];
+    const WaveformRef out_base_ref =
+        p.output < base_refs_.size() ? base_refs_[p.output] : kNoWaveform;
+    const std::uint32_t out_base_str = pool_.intern(nl_.signal(p.output).eval_str);
+    WaveformRef* out_r = nullptr;
+    std::uint32_t* out_s = nullptr;
+    auto bind_output = [&]() -> bool {
+      if (out_row < 0) {
+        out_row = ensure_row(p.output);
+        if (out_row < 0) return false;
+        // A self-loop reads its own output: later lanes read the new row.
+        for (std::size_t i = 0; i < nin; ++i) {
+          if (p.inputs[i].sig == p.output) in_row_[i] = out_row;
+        }
+      }
+      out_r = arena_.refs(static_cast<std::size_t>(out_row));
+      out_s = arena_.strs(static_cast<std::size_t>(out_row));
+      return true;
+    };
+    if (out_row >= 0) bind_output();
+
     bool any = false;
     bool have_prev = false;
     std::int8_t prev_map = -1;
@@ -299,9 +334,9 @@ class BlockSweep {
       }
       for (std::size_t i = 0; i < nin; ++i) {
         std::int32_t row = in_row_[i];
-        lane_ref_[i] = row >= 0 ? arena_->refs(static_cast<std::size_t>(row))[l]
+        lane_ref_[i] = row >= 0 ? arena_.refs(static_cast<std::size_t>(row))[l]
                                 : in_base_ref_[i];
-        lane_str_[i] = row >= 0 ? arena_->strs(static_cast<std::size_t>(row))[l]
+        lane_str_[i] = row >= 0 ? arena_.strs(static_cast<std::size_t>(row))[l]
                                 : in_base_str_[i];
       }
       std::int8_t mv = maps ? (*maps)[l] : -1;
@@ -353,6 +388,8 @@ class BlockSweep {
         }
         if (opts_.max_segments_per_signal != 0 &&
             ctx_.table.get(final_ref).segments().size() > opts_.max_segments_per_signal) {
+          // The once-per-cell record needs the cell's row.
+          if (!bind_output()) return any;
           std::size_t cell = static_cast<std::size_t>(out_row) * L + l;
           if (!seg_degraded_[cell]) {
             seg_degraded_[cell] = 1;
@@ -369,28 +406,30 @@ class BlockSweep {
         prev_str_ = lane_str_;
         have_prev = true;
       }
-      if (prev_final != out_r[l] || prev_final_str != out_s[l]) {
+      const WaveformRef cur_ref = out_r ? out_r[l] : out_base_ref;
+      const std::uint32_t cur_str = out_s ? out_s[l] : out_base_str;
+      if (prev_final != cur_ref || prev_final_str != cur_str) {
+        if (!out_r && !bind_output()) return any;
         out_r[l] = prev_final;
         out_s[l] = prev_final_str;
         lane_changed_[l] = 1;
         any = true;
       }
     }
+    if (any) enqueue_fanout(p.output);
     return any;
   }
 
   /// Writes each lane's divergences from base into its snapshot -- the same
-  /// final shape the per-case runner leaves, so checking is shared.
+  /// final shape the per-case runner leaves, so checking is shared. Only
+  /// rows some lane moved exist, so this walks the diverged rows alone.
   void materialize() {
-    for (std::size_t l = 0; l < lanes_; ++l) {
-      EvalSnapshot& snap = snaps_[l];
-      const Cone& cone = *cones_[first_ + l];
-      for (SignalId sig : cone.signals) {
-        std::size_t r = static_cast<std::size_t>(row_of_[sig]);
-        WaveformRef fr = arena_->refs(r)[l];
-        std::uint32_t fs = arena_->strs(r)[l];
-        if (fr == base_ref_[r] && fs == base_str_[r]) continue;
-        snap.set_ref(sig, fr, pool_.str(fs));
+    for (std::size_t r = 0; r < row_sig_.size(); ++r) {
+      const WaveformRef* rr = arena_.refs(r);
+      const std::uint32_t* ss = arena_.strs(r);
+      for (std::size_t l = 0; l < lanes_; ++l) {
+        if (rr[l] == base_ref_[r] && ss[l] == base_str_[r]) continue;
+        snaps_[l].set_ref(row_sig_[r], rr[l], pool_.str(ss[l]));
       }
     }
   }
@@ -403,19 +442,19 @@ class BlockSweep {
   const std::vector<CaseSpec>& cases_;
   const std::size_t first_;
   const std::size_t lanes_;
-  const std::vector<std::shared_ptr<const Cone>>& cones_;
   std::vector<EvalSnapshot>& snaps_;
 
   BatchBlockResult res_;
   EvalStrPool pool_;
-  std::unique_ptr<BatchArena> arena_;
-  std::vector<std::int32_t> row_of_;   // SignalId -> arena row, -1 outside
+  BatchArena arena_;
+  std::vector<std::int32_t> row_of_;   // SignalId -> arena row, -1 at base in every lane
   std::vector<SignalId> row_sig_;      // arena row -> SignalId
-  std::vector<char> prim_in_;          // PrimId -> in some cone of the block
   std::vector<WaveformRef> base_ref_;  // per-row baseline ref
   std::vector<std::uint32_t> base_str_;
   std::unordered_map<SignalId, std::vector<std::int8_t>> case_map_;
-  std::vector<char> seg_degraded_;  // [row][lane]: segment cap already fired
+  std::vector<char> seg_degraded_;     // [row][lane]: segment cap already fired
+  std::vector<std::uint64_t> pending_;  // schedule positions awaiting a visit
+  std::uint32_t current_ = BatchSchedule::kNoPosition;  // component being evaluated
   WaveformRef unknown_ref_ = kNoWaveform;
   bool abort_ = false;
 
@@ -443,8 +482,10 @@ BatchBlockResult run_case_block(const Netlist& nl, const VerifierOptions& opts,
                                 std::size_t first, std::size_t count,
                                 const std::vector<std::shared_ptr<const Cone>>& cones,
                                 std::vector<EvalSnapshot>& snaps) {
-  return BlockSweep(nl, opts, sched, ctx, base_refs, cases, first, count, cones, snaps)
-      .run();
+  // The cones are the snapshots' own (each lane writes inside its cone);
+  // the sweep itself follows the disturbance, not the cones.
+  (void)cones;
+  return BlockSweep(nl, opts, sched, ctx, base_refs, cases, first, count, snaps).run();
 }
 
 }  // namespace tv

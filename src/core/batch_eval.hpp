@@ -11,13 +11,17 @@
 //   * state is a structure-of-arrays arena (core/batch_arena.hpp) of
 //     interned 32-bit waveform refs laid out [signal][lane];
 //   * the schedule is the SCC condensation of the primitive graph (the
-//     same Tarjan machinery as the oscillation localizer), walked once in
-//     topological order; cyclic components iterate to an intra-component
-//     fixpoint with the per-case oscillation guard as the iteration cap;
-//   * at each primitive, a branch-minimal pass over the input rows marks
-//     the lanes whose inputs diverged from the base fixpoint; all other
-//     lanes are *skipped entirely* -- they provably hold the base value --
-//     which generalizes PR 1's cone scoping to per-primitive-per-lane
+//     same Tarjan machinery as the oscillation localizer) in topological
+//     order; cyclic components iterate to an intra-component fixpoint with
+//     the per-case oscillation guard as the iteration cap;
+//   * the sweep follows the disturbance: a bitset over schedule positions,
+//     seeded with the case pins, holds the components a changed cell has
+//     reached, and is drained in ascending order, so a block visits only
+//     the consumers of cells some lane actually moved;
+//   * at each visited primitive, a branch-minimal pass over the input rows
+//     marks the lanes whose inputs diverged from the base fixpoint; all
+//     other lanes are *skipped entirely* -- they provably hold the base
+//     value -- which generalizes cone scoping to per-primitive-per-lane
 //     granularity;
 //   * dirty lanes share one memo-key skeleton per primitive (per-lane ref
 //     patching instead of per-eval key construction) and feed the same
@@ -34,6 +38,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -59,6 +64,10 @@ struct BatchSchedule {
   /// Per primitive: 1 iff it belongs to a cyclic component (a feedback
   /// loop, where the fixpoint can depend on evaluation history).
   std::vector<char> in_cycle;
+  /// Per primitive: the index of its component in `components`, or
+  /// kNoPosition for checkers and primitives that drive nothing.
+  std::vector<std::uint32_t> position;
+  static constexpr std::uint32_t kNoPosition = 0xFFFFFFFFu;
 };
 
 BatchSchedule build_batch_schedule(const Netlist& nl);
@@ -66,7 +75,7 @@ BatchSchedule build_batch_schedule(const Netlist& nl);
 /// Per-lane cost and convergence accounting for one block sweep.
 struct BatchLaneStats {
   std::size_t evals = 0;       // primitive evaluations performed for this lane
-  std::size_t lane_skips = 0;  // primitive visits skipped by the base-ref test
+  std::size_t lane_skips = 0;  // visited primitives where this lane was clean
   bool converged = true;
   bool degraded = false;
   std::vector<Degradation> degradations;
@@ -84,10 +93,11 @@ struct BatchBlockResult {
 /// Evaluates cases[first .. first+count) as lockstep lanes of one sweep.
 /// `cones[first + l]` is lane l's affected cone and `snaps[l]` its (fresh)
 /// snapshot; on success each snapshot holds exactly the lane's divergences
-/// from the base fixpoint, ready for run_checks_scoped -- the same shape
-/// the per-case runner leaves behind, so checking and reporting are shared
-/// verbatim. `base_refs` is the baseline fixpoint's per-signal ref array
-/// and `ctx` the run's shared intern context (both from the Evaluator).
+/// from the base fixpoint, ready for run_checks_batch or run_checks_scoped
+/// -- the same shape the per-case runner leaves behind, so checking and
+/// reporting are shared verbatim. `base_refs` is the baseline fixpoint's
+/// per-signal ref array and `ctx` the run's shared intern context (both
+/// from the Evaluator).
 BatchBlockResult run_case_block(const Netlist& nl, const VerifierOptions& opts,
                                 const BatchSchedule& sched, InternContext& ctx,
                                 const std::vector<WaveformRef>& base_refs,

@@ -92,15 +92,38 @@ struct CheckContext {
   }
 };
 
+// The DATA/CLOCK lines of a two-input checker's report, formatted on the
+// first violation only: most checks pass, and the text costs two
+// Waveform::to_string calls.
+class DataClockText {
+ public:
+  DataClockText(const CheckContext& ctx, const Primitive& p, const Waveform& data,
+                const Waveform& ck)
+      : ctx_(ctx), p_(p), data_(data), ck_(ck) {}
+
+  const std::string& get() {
+    if (text_.empty()) {
+      text_ = ctx_.describe("DATA INPUT ", p_.inputs[0], data_) +
+              ctx_.describe("CLOCK INPUT", p_.inputs[1], ck_);
+    }
+    return text_;
+  }
+
+ private:
+  const CheckContext& ctx_;
+  const Primitive& p_;
+  const Waveform& data_;
+  const Waveform& ck_;
+  std::string text_;
+};
+
 void check_setup_hold(CheckContext& ctx, PrimId pid) {
   const Primitive& p = ctx.nl.prim(pid);
   PreparedInput data_in = ctx.ev.prepare(p.inputs[0]);
   PreparedInput ck_in = ctx.ev.prepare(p.inputs[1]);
   Waveform data = data_in.wave.with_skew_incorporated();
   Waveform ck = ck_in.wave.with_skew_incorporated();
-
-  std::string waves = ctx.describe("DATA INPUT ", p.inputs[0], data) +
-                      ctx.describe("CLOCK INPUT", p.inputs[1], ck);
+  DataClockText waves{ctx, p, data, ck};
   char hdr[160];
 
   for (const EdgeWindow& e : check_edges(ck, /*rising=*/true)) {
@@ -115,7 +138,7 @@ void check_setup_hold(CheckContext& ctx, PrimId pid) {
                       "SETUP TIME = %s, HOLD TIME = %s, SETUP TIME MISSED BY %s\n",
                       format_ns(p.setup).c_str(), format_ns(p.hold).c_str(),
                       format_ns(missed).c_str());
-        ctx.add(Violation::Type::Setup, p, pid, p.inputs[0].sig, missed, hdr + waves);
+        ctx.add(Violation::Type::Setup, p, pid, p.inputs[0].sig, missed, hdr + waves.get());
       }
     }
     // The input must not move during the edge uncertainty window itself
@@ -124,7 +147,7 @@ void check_setup_hold(CheckContext& ctx, PrimId pid) {
     if (edge_width > 0 && !data.steady_over(e.start, e.start + edge_width + 1)) {
       std::snprintf(hdr, sizeof hdr, "DATA CHANGING DURING CLOCK EDGE WINDOW %s-%s\n",
                     format_ns(e.start).c_str(), format_ns(e.end).c_str());
-      ctx.add(Violation::Type::Setup, p, pid, p.inputs[0].sig, p.setup, hdr + waves);
+      ctx.add(Violation::Type::Setup, p, pid, p.inputs[0].sig, p.setup, hdr + waves.get());
     }
     // Hold: steady for `hold` after the latest possible edge. A negative
     // hold time (register-file data sheets) needs no check.
@@ -136,7 +159,7 @@ void check_setup_hold(CheckContext& ctx, PrimId pid) {
                       "SETUP TIME = %s, HOLD TIME = %s, HOLD TIME MISSED BY %s\n",
                       format_ns(p.setup).c_str(), format_ns(p.hold).c_str(),
                       format_ns(missed).c_str());
-        ctx.add(Violation::Type::Hold, p, pid, p.inputs[0].sig, missed, hdr + waves);
+        ctx.add(Violation::Type::Hold, p, pid, p.inputs[0].sig, missed, hdr + waves.get());
       }
     }
   }
@@ -148,8 +171,7 @@ void check_setup_rise_hold_fall(CheckContext& ctx, PrimId pid) {
   PreparedInput ck_in = ctx.ev.prepare(p.inputs[1]);
   Waveform data = data_in.wave.with_skew_incorporated();
   Waveform ck = ck_in.wave.with_skew_incorporated();
-  std::string waves = ctx.describe("DATA INPUT ", p.inputs[0], data) +
-                      ctx.describe("CLOCK INPUT", p.inputs[1], ck);
+  DataClockText waves{ctx, p, data, ck};
   char hdr[160];
 
   std::vector<EdgeWindow> rises = check_edges(ck, true);
@@ -162,7 +184,7 @@ void check_setup_rise_hold_fall(CheckContext& ctx, PrimId pid) {
         Time missed = p.setup - avail;
         std::snprintf(hdr, sizeof hdr, "SETUP TIME = %s, SETUP TIME MISSED BY %s\n",
                       format_ns(p.setup).c_str(), format_ns(missed).c_str());
-        ctx.add(Violation::Type::Setup, p, pid, p.inputs[0].sig, missed, hdr + waves);
+        ctx.add(Violation::Type::Setup, p, pid, p.inputs[0].sig, missed, hdr + waves.get());
       }
     }
     // Stable for the entire interval the clock is (possibly) true: from the
@@ -180,7 +202,7 @@ void check_setup_rise_hold_fall(CheckContext& ctx, PrimId pid) {
       if (f && !data.steady_over(r.start, r.start + best + 1)) {
         std::snprintf(hdr, sizeof hdr, "INPUT NOT STABLE WHILE CLOCK TRUE (%s-%s)\n",
                       format_ns(r.start).c_str(), format_ns(f->end).c_str());
-        ctx.add(Violation::Type::StableWhileHigh, p, pid, p.inputs[0].sig, 0, hdr + waves);
+        ctx.add(Violation::Type::StableWhileHigh, p, pid, p.inputs[0].sig, 0, hdr + waves.get());
       }
     }
   }
@@ -191,7 +213,7 @@ void check_setup_rise_hold_fall(CheckContext& ctx, PrimId pid) {
         Time missed = p.hold - avail;
         std::snprintf(hdr, sizeof hdr, "HOLD TIME = %s, HOLD TIME MISSED BY %s\n",
                       format_ns(p.hold).c_str(), format_ns(missed).c_str());
-        ctx.add(Violation::Type::Hold, p, pid, p.inputs[0].sig, missed, hdr + waves);
+        ctx.add(Violation::Type::Hold, p, pid, p.inputs[0].sig, missed, hdr + waves.get());
       }
     }
   }
@@ -249,9 +271,12 @@ void check_hazard_directives(CheckContext& ctx, PrimId pid) {
   const Primitive& p = ctx.nl.prim(pid);
   if (prim_is_checker(p.kind)) return;
   for (std::size_t i = 0; i < p.inputs.size(); ++i) {
-    PreparedInput clk = ctx.ev.prepare(p.inputs[i]);
-    if (!clk.has_directive_string) continue;
-    if (clk.directive != 'A' && clk.directive != 'H') continue;
+    // The directive prepare_input would resolve: the pin's own string,
+    // else the one propagated along the signal. Only &A/&H pins check.
+    const Pin& pin = p.inputs[i];
+    const std::string& dirs = !pin.directives.empty() ? pin.directives : ctx.ev.eval_str(pin.sig);
+    if (dirs.empty() || (dirs[0] != 'A' && dirs[0] != 'H')) continue;
+    PreparedInput clk = ctx.ev.prepare(pin);
     Waveform ck = clk.wave.with_skew_incorporated();
 
     // Asserted regions: any time the clock may be non-zero -- UNKNOWN
@@ -428,8 +453,10 @@ std::vector<SlackEntry> compute_slacks(const Evaluator& ev) {
     e.hold_slack = period;
 
     // Set-up margin against every relevant rising edge (uncapped run so
-    // positive margins are visible, not clamped at the requirement).
-    for (const EdgeWindow& edge : edge_windows(ck, /*rising=*/true)) {
+    // positive margins are visible, not clamped at the requirement). The
+    // edges are the checker's own (check_edges), so an UNKNOWN or
+    // never-steady clock yields the margins the violation list reports.
+    for (const EdgeWindow& edge : check_edges(ck, /*rising=*/true)) {
       Time avail = steady_run_until(data, edge.start, period);
       e.setup_slack = std::min(e.setup_slack, avail - p.setup);
       e.has_setup = true;
@@ -438,7 +465,7 @@ std::vector<SlackEntry> compute_slacks(const Evaluator& ev) {
     // falling edge for the memory-style checker.
     if (p.hold > 0) {
       bool rising_hold = p.kind == PrimKind::SetupHoldChk;
-      for (const EdgeWindow& edge : edge_windows(ck, rising_hold)) {
+      for (const EdgeWindow& edge : check_edges(ck, rising_hold)) {
         Time avail = steady_run_from(data, edge.end, period);
         e.hold_slack = std::min(e.hold_slack, avail - p.hold);
         e.has_hold = true;
@@ -597,53 +624,17 @@ std::vector<Violation> run_checks_scoped(const EvalView& view, const Cone& cone,
 
 std::vector<std::vector<Violation>> run_checks_batch(
     const VerifierOptions& opts, const std::vector<const EvalSnapshot*>& snaps,
-    const std::vector<const Cone*>& cones, const std::vector<char>& lane_converged,
+    const std::vector<const Cone*>& /*cones*/, const std::vector<char>& lane_converged,
     const std::vector<WaveformRef>& base_refs, const std::vector<Violation>& base) {
   const std::size_t L = snaps.size();
   std::vector<std::vector<Violation>> out(L);
   if (L == 0) return out;
   const Netlist& nl = snaps[0]->netlist();
 
-  std::vector<EvalView> views;
-  views.reserve(L);
-  for (std::size_t l = 0; l < L; ++l) {
-    views.emplace_back(*snaps[l], opts, static_cast<bool>(lane_converged[l]));
-    if (!lane_converged[l]) add_unconverged(out[l]);
-  }
-
-  // The lane-skip test: lane l's cell for `sig` (waveform ref + eval
-  // string) still equals the baseline fixpoint. Identity of the string
-  // reference short-circuits the common unwritten-slot case.
-  auto cell_clean = [&](std::size_t l, SignalId sig) {
-    WaveformRef br = sig < base_refs.size() ? base_refs[sig] : kNoWaveform;
-    if (snaps[l]->wave_ref(sig) != br) return false;
-    const std::string& cur = snaps[l]->eval_str(sig);
-    const std::string& bs = nl.signal(sig).eval_str;
-    return &cur == &bs || cur == bs;
-  };
-
-  // One pass over the block's cone cells: which signals diverged anywhere,
-  // and which can carry a directive string in some lane (hazard checks read
-  // directives off the *propagated* eval string, so a gate with no static
-  // "&" pins can still become check-capable through a diverged input).
-  std::vector<char> sig_diverged(nl.num_signals(), 0);
-  std::vector<char> sig_str(nl.num_signals(), 0);
-  for (SignalId id = 0; id < nl.num_signals(); ++id) {
-    if (!nl.signal(id).eval_str.empty()) sig_str[id] = 1;
-  }
-  for (std::size_t l = 0; l < L; ++l) {
-    for (SignalId sig : cones[l]->signals) {
-      if (sig_diverged[sig] && sig_str[sig]) continue;
-      if (cell_clean(l, sig)) continue;
-      sig_diverged[sig] = 1;
-      if (!snaps[l]->eval_str(sig).empty()) sig_str[sig] = 1;
-    }
-  }
-
   // Baseline findings grouped exactly as run_checks_scoped groups them.
   std::vector<const Violation*> by_prim, by_signal;
   for (const Violation& v : base) {
-    if (v.type == Violation::Type::Unconverged) continue;  // re-derived above
+    if (v.type == Violation::Type::Unconverged) continue;  // re-derived per lane
     if (v.type == Violation::Type::StableAssertionViolated) {
       by_signal.push_back(&v);
     } else {
@@ -657,92 +648,60 @@ std::vector<std::vector<Violation>> run_checks_batch(
     return a->signal < b->signal;
   });
 
-  // The primitives that can contribute findings to *some* lane. Everything
-  // else yields nothing for every lane -- check_prim on a gate without a
-  // directive-carrying input is a no-op -- so the walk visits a small,
-  // shared set instead of every primitive once per lane.
-  std::vector<PrimId> relevant;
-  {
-    std::vector<char> mark(nl.num_prims(), 0);
-    for (PrimId pid = 0; pid < nl.num_prims(); ++pid) {
-      const Primitive& p = nl.prim(pid);
-      bool capable = prim_is_checker(p.kind);
-      for (std::size_t i = 0; !capable && i < p.inputs.size(); ++i) {
-        capable = !p.inputs[i].directives.empty() || sig_str[p.inputs[i].sig];
-      }
-      mark[pid] = static_cast<char>(capable);
-    }
-    for (const Violation* v : by_prim) {
-      if (v->prim != kNoPrim) mark[v->prim] = 1;
-    }
-    for (PrimId pid = 0; pid < nl.num_prims(); ++pid) {
-      if (mark[pid]) relevant.push_back(pid);
-    }
-  }
-
-  std::size_t bp = 0;
-  for (PrimId pid : relevant) {
-    // Baseline findings for this primitive (ascending walk, so the group
-    // starts wherever the cursor stopped).
-    while (bp < by_prim.size() && by_prim[bp]->prim < pid) ++bp;
-    std::size_t gb = bp, ge = bp;
-    while (ge < by_prim.size() && by_prim[ge]->prim == pid) ++ge;
-    bp = ge;
-    const Primitive& p = nl.prim(pid);
-    for (std::size_t l = 0; l < L; ++l) {
-      bool recompute = false;
-      if (cones[l]->contains_prim(pid)) {
-        for (const Pin& pin : p.inputs) {
-          if (!cell_clean(l, pin.sig)) {
-            recompute = true;
-            break;
-          }
-        }
-      }
-      if (recompute) {
-        CheckContext ctx{views[l], nl, out[l]};
-        check_prim(ctx, pid);
+  // Appends, in ascending id order, the recomputed findings of the ids in
+  // `redo` (sorted, unique) and copies of the baseline findings `group` of
+  // every other id; `id_of` names a finding's primitive or signal.
+  auto merge = [](const std::vector<std::uint32_t>& redo,
+                  const std::vector<const Violation*>& group, auto id_of, auto recheck,
+                  std::vector<Violation>& dst) {
+    std::size_t r = 0, g = 0;
+    while (r < redo.size() || g < group.size()) {
+      if (g == group.size() || (r < redo.size() && redo[r] <= id_of(*group[g]))) {
+        const std::uint32_t id = redo[r++];
+        recheck(id);
+        while (g < group.size() && id_of(*group[g]) == id) ++g;  // superseded
       } else {
-        // Outside the cone, or inside with every input cell at base: the
-        // recheck provably reproduces the baseline findings.
-        for (std::size_t g = gb; g < ge; ++g) out[l].push_back(*by_prim[g]);
+        dst.push_back(*group[g++]);
       }
     }
-  }
+  };
 
-  // Assertion phase: only signals carrying baseline assertion findings or a
-  // checkable assertion that some lane actually moved.
-  std::vector<SignalId> relevant_sigs;
-  {
-    std::vector<char> mark(nl.num_signals(), 0);
-    for (SignalId id = 0; id < nl.num_signals(); ++id) {
-      const Signal& s = nl.signal(id);
-      if (sig_diverged[id] && s.assertion.kind == Assertion::Kind::Stable &&
-          s.driver != kNoPrim) {
-        mark[id] = 1;
+  // Each lane on its own: a check reads only its primitive's input cells
+  // (or its one asserted signal), so a lane re-runs exactly the checks that
+  // read one of its diverged cells -- every other check reproduces the
+  // baseline findings, which are copied. The diverged cells are the
+  // snapshot's written cells that differ from the baseline; the walk costs
+  // what the lane disturbed, not its cone or the netlist.
+  std::vector<SignalId> diverged;
+  std::vector<std::uint32_t> redo_prims, redo_sigs;
+  for (std::size_t l = 0; l < L; ++l) {
+    const EvalSnapshot& snap = *snaps[l];
+    EvalView view(snap, opts, static_cast<bool>(lane_converged[l]));
+    if (!lane_converged[l]) add_unconverged(out[l]);
+    diverged.clear();
+    for (SignalId sig : snap.written()) {
+      WaveformRef br = sig < base_refs.size() ? base_refs[sig] : kNoWaveform;
+      if (snap.wave_ref(sig) == br && snap.eval_str(sig) == nl.signal(sig).eval_str) continue;
+      diverged.push_back(sig);
+    }
+    redo_prims.clear();
+    redo_sigs.clear();
+    for (SignalId sig : diverged) {
+      const Signal& s = nl.signal(sig);
+      redo_prims.insert(redo_prims.end(), s.fanout.begin(), s.fanout.end());
+      if (s.assertion.kind == Assertion::Kind::Stable && s.driver != kNoPrim) {
+        redo_sigs.push_back(sig);
       }
     }
-    for (const Violation* v : by_signal) {
-      if (v->signal != kNoSignal) mark[v->signal] = 1;
-    }
-    for (SignalId id = 0; id < nl.num_signals(); ++id) {
-      if (mark[id]) relevant_sigs.push_back(id);
-    }
-  }
-  std::size_t bs = 0;
-  for (SignalId id : relevant_sigs) {
-    while (bs < by_signal.size() && by_signal[bs]->signal < id) ++bs;
-    std::size_t gb = bs, ge = bs;
-    while (ge < by_signal.size() && by_signal[ge]->signal == id) ++ge;
-    bs = ge;
-    for (std::size_t l = 0; l < L; ++l) {
-      if (cones[l]->contains_signal(id) && !cell_clean(l, id)) {
-        CheckContext ctx{views[l], nl, out[l]};
-        check_stable_assertion(ctx, id);
-      } else {
-        for (std::size_t g = gb; g < ge; ++g) out[l].push_back(*by_signal[g]);
-      }
-    }
+    std::sort(redo_prims.begin(), redo_prims.end());
+    redo_prims.erase(std::unique(redo_prims.begin(), redo_prims.end()), redo_prims.end());
+    std::sort(redo_sigs.begin(), redo_sigs.end());
+
+    CheckContext ctx{view, nl, out[l]};
+    merge(redo_prims, by_prim, [](const Violation& v) { return v.prim; },
+          [&](PrimId pid) { check_prim(ctx, pid); }, out[l]);
+    merge(redo_sigs, by_signal, [](const Violation& v) { return v.signal; },
+          [&](SignalId id) { check_stable_assertion(ctx, id); }, out[l]);
   }
   return out;
 }

@@ -65,17 +65,15 @@ std::vector<Violation> run_checks_scoped(const EvalView& view, const Cone& cone,
                                          std::vector<Degradation>* degradations = nullptr);
 
 /// Lane-batched checking for a block of case snapshots (the batch engine's
-/// companion to run_checks_scoped; docs/batch_eval.md). One walk over the
-/// primitives and signals that can contribute findings -- checker
-/// primitives, hazard-capable gates, stable-asserted signals, and anything
-/// carrying baseline violations -- produces every lane's violation list at
-/// once. Per (lane, primitive), the lane-skip rule applies to checking
-/// exactly as it does to evaluation: a lane whose input cells (waveform
-/// ref, eval string) all still equal the baseline fixpoint provably
-/// reproduces the baseline findings, so they are copied instead of
-/// recomputed; only genuinely diverged checker-lanes re-run. Every lane's
-/// list is byte-identical to what run_checks_scoped(view_l, cone_l, base)
-/// would return.
+/// companion to run_checks_scoped; docs/batch_eval.md). A check reads only
+/// its primitive's input cells (waveform ref, eval string), or its one
+/// asserted signal, so per lane only the checks reading a *diverged* cell
+/// -- a written snapshot cell that differs from the baseline fixpoint --
+/// re-run: the fanout primitives of those cells and their own stable
+/// assertions. Every other check provably reproduces the baseline
+/// findings, which are copied. The walk costs what each lane disturbed.
+/// Every lane's list is byte-identical to what run_checks_scoped(view_l,
+/// cone_l, base) would return; `cones` is not read.
 ///
 /// Preconditions (guaranteed by the batch engine's eligibility gate): all
 /// snapshots share one netlist and interned baseline (`base_refs`), and no

@@ -1,5 +1,6 @@
 #include "core/snapshot.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/propagate.hpp"
@@ -10,28 +11,23 @@ namespace tv {
 EvalSnapshot::EvalSnapshot(const Netlist& nl, std::shared_ptr<const Cone> cone,
                            InternContext* ctx,
                            const std::vector<WaveformRef>* base_refs)
-    : nl_(nl), cone_(std::move(cone)), intern_(ctx), base_refs_(base_refs) {
-  waves_.resize(cone_->signals.size());
-  eval_strs_.resize(cone_->signals.size());
-  refs_.assign(cone_->signals.size(), kNoWaveform);
-  written_.assign(cone_->signals.size(), 0);
-}
+    : nl_(nl), cone_(std::move(cone)), intern_(ctx), base_refs_(base_refs) {}
 
 std::size_t EvalSnapshot::disturbed_signals() const {
   std::size_t n = 0;
-  for (std::size_t slot = 0; slot < cone_->signals.size(); ++slot) {
-    if (!written_[slot]) continue;  // unwritten slots hold the baseline
-    SignalId id = cone_->signals[slot];
+  for (std::size_t i = 0; i < written_.size(); ++i) {
+    const SignalId id = written_[i];
+    const Entry& e = entries_[i];
     const Signal& s = nl_.signal(id);
-    if (eval_strs_[slot] != s.eval_str) {
+    if (e.eval_str != s.eval_str) {
       ++n;
       continue;
     }
     WaveformRef base =
         base_refs_ && id < base_refs_->size() ? (*base_refs_)[id] : kNoWaveform;
-    if (refs_[slot] != kNoWaveform && base != kNoWaveform) {
-      if (refs_[slot] != base) ++n;  // interned: divergence is a ref compare
-    } else if (!waves_[slot].equivalent(s.wave)) {
+    if (e.ref != kNoWaveform && base != kNoWaveform) {
+      if (e.ref != base) ++n;  // interned: divergence is a ref compare
+    } else if (!wave(id).equivalent(s.wave)) {
       ++n;
     }
   }
@@ -39,16 +35,29 @@ std::size_t EvalSnapshot::disturbed_signals() const {
 }
 
 void EvalSnapshot::set_ref(SignalId id, WaveformRef ref, std::string eval_str, Waveform w) {
-  std::int32_t slot = cone_->signal_slot[id];
-  if (slot < 0) throw std::logic_error("EvalSnapshot::set_ref outside the cone");
-  if (ref == kNoWaveform) {
-    waves_[slot] = std::move(w);
-  } else {
-    waves_[slot] = intern_->table.get(ref);
+  if (!cone_->contains_signal(id)) {
+    throw std::logic_error("EvalSnapshot::set_ref outside the cone");
   }
-  eval_strs_[slot] = std::move(eval_str);
-  refs_[slot] = ref;
-  written_[slot] = 1;
+  Entry* e = nullptr;
+  if (!written_.empty()) {
+    std::uint32_t k = index_[probe(id)];
+    if (k) e = &entries_[k - 1];
+  }
+  if (!e) {
+    // Keep the index at most half full: grow (and rehash) before adding.
+    if (2 * (written_.size() + 1) > index_.size()) {
+      index_.assign(std::max<std::size_t>(16, 2 * index_.size()), 0);
+      for (std::size_t i = 0; i < written_.size(); ++i) {
+        index_[probe(written_[i])] = static_cast<std::uint32_t>(i + 1);
+      }
+    }
+    index_[probe(id)] = static_cast<std::uint32_t>(written_.size() + 1);
+    written_.push_back(id);
+    e = &entries_.emplace_back();
+  }
+  e->ref = ref;
+  e->owned = ref == kNoWaveform ? std::move(w) : Waveform();
+  e->eval_str = std::move(eval_str);
 }
 
 namespace {

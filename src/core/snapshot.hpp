@@ -5,8 +5,8 @@
 // thesis' own observation -- a case only disturbs the fanout cone of its
 // pinned signals -- makes cases independent: an EvalSnapshot overlays just
 // the cone's waveforms over the baseline fixpoint, reads fall through to the
-// shared (immutable) baseline, and writes copy-on-write into dense
-// cone-local arrays. Nothing shared is ever touched, so cases evaluate
+// shared (immutable) baseline, and writes copy-on-write into a small
+// overlay of interned refs. Nothing shared is ever touched, so cases evaluate
 // concurrently and "clear case" is simply dropping the snapshot.
 //
 // The EvalView is the read side: checkers and reports address waveforms by
@@ -24,12 +24,20 @@ namespace tv {
 /// Per-case overlay over the baseline fixpoint, scoped to one cone.
 /// The netlist holds the baseline waves and must not be mutated while any
 /// snapshot on it is alive (reads are lock-free const access).
+///
+/// The overlay holds refs, not waveforms: a written signal keeps its
+/// interned WaveformRef and evaluation string, and wave() resolves the ref
+/// through the shared table, whose entries never move. Only an uninterned
+/// write (the table filled, TV-W203) keeps an owned Waveform copy. Entries
+/// exist for written signals alone, found through a small open-addressing
+/// index, so building and dropping a snapshot costs nothing per unwritten
+/// cone signal.
 class EvalSnapshot {
  public:
   /// `ctx` is the evaluator's shared arena + memo (shard-locked, so
   /// concurrent case workers may intern through it) and `base_refs` the
   /// baseline's per-signal refs. Interned storage is never mutated -- the
-  /// snapshot only writes its own cone-local slots -- so copy-on-write
+  /// snapshot only writes its own overlay entries -- so copy-on-write
   /// semantics are preserved. Both pointers must outlive the snapshot.
   EvalSnapshot(const Netlist& nl, std::shared_ptr<const Cone> cone,
                InternContext* ctx, const std::vector<WaveformRef>* base_refs);
@@ -38,33 +46,36 @@ class EvalSnapshot {
   const Cone& cone() const { return *cone_; }
   InternContext* intern_context() const { return intern_; }
 
-  /// Overlay value inside the cone once written, baseline otherwise.
+  /// Overlay value once written, baseline otherwise. An interned value's
+  /// reference lives as long as the table; an owned copy's only until the
+  /// next write to this snapshot.
   const Waveform& wave(SignalId id) const {
-    std::int32_t slot = cone_->signal_slot[id];
-    if (slot >= 0 && written_[slot]) return waves_[slot];
-    return nl_.signal(id).wave;
+    const Entry* e = find(id);
+    if (!e) return nl_.signal(id).wave;
+    return e->ref != kNoWaveform ? intern_->table.get(e->ref) : e->owned;
   }
+  /// Valid until the next write to this snapshot.
   const std::string& eval_str(SignalId id) const {
-    std::int32_t slot = cone_->signal_slot[id];
-    if (slot >= 0 && written_[slot]) return eval_strs_[slot];
-    return nl_.signal(id).eval_str;
+    const Entry* e = find(id);
+    return e ? e->eval_str : nl_.signal(id).eval_str;
   }
 
   /// Interned ref of the signal's current waveform: the overlay's ref once
   /// written, else the baseline ref. kNoWaveform for an uninterned copy
   /// (the table filled, TV-W203).
   WaveformRef wave_ref(SignalId id) const {
-    std::int32_t slot = cone_->signal_slot[id];
-    if (slot >= 0 && written_[slot]) return refs_[slot];
+    if (const Entry* e = find(id)) return e->ref;
     if (base_refs_ && id < base_refs_->size()) return (*base_refs_)[id];
     return kNoWaveform;
   }
 
-  /// Writes a cone signal's overlay slot (copy-on-write: the first write
-  /// materializes the slot; the baseline is never modified): the table's
-  /// canonical copy of `ref`, or `w` itself when `ref` is kNoWaveform (the
-  /// table filled). The signal must be inside the cone.
+  /// Writes a cone signal's overlay entry (copy-on-write: the baseline is
+  /// never modified): `ref`, or the owned copy `w` when `ref` is
+  /// kNoWaveform (the table filled). The signal must be inside the cone.
   void set_ref(SignalId id, WaveformRef ref, std::string eval_str, Waveform w = {});
+
+  /// The signals written so far, each once, in first-write order.
+  const std::vector<SignalId>& written() const { return written_; }
 
   /// Number of cone signals whose final (waveform, evaluation string)
   /// differ from the baseline fixpoint -- the signals this case disturbs.
@@ -74,14 +85,34 @@ class EvalSnapshot {
   std::size_t disturbed_signals() const;
 
  private:
+  struct Entry {
+    WaveformRef ref = kNoWaveform;
+    std::string eval_str;
+    Waveform owned;  // set only when ref == kNoWaveform
+  };
+
+  /// Index slot of `id`: linear probing over a power-of-two table of
+  /// entry numbers plus one (0 = empty).
+  std::size_t probe(SignalId id) const {
+    const std::size_t mask = index_.size() - 1;
+    std::size_t h = (static_cast<std::size_t>(id) * 0x9E3779B97F4A7C15ull) >> 32;
+    for (h &= mask; index_[h] != 0 && written_[index_[h] - 1] != id; h = (h + 1) & mask) {
+    }
+    return h;
+  }
+  const Entry* find(SignalId id) const {
+    if (written_.empty()) return nullptr;
+    std::uint32_t e = index_[probe(id)];
+    return e ? &entries_[e - 1] : nullptr;
+  }
+
   const Netlist& nl_;
   std::shared_ptr<const Cone> cone_;
   InternContext* intern_ = nullptr;               // shared, shard-locked
   const std::vector<WaveformRef>* base_refs_ = nullptr;
-  std::vector<Waveform> waves_;          // cone-local, slot-indexed
-  std::vector<std::string> eval_strs_;   // cone-local, slot-indexed
-  std::vector<WaveformRef> refs_;        // cone-local interned refs
-  std::vector<char> written_;            // copy-on-write marks
+  std::vector<SignalId> written_;      // entry i's signal
+  std::vector<Entry> entries_;
+  std::vector<std::uint32_t> index_;   // open addressing, at most half full
 };
 
 /// Read-only view of an evaluation state for checking and reporting: the

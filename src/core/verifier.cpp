@@ -162,23 +162,30 @@ VerifyResult Verifier::verify_impl(const std::vector<CaseSpec>& cases) {
   r.cross_reference = ev_.netlist().undefined_unasserted();
   if (cases.empty()) return r;
 
-  // Validate every case up front (so no worker throws mid-flight) and
-  // resolve each pin set to its affected cone. Cones are memoized: a case
-  // file sweeping one control bus costs a single BFS.
-  const ConeIndex& cone_idx = cone_index();
-  std::vector<std::shared_ptr<const Cone>> cones;
-  cones.reserve(cases.size());
+  // Validate every case up front, in order, so the first bad case throws
+  // the same error at every job count and no worker throws mid-flight.
+  const std::size_t num_signals = ev_.netlist().num_signals();
   for (const CaseSpec& c : cases) {
-    std::vector<SignalId> pins;
-    pins.reserve(c.pins.size());
-    for (const auto& [sig, val] : c.pins) {
-      if (val != Value::Zero && val != Value::One) {
+    for (const auto& pin : c.pins) {
+      if (pin.second != Value::Zero && pin.second != Value::One) {
         throw std::invalid_argument("case values must be 0 or 1");
       }
-      pins.push_back(sig);
     }
-    cones.push_back(cone_idx.cone_of(std::move(pins)));
+    for (const auto& pin : c.pins) {
+      if (pin.first >= num_signals) throw std::out_of_range("case pins unknown signal");
+    }
   }
+  // Resolve each pin set to its affected cone on the worker pool. Cones are
+  // memoized (thread-safe): a case file sweeping one control bus costs a
+  // single BFS.
+  const ConeIndex& cone_idx = cone_index();
+  std::vector<std::shared_ptr<const Cone>> cones(cases.size());
+  for_each_unit(cases.size(), ev_.options().jobs, [&](std::size_t i) {
+    std::vector<SignalId> pins;
+    pins.reserve(cases[i].pins.size());
+    for (const auto& pin : cases[i].pins) pins.push_back(pin.first);
+    cones[i] = cone_idx.cone_of(std::move(pins));
+  });
 
   std::vector<std::vector<Degradation>> case_degradations;
   run_cases(cases, cones, r.violations, r.converged, r.partial, r.cases, case_degradations);
@@ -234,9 +241,9 @@ void Verifier::run_cases(const std::vector<CaseSpec>& cases,
         for (std::size_t l = 0; l < count; ++l) run_one(first + l);
         return;
       }
-      // Lane-batched constraint checking: one walk over the check-capable
-      // primitives covers the whole block, copying baseline findings for
-      // clean lanes. Byte-identical to per-lane run_checks_scoped.
+      // Lane-batched constraint checking: each lane re-runs the checks its
+      // diverged cells feed and copies the baseline findings of the rest.
+      // Byte-identical to per-lane run_checks_scoped.
       std::vector<const EvalSnapshot*> snap_ptrs(count);
       std::vector<const Cone*> cone_ptrs(count);
       std::vector<char> conv(count);

@@ -8,7 +8,9 @@
 // worker count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "core/cone.hpp"
 #include "core/snapshot.hpp"
 #include "core/verifier.hpp"
+#include "diag/diagnostic.hpp"
 
 namespace tv {
 namespace {
@@ -398,6 +401,221 @@ TEST(BatchEval, SegmentCapInOneCaseConeMatchesReferencePath) {
     const bool capped = i == 0;
     EXPECT_EQ(snap.wave(r.x).equivalent(unknown), capped) << r.cases[i].name;
     EXPECT_EQ(snap.wave(r.y).equivalent(unknown), capped) << r.cases[i].name;
+  }
+}
+
+/// Renders `cases` through the per-case reference (one job) and through the
+/// sweep at lanes 1/64 x jobs 1/4 on fresh copies from `build`; every sweep
+/// rendering must equal the reference.
+template <class Build>
+void expect_sweep_matches_reference(Build build, VerifierOptions opts) {
+  std::vector<CaseSpec> cases;
+  Netlist ref_nl = build(cases);
+  VerifierOptions per_case = opts;
+  per_case.batch_eval = false;
+  const std::string reference = render(ref_nl, per_case, cases);
+  for (unsigned lanes : {1u, 64u}) {
+    for (unsigned jobs : {1u, 4u}) {
+      std::vector<CaseSpec> c;
+      Netlist nl = build(c);
+      VerifierOptions o = opts;
+      o.batch_lanes = lanes;
+      o.jobs = jobs;
+      EXPECT_EQ(render(nl, o, c), reference) << "lanes=" << lanes << " jobs=" << jobs;
+    }
+  }
+}
+
+TEST(BatchEval, BaselineHazardFindingIsRecomputedWhereALaneClearsIt) {
+  // CK1 = AND(CK &ZH, EN) carries the propagated directive string "H" to
+  // G2, whose hazard check wants CTL = AND(SEL, D) steady while CK1 may be
+  // high. The baseline reports that hazard. A lane that gates the clock off
+  // (EN=0) or steadies the control (SEL=0) clears it, although G2's clock
+  // input still carries the "H" string -- directive strings follow the
+  // static pin directives, not values -- so a lane whose inputs diverged
+  // must recompute the finding instead of copying the baseline's. SEL=1
+  // recomputes an identical finding; the UNRELATED lane copies it.
+  auto build = [](std::vector<CaseSpec>& cases) {
+    Netlist nl;
+    Ref en = nl.ref("EN");
+    Ref ck1 = nl.ref("CK1");
+    nl.and_gate("G1", from_ns(1), from_ns(2), {nl.ref("CK .P20-30 &ZH"), en}, ck1);
+    Ref sel = nl.ref("SEL");
+    Ref ctl = nl.ref("CTL");
+    nl.and_gate("GC", from_ns(1), from_ns(2), {sel, nl.ref("D .S35-95")}, ctl);
+    nl.and_gate("G2", from_ns(1), from_ns(2), {ck1, ctl}, nl.ref("OUT"));
+    Ref unrelated = nl.ref("UNRELATED");
+    nl.finalize();
+    cases = {{"EN=0", {{en.id, V::Zero}}},
+             {"SEL=0", {{sel.id, V::Zero}}},
+             {"SEL=1", {{sel.id, V::One}}},
+             {"U=1", {{unrelated.id, V::One}}}};
+    return nl;
+  };
+  std::vector<CaseSpec> cases;
+  Netlist nl = build(cases);
+  Verifier v(nl, test_options());
+  VerifyResult r = v.verify(cases);
+  EXPECT_EQ(nl.signal(nl.find("CK1")).eval_str, "H");
+  auto hazards = [](const std::vector<Violation>& vs) {
+    std::size_t n = 0;
+    for (const Violation& x : vs) n += x.type == Violation::Type::Hazard;
+    return n;
+  };
+  ASSERT_EQ(hazards(r.violations), 1u) << violations_report(r.violations);
+  ASSERT_EQ(r.cases.size(), 4u);
+  EXPECT_EQ(hazards(r.cases[0].violations), 0u) << "EN=0 gates the clock off";
+  EXPECT_EQ(hazards(r.cases[1].violations), 0u) << "SEL=0 steadies the control";
+  EXPECT_EQ(hazards(r.cases[2].violations), 1u);
+  EXPECT_EQ(hazards(r.cases[3].violations), 1u);
+  expect_sweep_matches_reference(build, test_options());
+}
+
+TEST(BatchEval, DivergedCellReturningToBaseInACycleMatchesReference) {
+  // G1 -> G2 -> G3 -> G1 is one cyclic component. Under X=0, A2 moves off
+  // the baseline while the loop settles and ends back on it: the per-case
+  // reference writes A2 yet does not count it as disturbed, and the sweep
+  // leaves no trace of it in the lane's snapshot. Reports must agree.
+  auto build = [](std::vector<CaseSpec>& cases) {
+    Netlist nl;
+    Ref x = nl.ref("X");
+    Ref ck = nl.ref("CK .P20-30");
+    Ref ckb = nl.ref("CKB .P60-80");
+    Ref a1 = nl.ref("A1");
+    Ref a2 = nl.ref("A2");
+    Ref a3 = nl.ref("A3");
+    nl.mux2("G1", from_ns(3), from_ns(3), ck, x, a3, a1);
+    nl.xor_gate("G2", from_ns(3), from_ns(4), {a1, nl.ref("D .S10-60")}, a2);
+    nl.mux2("G3", from_ns(1), from_ns(1), x, ckb, a2, a3);
+    nl.setup_hold_chk("CHK", from_ns(5), from_ns(1), a2, ckb);
+    nl.finalize();
+    cases = {{"X=0", {{x.id, V::Zero}}}, {"X=1", {{x.id, V::One}}}};
+    return nl;
+  };
+  std::vector<CaseSpec> cases;
+  Netlist nl = build(cases);
+  const SignalId a2 = nl.find("A2");
+  BlockRun run(nl, test_options(), cases);
+  ASSERT_TRUE(run.result.completed);
+  BatchSchedule sched = build_batch_schedule(nl);
+  EXPECT_TRUE(sched.in_cycle[nl.signal(a2).driver]);
+  EvalSnapshot ref(nl, run.cones[0], run.ev.intern_context().get(), &run.ev.wave_refs());
+  CaseRunStats st = run_case_on_snapshot(ref, cases[0], run.ev.options());
+  ASSERT_TRUE(st.converged);
+  const std::vector<SignalId>& written = ref.written();
+  EXPECT_NE(std::find(written.begin(), written.end(), a2), written.end());
+  EXPECT_EQ(ref.wave_ref(a2), run.ev.wave_ref(a2));  // back at base
+  EXPECT_EQ(ref.disturbed_signals(), written.size() - 1);
+  EXPECT_EQ(run.snaps[0].wave_ref(a2), run.ev.wave_ref(a2));
+  EXPECT_EQ(run.snaps[0].disturbed_signals(), ref.disturbed_signals());
+  EXPECT_EQ(run.snaps[0].written().size(), run.snaps[0].disturbed_signals());
+  expect_sweep_matches_reference(build, test_options());
+}
+
+TEST(BatchEval, TableFullLaneKeepsAnOwnedCopyAndMatchesReference) {
+  // The intern table is capped at the smallest per-shard size the baseline
+  // fits in, so the case's fresh waveforms overflow it: the sweep aborts
+  // the block and the case re-runs on the per-case path, whose snapshot
+  // keeps an owned copy of every waveform the table refused (TV-W203).
+  // One case, so every lanes x jobs split runs it on one worker and the
+  // table fills in the same order.
+  auto build = [](std::vector<CaseSpec>& cases) {
+    Netlist nl;
+    Ref prev = nl.ref("IN .S5-95");
+    Ref sel0;
+    for (int i = 0; i < 6; ++i) {
+      Ref sel = nl.ref("SEL" + std::to_string(i));
+      if (i == 0) sel0 = sel;
+      Ref out = nl.ref("N" + std::to_string(i));
+      nl.mux2("MUX" + std::to_string(i), from_ns(1), from_ns(3), sel, prev,
+              nl.ref("ALT" + std::to_string(i) + " .S10-90"), out);
+      prev = out;
+    }
+    nl.setup_hold_chk("CHK", from_ns(30), from_ns(2), prev, nl.ref("CK .P40-50"));
+    nl.finalize();
+    cases = {{"SEL0=1", {{sel0.id, V::One}}}};
+    return nl;
+  };
+  VerifierOptions opts = test_options();
+  for (opts.max_waveforms_per_shard = 1; opts.max_waveforms_per_shard < 64;
+       ++opts.max_waveforms_per_shard) {
+    std::vector<CaseSpec> none;
+    Netlist nl = build(none);
+    Verifier v(nl, opts);
+    if (!v.verify().partial) break;
+  }
+  std::vector<CaseSpec> cases;
+  Netlist nl = build(cases);
+  Verifier v(nl, opts);
+  VerifyResult r = v.verify(cases);
+  ASSERT_EQ(r.cases.size(), 1u);
+  ASSERT_TRUE(r.cases[0].degraded);
+  ASSERT_FALSE(r.degradations.empty());
+  EXPECT_STREQ(r.degradations.front().code, diag::kWarnTableFull);
+
+  // The per-case snapshot holds the refused waveforms itself, and they are
+  // the values an uncapped run computes.
+  const Evaluator& ev = v.evaluator();
+  ConeIndex index(nl);
+  std::shared_ptr<const Cone> cone = index.cone_of({cases[0].pins[0].first});
+  EvalSnapshot capped(nl, cone, ev.intern_context().get(), &ev.wave_refs());
+  run_case_on_snapshot(capped, cases[0], ev.options());
+  std::vector<CaseSpec> same;
+  Netlist free_nl = build(same);
+  Evaluator free_ev(free_nl, test_options());
+  free_ev.initialize();
+  free_ev.propagate();
+  EvalSnapshot exact(free_nl, ConeIndex(free_nl).cone_of({same[0].pins[0].first}),
+                     free_ev.intern_context().get(), &free_ev.wave_refs());
+  run_case_on_snapshot(exact, same[0], free_ev.options());
+  std::size_t owned = 0;
+  for (SignalId sig : capped.written()) {
+    if (capped.wave_ref(sig) != kNoWaveform) continue;
+    ++owned;
+    EXPECT_TRUE(capped.wave(sig).equivalent(exact.wave(sig))) << nl.signal(sig).full_name;
+  }
+  EXPECT_GT(owned, 0u);
+  EXPECT_EQ(capped.disturbed_signals(), exact.disturbed_signals());
+  expect_sweep_matches_reference(build, opts);
+}
+
+TEST(BatchEval, FirstInvalidCaseThrowsTheSameErrorAtEveryJobCount) {
+  // Cases are validated in order before any cone resolves on the pool, so
+  // the first bad case decides the error whatever the worker count.
+  TwoConeRig r = build_two_cones();
+  const SignalId unknown_sig = static_cast<SignalId>(r.nl.num_signals() + 7);
+  auto error_of = [&](std::vector<CaseSpec> cases, unsigned lanes, unsigned jobs) {
+    VerifierOptions opts = r.opts;
+    opts.batch_lanes = lanes;
+    opts.jobs = jobs;
+    Verifier v(r.nl, opts);
+    try {
+      v.verify(cases);
+    } catch (const std::invalid_argument& e) {
+      return std::string("invalid_argument: ") + e.what();
+    } catch (const std::out_of_range& e) {
+      return std::string("out_of_range: ") + e.what();
+    }
+    return std::string("no error");
+  };
+  std::vector<CaseSpec> valid;
+  for (int i = 0; i < 12; ++i) {
+    valid.push_back({"A" + std::to_string(i), {{i % 2 ? r.ctl_a : r.ctl_b, V::One}}});
+  }
+  std::vector<CaseSpec> bad_value_first = valid;
+  bad_value_first[5].pins.push_back({r.ctl_b, V::Stable});
+  bad_value_first[9].pins = {{unknown_sig, V::One}};
+  std::vector<CaseSpec> bad_id_first = valid;
+  bad_id_first[3].pins = {{r.ctl_a, V::Zero}, {unknown_sig, V::Zero}};
+  bad_id_first[10].pins = {{r.ctl_a, V::Change}};
+  for (const auto& [cases, expected] :
+       {std::pair{bad_value_first, "invalid_argument: case values must be 0 or 1"},
+        std::pair{bad_id_first, "out_of_range: case pins unknown signal"}}) {
+    for (unsigned lanes : {1u, 64u}) {
+      for (unsigned jobs : {1u, 4u}) {
+        EXPECT_EQ(error_of(cases, lanes, jobs), expected) << "lanes=" << lanes << " jobs=" << jobs;
+      }
+    }
   }
 }
 

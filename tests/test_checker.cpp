@@ -237,6 +237,46 @@ TEST(Slack, CycleTimeEstimateWhenAllPass) {
   EXPECT_NE(report.find("43.0"), std::string::npos) << report;  // 50 - 7
 }
 
+TEST(Slack, AgreesWithTheViolationListOnUnknownAndNeverSteadyClocks) {
+  // Negative set-up (hold) slack must mean exactly that the checker reports
+  // SETUP (HOLD) TIME MISSED, for every clock the checker accepts: a plain
+  // pulse, and one a segment cap degraded to all-UNKNOWN -- it holds no
+  // steady level, so it may switch at any instant of the cycle.
+  for (bool degraded : {false, true}) {
+    for (bool rise_hold_fall : {false, true}) {
+      for (const char* data : {"D .S15-55", "D .S5-45", "D .S10-21", "D .S18.5-58",
+                               "D .S22-48", "D .S45-95"}) {
+        Rig r;
+        if (degraded) r.opts.max_segments_per_signal = 1;
+        Ref ck = r.nl.ref("CKB");
+        r.nl.buf("BUF", 0, 0, r.nl.ref("CK .P20-30"), ck);
+        if (rise_hold_fall) {
+          r.nl.setup_rise_hold_fall_chk("CHK", from_ns(3), from_ns(2), r.nl.ref(data), ck);
+        } else {
+          r.nl.setup_hold_chk("CHK", from_ns(3), from_ns(2), r.nl.ref(data), ck);
+        }
+        r.nl.finalize();
+        Evaluator ev(r.nl, r.opts);
+        ev.initialize();
+        ev.propagate();
+        ASSERT_EQ(ev.degraded(), degraded);
+        bool setup_missed = false, hold_missed = false;
+        for (const Violation& v : run_checks(ev)) {
+          setup_missed |= v.message.find("SETUP TIME MISSED") != std::string::npos;
+          hold_missed |= v.message.find("HOLD TIME MISSED") != std::string::npos;
+        }
+        std::vector<SlackEntry> slacks = compute_slacks(ev);
+        ASSERT_EQ(slacks.size(), 1u) << data << " degraded=" << degraded;
+        const SlackEntry& e = slacks[0];
+        SCOPED_TRACE(std::string(data) + (degraded ? " degraded" : "") +
+                     (rise_hold_fall ? " rise-hold-fall" : " setup-hold"));
+        EXPECT_EQ(e.has_setup && e.setup_slack < 0, setup_missed);
+        EXPECT_EQ(e.has_hold && e.hold_slack < 0, hold_missed);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tv
 
