@@ -7,9 +7,12 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
+#include "core/batch_eval.hpp"
 #include "core/compiled.hpp"
+#include "core/cone.hpp"
 #include "core/export.hpp"
 #include "core/fixpoint.hpp"
 #include "diag/diagnostic.hpp"
@@ -221,15 +224,20 @@ class PathRun {
     verifier_.reset();
     if (auto f = fresh(script, world_)) return f;
     verifier_ = world_->verifier();
-    if (!path_.restored) {
-      result_ = verifier_->verify(world_->cases);
-      return std::nullopt;
-    }
-    // The cold twin writes the snapshot this path restores.
     std::unique_ptr<World> twin;
-    if (auto f = fresh(script, twin)) return f;
-    std::unique_ptr<Verifier> writer = twin->verifier();
-    writer->verify(twin->cases);
+    std::unique_ptr<Verifier> writer;
+    try {
+      if (!path_.restored) {
+        result_ = verifier_->verify(world_->cases);
+        return std::nullopt;
+      }
+      // The cold twin writes the snapshot this path restores.
+      if (auto f = fresh(script, twin)) return f;
+      writer = twin->verifier();
+      writer->verify(twin->cases);
+    } catch (const std::exception& e) {
+      return fail("pipeline-throw", std::string("verify threw: ") + e.what());
+    }
     std::string snap = writer->snapshot("FUZZ", twin->artifact_hash());
     if (writer->snapshot("FUZZ", twin->artifact_hash()) != snap) {
       return fail("pipeline-unstable",
@@ -603,6 +611,44 @@ std::optional<Failure> audit_memo(const Verifier& v, const VerifyResult& r) {
   return std::nullopt;
 }
 
+std::optional<Failure> audit_batch_containment(const Verifier& v, const VerifyResult& r,
+                                               const std::vector<CaseSpec>& cases) {
+  const Evaluator& ev = v.evaluator();
+  const VerifierOptions& opts = ev.options();
+  if (cases.empty() || !r.converged || r.partial || opts.deadline.armed() ||
+      opts.time_limit_seconds > 0 || opts.max_evals_per_prim == 0) {
+    return std::nullopt;  // the sweep would not run
+  }
+  const Netlist& nl = ev.netlist();
+  InternContext& ctx = *ev.intern_context();
+  std::vector<EvalSnapshot> snaps;
+  snaps.reserve(cases.size());
+  for (std::size_t l = 0; l < cases.size(); ++l) {
+    snaps.emplace_back(nl, nullptr, &ctx, &ev.wave_refs());
+  }
+  BatchBlockResult br;
+  try {
+    br = run_case_block(nl, opts, build_batch_schedule(nl), ctx, ev.wave_refs(), cases, 0,
+                        cases.size(), {}, snaps);
+  } catch (const std::logic_error& e) {
+    return Failure{"batch-outside-cone", std::string("the sweep's reach proof: ") + e.what()};
+  }
+  if (!br.completed) return std::nullopt;  // the table filled: no snapshot to audit
+  ConeIndex index(nl);
+  for (std::size_t l = 0; l < cases.size(); ++l) {
+    std::vector<SignalId> pins;
+    for (const auto& pin : cases[l].pins) pins.push_back(pin.first);
+    std::shared_ptr<const Cone> cone = index.cone_of(std::move(pins));
+    for (SignalId sig : snaps[l].written()) {
+      if (cone->contains_signal(sig)) continue;
+      return Failure{"batch-outside-cone", "case \"" + cases[l].name + "\"'s batch lane wrote \"" +
+                                               nl.signal(sig).full_name +
+                                               "\", outside the case's cone"};
+    }
+  }
+  return std::nullopt;
+}
+
 std::optional<Failure> check_memo_audit(const CircuitSpec& spec, const Path& path,
                                         const PipelineOptions& opts) {
   const std::uint64_t edit_seed = opts.edit_seed ? opts.edit_seed : default_edit_seed(spec.seed);
@@ -612,7 +658,9 @@ std::optional<Failure> check_memo_audit(const CircuitSpec& spec, const Path& pat
   for (int step = 0; step <= opts.steps; ++step) {
     if (step > 0) script.push_back(random_delta(rng, run.netlist(), run.cases()));
     if (auto f = run.advance(script)) return f;
-    if (auto f = audit_memo(run.verifier(), run.result())) {
+    std::optional<Failure> f = audit_memo(run.verifier(), run.result());
+    if (!f) f = audit_batch_containment(run.verifier(), run.result(), run.cases());
+    if (f) {
       f->detail = run.where() + " " + run.label() + ": " + f->detail;
       return f;
     }

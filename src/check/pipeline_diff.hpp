@@ -32,6 +32,9 @@
 // re-evaluating any primitive from its current inputs, with no memo,
 // reproduces its output. The first check catches a stale or mis-stored
 // entry; the second a key that omits an input, which no entry can show.
+// The same column holds the batch sweep to the containment law its
+// cone-free lanes rely on: re-run as one block over the audited fixpoint,
+// every lane writes only signals inside ConeIndex::cone_of(its pins).
 #pragma once
 
 #include <cstddef>
@@ -91,7 +94,8 @@ std::string canonical_render(const Netlist& nl, const VerifyResult& r, Time peri
 /// "pipeline-state-diff" (live verifiers re-snapshot differently or
 /// disagree on falling back), "pipeline-unstable" (serializing twice
 /// differs), "pipeline-reject" (an artifact or snapshot just written
-/// fails to load or restore), "pipeline-throw" (a generated delta threw).
+/// fails to load or restore), "pipeline-throw" (a generated delta or a
+/// cold verify threw).
 std::optional<Failure> check_pipeline_equivalence(const CircuitSpec& spec, const Path& a,
                                                    const Path& b,
                                                    const PipelineOptions& opts = {});
@@ -112,9 +116,20 @@ std::optional<Failure> check_degradation_conservatism(const CircuitSpec& spec,
 /// current inputs ("fixpoint-inconsistent").
 std::optional<Failure> audit_memo(const Verifier& v, const VerifyResult& r);
 
+/// The containment law of the batch sweep: `cases` run as one block through
+/// run_case_block on cone-free snapshots over `v`'s fixpoint, and every
+/// lane's written() must lie in ConeIndex::cone_of(its pins)
+/// ("batch-outside-cone", also reported when the sweep's own reach proof
+/// throws). Skipped where the sweep would not run (a non-converged or
+/// partial result, an armed deadline) and when the block aborts. The
+/// block's evaluations go through `v`'s shared memo and table.
+std::optional<Failure> audit_batch_containment(const Verifier& v, const VerifyResult& r,
+                                               const std::vector<CaseSpec>& cases);
+
 /// Runs `path` over the spec's circuit and edit script, auditing the
-/// verifier (audit_memo) after the baseline and after every step. Kinds:
-/// the two audit kinds plus the harness kinds above.
+/// verifier (audit_memo, then audit_batch_containment on its cases) after
+/// the baseline and after every step. Kinds: the three audit kinds plus
+/// the harness kinds above.
 std::optional<Failure> check_memo_audit(const CircuitSpec& spec, const Path& path,
                                         const PipelineOptions& opts = {});
 

@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "core/propagate.hpp"
@@ -61,6 +62,36 @@ BatchSchedule build_batch_schedule(const Netlist& nl) {
   return sched;
 }
 
+void LaneReach::prove(const Netlist& nl, const std::vector<std::int32_t>& row_of,
+                      const std::vector<SignalId>& row_sig, const std::vector<CaseSpec>& cases,
+                      std::size_t first) {
+  for (const auto& [row, lane] : moves_) {
+    const std::vector<std::pair<SignalId, Value>>& pins = cases[first + lane].pins;
+    auto reached = [&](SignalId sig) {
+      for (const auto& pin : pins) {
+        if (pin.first == sig) return true;
+      }
+      const std::int32_t r = row_of[sig];
+      return r >= 0 && cells_[static_cast<std::size_t>(r) * lanes_ + lane] == kReached;
+    };
+    const SignalId sig = row_sig[row];
+    bool ok = reached(sig);  // a pin of the lane
+    if (const PrimId driver = nl.signal(sig).driver; !ok && driver != kNoPrim) {
+      for (const Pin& in : nl.prim(driver).inputs) {
+        if (reached(in.sig)) {
+          ok = true;
+          break;
+        }
+      }
+    }
+    if (!ok) {
+      throw std::logic_error("batch sweep: case \"" + cases[first + lane].name + "\" moved \"" +
+                             nl.signal(sig).full_name + "\" outside its cone");
+    }
+    cells_[static_cast<std::size_t>(row) * lanes_ + lane] = kReached;
+  }
+}
+
 namespace {
 
 /// One block's lockstep sweep. Scratch arrays are members so the per-prim
@@ -80,7 +111,8 @@ class BlockSweep {
         first_(first),
         lanes_(count),
         snaps_(snaps),
-        arena_(count) {}
+        arena_(count),
+        reach_(count) {}
 
   BatchBlockResult run() {
     res_.lanes.resize(lanes_);
@@ -119,6 +151,7 @@ class BlockSweep {
     base_ref_.push_back(br);
     base_str_.push_back(bs);
     seg_degraded_.resize(seg_degraded_.size() + lanes_, 0);
+    reach_.add_row();
     return row;
   }
 
@@ -176,6 +209,7 @@ class BlockSweep {
         std::int32_t row = ensure_row(sig);
         if (row < 0) return false;
         arena_.refs(static_cast<std::size_t>(row))[l] = seeded[v];
+        reach_.mark_moved(static_cast<std::size_t>(row), l);
         moved = true;
       }
       if (moved) enqueue_fanout(sig);
@@ -412,6 +446,7 @@ class BlockSweep {
         if (!out_r && !bind_output()) return any;
         out_r[l] = prev_final;
         out_s[l] = prev_final_str;
+        reach_.mark_moved(static_cast<std::size_t>(out_row), l);
         lane_changed_[l] = 1;
         any = true;
       }
@@ -423,13 +458,25 @@ class BlockSweep {
   /// Writes each lane's divergences from base into its snapshot -- the same
   /// final shape the per-case runner leaves, so checking is shared. Only
   /// rows some lane moved exist, so this walks the diverged rows alone.
+  /// The snapshots hold no cone, so the lanes' reach is proven first, with
+  /// every diverged cell counted as moved: a write that skipped mark_moved
+  /// cannot escape the proof either.
   void materialize() {
+    for_each_diverged([&](std::size_t r, std::size_t l) { reach_.mark_moved(r, l); });
+    reach_.prove(nl_, row_of_, row_sig_, cases_, first_);
+    for_each_diverged([&](std::size_t r, std::size_t l) {
+      snaps_[l].set_ref(row_sig_[r], arena_.refs(r)[l], pool_.str(arena_.strs(r)[l]));
+    });
+  }
+
+  /// Calls fn(row, lane) for every cell that differs from the base fixpoint.
+  template <class Fn>
+  void for_each_diverged(const Fn& fn) const {
     for (std::size_t r = 0; r < row_sig_.size(); ++r) {
       const WaveformRef* rr = arena_.refs(r);
       const std::uint32_t* ss = arena_.strs(r);
       for (std::size_t l = 0; l < lanes_; ++l) {
-        if (rr[l] == base_ref_[r] && ss[l] == base_str_[r]) continue;
-        snaps_[l].set_ref(row_sig_[r], rr[l], pool_.str(ss[l]));
+        if (rr[l] != base_ref_[r] || ss[l] != base_str_[r]) fn(r, l);
       }
     }
   }
@@ -453,6 +500,7 @@ class BlockSweep {
   std::vector<std::uint32_t> base_str_;
   std::unordered_map<SignalId, std::vector<std::int8_t>> case_map_;
   std::vector<char> seg_degraded_;     // [row][lane]: segment cap already fired
+  LaneReach reach_;                    // [row][lane]: cells each lane moved
   std::vector<std::uint64_t> pending_;  // schedule positions awaiting a visit
   std::uint32_t current_ = BatchSchedule::kNoPosition;  // component being evaluated
   WaveformRef unknown_ref_ = kNoWaveform;
@@ -482,8 +530,8 @@ BatchBlockResult run_case_block(const Netlist& nl, const VerifierOptions& opts,
                                 std::size_t first, std::size_t count,
                                 const std::vector<std::shared_ptr<const Cone>>& cones,
                                 std::vector<EvalSnapshot>& snaps) {
-  // The cones are the snapshots' own (each lane writes inside its cone);
-  // the sweep itself follows the disturbance, not the cones.
+  // Not read: the sweep follows the disturbance, and materialize proves
+  // each lane's writes lie in its cone without one.
   (void)cones;
   return BlockSweep(nl, opts, sched, ctx, base_refs, cases, first, count, snaps).run();
 }

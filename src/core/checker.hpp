@@ -73,7 +73,8 @@ std::vector<Violation> run_checks_scoped(const EvalView& view, const Cone& cone,
 /// assertions. Every other check provably reproduces the baseline
 /// findings, which are copied. The walk costs what each lane disturbed.
 /// Every lane's list is byte-identical to what run_checks_scoped(view_l,
-/// cone_l, base) would return; `cones` is not read.
+/// cone_l, base) would return; `cones` is not read and may be empty (a
+/// batch lane's snapshot holds no cone).
 ///
 /// Preconditions (guaranteed by the batch engine's eligibility gate): all
 /// snapshots share one netlist and interned baseline (`base_refs`), and no

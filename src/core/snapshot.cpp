@@ -35,7 +35,7 @@ std::size_t EvalSnapshot::disturbed_signals() const {
 }
 
 void EvalSnapshot::set_ref(SignalId id, WaveformRef ref, std::string eval_str, Waveform w) {
-  if (!cone_->contains_signal(id)) {
+  if (cone_ && !cone_->contains_signal(id)) {
     throw std::logic_error("EvalSnapshot::set_ref outside the cone");
   }
   Entry* e = nullptr;

@@ -21,9 +21,12 @@
 
 namespace tv {
 
-/// Per-case overlay over the baseline fixpoint, scoped to one cone.
-/// The netlist holds the baseline waves and must not be mutated while any
-/// snapshot on it is alive (reads are lock-free const access).
+/// Per-case overlay over the baseline fixpoint. A per-case run's snapshot
+/// is scoped to its case's cone and refuses writes outside it; a batch
+/// lane's holds no cone, because the sweep proves each lane's writes lie
+/// in its cone itself (core/batch_eval.hpp). The netlist holds the
+/// baseline waves and must not be mutated while any snapshot on it is
+/// alive (reads are lock-free const access).
 ///
 /// The overlay holds refs, not waveforms: a written signal keeps its
 /// interned WaveformRef and evaluation string, and wave() resolves the ref
@@ -39,10 +42,14 @@ class EvalSnapshot {
   /// baseline's per-signal refs. Interned storage is never mutated -- the
   /// snapshot only writes its own overlay entries -- so copy-on-write
   /// semantics are preserved. Both pointers must outlive the snapshot.
+  /// `cone` may be null: a batch lane's snapshot is filled by the sweep,
+  /// which checks containment on its own.
   EvalSnapshot(const Netlist& nl, std::shared_ptr<const Cone> cone,
                InternContext* ctx, const std::vector<WaveformRef>* base_refs);
 
   const Netlist& netlist() const { return nl_; }
+  /// The case's cone. Valid only for a snapshot built with one (the
+  /// per-case path), never for a batch lane's.
   const Cone& cone() const { return *cone_; }
   InternContext* intern_context() const { return intern_; }
 
@@ -69,9 +76,10 @@ class EvalSnapshot {
     return kNoWaveform;
   }
 
-  /// Writes a cone signal's overlay entry (copy-on-write: the baseline is
+  /// Writes a signal's overlay entry (copy-on-write: the baseline is
   /// never modified): `ref`, or the owned copy `w` when `ref` is
-  /// kNoWaveform (the table filled). The signal must be inside the cone.
+  /// kNoWaveform (the table filled). With a cone, the signal must be
+  /// inside it (std::logic_error otherwise).
   void set_ref(SignalId id, WaveformRef ref, std::string eval_str, Waveform w = {});
 
   /// The signals written so far, each once, in first-write order.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -117,6 +118,10 @@ const ConeIndex& Verifier::cone_index() {
   return *cone_index_;
 }
 
+std::size_t Verifier::resolved_cones() const {
+  return cone_index_ && cone_index_->is_current() ? cone_index_->cache_size() : 0;
+}
+
 const BatchSchedule& Verifier::batch_schedule() {
   const Netlist& nl = ev_.netlist();
   if (!schedule_ || schedule_version_ != nl.structure_version()) {
@@ -164,6 +169,7 @@ VerifyResult Verifier::verify_impl(const std::vector<CaseSpec>& cases) {
 
   // Validate every case up front, in order, so the first bad case throws
   // the same error at every job count and no worker throws mid-flight.
+  // Cones are resolved later, only for the cases that run per case.
   const std::size_t num_signals = ev_.netlist().num_signals();
   for (const CaseSpec& c : cases) {
     for (const auto& pin : c.pins) {
@@ -175,20 +181,8 @@ VerifyResult Verifier::verify_impl(const std::vector<CaseSpec>& cases) {
       if (pin.first >= num_signals) throw std::out_of_range("case pins unknown signal");
     }
   }
-  // Resolve each pin set to its affected cone on the worker pool. Cones are
-  // memoized (thread-safe): a case file sweeping one control bus costs a
-  // single BFS.
-  const ConeIndex& cone_idx = cone_index();
-  std::vector<std::shared_ptr<const Cone>> cones(cases.size());
-  for_each_unit(cases.size(), ev_.options().jobs, [&](std::size_t i) {
-    std::vector<SignalId> pins;
-    pins.reserve(cases[i].pins.size());
-    for (const auto& pin : cases[i].pins) pins.push_back(pin.first);
-    cones[i] = cone_idx.cone_of(std::move(pins));
-  });
-
   std::vector<std::vector<Degradation>> case_degradations;
-  run_cases(cases, cones, r.violations, r.converged, r.partial, r.cases, case_degradations);
+  run_cases(cases, {}, r.violations, r.converged, r.partial, r.cases, case_degradations);
   merge_case_degradations(r, case_degradations);
   return r;
 }
@@ -207,8 +201,23 @@ void Verifier::run_cases(const std::vector<CaseSpec>& cases,
   if (cases.empty()) return;
   const Netlist& nl = ev_.netlist();
   const VerifierOptions& opts = ev_.options();
+  // Without caller-supplied cones, a per-case run resolves its own through
+  // the memoized index (thread-safe; one BFS per distinct pin set), built
+  // once by whichever worker needs it first. A batch-eligible run whose
+  // blocks all complete never builds it.
+  std::once_flag index_built;
+  const ConeIndex* index = nullptr;
+  auto cone_for = [&](std::size_t i) -> std::shared_ptr<const Cone> {
+    if (!cones.empty()) return cones[i];
+    std::call_once(index_built, [&] { index = &cone_index(); });
+    std::vector<SignalId> pins;
+    pins.reserve(cases[i].pins.size());
+    for (const auto& pin : cases[i].pins) pins.push_back(pin.first);
+    return index->cone_of(std::move(pins));
+  };
   auto run_one = [&](std::size_t i) {
-    results[i] = run_case(cases[i], cones[i], base_violations, base_converged, degradations[i]);
+    results[i] = run_case(cases[i], cone_for(i), base_violations, base_converged,
+                          degradations[i]);
   };
 
   // Batch engine eligibility (docs/batch_eval.md): the lockstep sweep
@@ -227,13 +236,14 @@ void Verifier::run_cases(const std::vector<CaseSpec>& cases,
     auto run_block = [&](std::size_t b) {
       const std::size_t first = b * lanes;
       const std::size_t count = std::min(lanes, cases.size() - first);
+      // Lane snapshots hold no cone: the sweep proves containment itself.
       std::vector<EvalSnapshot> snaps;
       snaps.reserve(count);
       for (std::size_t l = 0; l < count; ++l) {
-        snaps.emplace_back(nl, cones[first + l], ctx, &ev_.wave_refs());
+        snaps.emplace_back(nl, nullptr, ctx, &ev_.wave_refs());
       }
       BatchBlockResult br = run_case_block(nl, opts, sched, *ctx, ev_.wave_refs(),
-                                           cases, first, count, cones, snaps);
+                                           cases, first, count, {}, snaps);
       if (!br.completed) {
         // The sweep aborted (waveform table filled mid-block): this block's
         // cases re-run on the per-case path, which re-derives the identical
@@ -245,15 +255,13 @@ void Verifier::run_cases(const std::vector<CaseSpec>& cases,
       // diverged cells feed and copies the baseline findings of the rest.
       // Byte-identical to per-lane run_checks_scoped.
       std::vector<const EvalSnapshot*> snap_ptrs(count);
-      std::vector<const Cone*> cone_ptrs(count);
       std::vector<char> conv(count);
       for (std::size_t l = 0; l < count; ++l) {
         snap_ptrs[l] = &snaps[l];
-        cone_ptrs[l] = cones[first + l].get();
         conv[l] = static_cast<char>(base_converged && br.lanes[l].converged);
       }
       std::vector<std::vector<Violation>> lane_violations = run_checks_batch(
-          opts, snap_ptrs, cone_ptrs, conv, ev_.wave_refs(), base_violations);
+          opts, snap_ptrs, {}, conv, ev_.wave_refs(), base_violations);
       for (std::size_t l = 0; l < count; ++l) {
         BatchLaneStats& ls = br.lanes[l];
         VerifyResult::CaseResult cr;

@@ -77,8 +77,8 @@ class Verifier {
   Verifier(Netlist& nl, VerifierOptions opts) : ev_(nl, opts) {}
 
   /// Full verification: base evaluation and constraint checks on the shared
-  /// netlist, then every case on its own cone-scoped copy-on-write snapshot
-  /// of the baseline fixpoint (sec. 2.7). Cases never mutate shared state,
+  /// netlist, then every case on its own copy-on-write snapshot of the
+  /// baseline fixpoint, confined to the case's cone (sec. 2.7). Cases never mutate shared state,
   /// so with options().jobs > 1 they evaluate concurrently; results are
   /// merged in input order and are identical for every job count. The
   /// netlist is left holding the baseline fixpoint.
@@ -127,16 +127,24 @@ class Verifier {
   Evaluator& evaluator() { return ev_; }
   const Evaluator& evaluator() const { return ev_; }
 
+  /// Distinct pin sets whose affected cone this verifier has resolved
+  /// since the fanout graph last changed: per-case runs and reverify()'s
+  /// splice decision resolve cones, a batch sweep whose blocks all
+  /// complete resolves none.
+  std::size_t resolved_cones() const;
+
  private:
   VerifyResult verify_impl(const std::vector<CaseSpec>& cases);
   /// The case phase (sec. 2.7) against the fixpoint the netlist holds, for
   /// both verify() (every case) and reverify() (the cases it must re-run):
   /// lane blocks of the batch sweep plus lane-batched checks when the
   /// baseline is eligible, run_case per case otherwise and for any block
-  /// that aborted, spread over options().jobs workers. `cones[i]` is
-  /// cases[i]'s affected cone. Case i's result lands in results[i] and its
-  /// resource-guard records in degradations[i], identical for every job
-  /// count and lane width.
+  /// that aborted, spread over options().jobs workers. `cones` is empty, or
+  /// holds cases[i]'s affected cone at i; when empty, only the cases that
+  /// run per case resolve theirs, through cone_index() built once under a
+  /// once-flag (workers may race for it). Case i's result lands in
+  /// results[i] and its resource-guard records in degradations[i],
+  /// identical for every job count and lane width.
   void run_cases(const std::vector<CaseSpec>& cases,
                  const std::vector<std::shared_ptr<const Cone>>& cones,
                  const std::vector<Violation>& base_violations, bool base_converged,

@@ -552,6 +552,9 @@ TEST(BatchEval, TableFullLaneKeepsAnOwnedCopyAndMatchesReference) {
   ASSERT_TRUE(r.cases[0].degraded);
   ASSERT_FALSE(r.degradations.empty());
   EXPECT_STREQ(r.degradations.front().code, diag::kWarnTableFull);
+  // The base fits, so the run was batch-eligible: the case's cone was
+  // resolved only when its aborted block fell back to the per-case path.
+  EXPECT_EQ(v.resolved_cones(), 1u);
 
   // The per-case snapshot holds the refused waveforms itself, and they are
   // the values an uncapped run computes.
@@ -617,6 +620,81 @@ TEST(BatchEval, FirstInvalidCaseThrowsTheSameErrorAtEveryJobCount) {
       }
     }
   }
+}
+
+TEST(BatchEval, EligibleVerifyResolvesNoConeIneligibleOnePerPinSet) {
+  // The sweep reads no cone, so a batch-eligible verify() resolves none. A
+  // run the sweep defers -- a wall-clock budget armed, or the per-case
+  // reference forced -- resolves one per distinct pin set (pin order is
+  // irrelevant), at every job count.
+  TwoConeRig r = build_two_cones();
+  std::vector<CaseSpec> cases = {{"A=0", {{r.ctl_a, V::Zero}}},
+                                 {"A=1", {{r.ctl_a, V::One}}},
+                                 {"B=1", {{r.ctl_b, V::One}}},
+                                 {"A=1,B=0", {{r.ctl_a, V::One}, {r.ctl_b, V::Zero}}},
+                                 {"B=1,A=0", {{r.ctl_b, V::One}, {r.ctl_a, V::Zero}}}};
+  for (unsigned jobs : {1u, 4u}) {
+    VerifierOptions eligible = r.opts;
+    eligible.jobs = jobs;
+    VerifierOptions timed = eligible;
+    timed.time_limit_seconds = 3600;
+    VerifierOptions per_case = eligible;
+    per_case.batch_eval = false;
+    for (const auto& [opts, cones] :
+         {std::pair{eligible, 0u}, std::pair{timed, 3u}, std::pair{per_case, 3u}}) {
+      Verifier v(r.nl, opts);
+      VerifyResult res = v.verify(cases);
+      EXPECT_EQ(res.cases.size(), cases.size());
+      EXPECT_EQ(v.resolved_cones(), cones)
+          << "jobs=" << jobs << " batch=" << opts.batch_eval
+          << " time_limit=" << opts.time_limit_seconds;
+    }
+  }
+}
+
+TEST(BatchEval, ReachProofRejectsAMovedCellWithNoMovedPathFromThePins) {
+  // LaneReach plants rows by hand over the two chains CTLx -> G1x -> MIDx
+  // -> G2x -> OUTx, lane by lane in the listed order. A lane's moved cell
+  // passes only when a walk from the lane's pins reaches it through cells
+  // that lane moved before it.
+  TwoConeRig r = build_two_cones();
+  const SignalId mid_a = r.nl.find("MIDA");
+  const SignalId mid_b = r.nl.find("MIDB");
+  const std::vector<CaseSpec> cases = {{"A=1", {{r.ctl_a, V::One}}},
+                                       {"B=1", {{r.ctl_b, V::One}}}};
+  // moved[l] lists the signals lane l moved; returns the proof's error.
+  auto prove = [&](const std::vector<std::vector<SignalId>>& moved) -> std::string {
+    std::vector<std::int32_t> row_of(r.nl.num_signals(), -1);
+    std::vector<SignalId> row_sig;
+    LaneReach reach(moved.size());
+    for (std::size_t l = 0; l < moved.size(); ++l) {
+      for (SignalId sig : moved[l]) {
+        if (row_of[sig] < 0) {
+          row_of[sig] = static_cast<std::int32_t>(row_sig.size());
+          row_sig.push_back(sig);
+          reach.add_row();
+        }
+        reach.mark_moved(static_cast<std::size_t>(row_of[sig]), l);
+      }
+    }
+    try {
+      reach.prove(r.nl, row_of, row_sig, cases, 0);
+    } catch (const std::logic_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(prove({{r.ctl_a, mid_a, r.out_a}, {mid_b}}), "");
+  EXPECT_EQ(prove({{mid_a, r.out_a}, {}}), "");  // a moved path from the pin
+  // OUTA is in lane A's cone, but MIDA, its only way there, did not move,
+  // or moved only after it.
+  EXPECT_EQ(prove({{r.out_a}, {}}), "batch sweep: case \"A=1\" moved \"OUTA\" outside its cone");
+  EXPECT_EQ(prove({{r.out_a, mid_a}, {}}),
+            "batch sweep: case \"A=1\" moved \"OUTA\" outside its cone");
+  // Lane B legitimately moved MIDB and OUTB; lane A's cell of the same row
+  // lies outside lane A's cone.
+  EXPECT_EQ(prove({{mid_a, r.out_b}, {mid_b, r.out_b}}),
+            "batch sweep: case \"A=1\" moved \"OUTB\" outside its cone");
 }
 
 TEST(BatchEval, ScheduleCoversEveryNonCheckerPrimitiveOnce) {

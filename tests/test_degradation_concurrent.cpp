@@ -114,28 +114,36 @@ TEST(ConcurrentDegradation, BatchFallbackReportsEachDegradationExactlyOnce) {
   // behind their own degradation records -- the fallback run must be
   // byte-identical to a run with the batch engine disabled, TV-W203 records
   // included, each reported exactly once.
-  ChainRig on = build_chain(8);
-  std::vector<CaseSpec> cases = chain_cases(on);
-  on.opts.max_waveforms_per_shard = 1;
-  on.opts.batch_eval = true;
-  Verifier v_on(on.nl, on.opts);
-  VerifyResult r_on = v_on.verify(cases);
+  // The per-case runs resolve their cones lazily, on whichever worker needs
+  // the index first, so the comparison runs at one job and at four.
+  for (unsigned jobs : {1u, 4u}) {
+    ChainRig on = build_chain(8);
+    std::vector<CaseSpec> cases = chain_cases(on);
+    on.opts.max_waveforms_per_shard = 1;
+    on.opts.batch_eval = true;
+    on.opts.jobs = jobs;
+    Verifier v_on(on.nl, on.opts);
+    VerifyResult r_on = v_on.verify(cases);
 
-  ChainRig off = build_chain(8);
-  off.opts.max_waveforms_per_shard = 1;
-  off.opts.batch_eval = false;
-  Verifier v_off(off.nl, off.opts);
-  VerifyResult r_off = v_off.verify(chain_cases(off));
+    ChainRig off = build_chain(8);
+    off.opts.max_waveforms_per_shard = 1;
+    off.opts.batch_eval = false;
+    Verifier v_off(off.nl, off.opts);
+    VerifyResult r_off = v_off.verify(chain_cases(off));
 
-  std::vector<std::string> batch = degradation_lines(r_on);
-  std::vector<std::string> per_case = degradation_lines(r_off);
-  ASSERT_FALSE(per_case.empty());
-  EXPECT_EQ(batch, per_case);
-  EXPECT_EQ(r_on.partial, r_off.partial);
-  ASSERT_EQ(r_on.cases.size(), r_off.cases.size());
-  for (std::size_t i = 0; i < r_on.cases.size(); ++i) {
-    EXPECT_EQ(r_on.cases[i].degraded, r_off.cases[i].degraded) << i;
-    EXPECT_EQ(r_on.cases[i].violations.size(), r_off.cases[i].violations.size()) << i;
+    std::vector<std::string> batch = degradation_lines(r_on);
+    std::vector<std::string> per_case = degradation_lines(r_off);
+    ASSERT_FALSE(per_case.empty());
+    EXPECT_EQ(batch, per_case) << "jobs=" << jobs;
+    EXPECT_EQ(r_on.partial, r_off.partial);
+    ASSERT_EQ(r_on.cases.size(), r_off.cases.size());
+    for (std::size_t i = 0; i < r_on.cases.size(); ++i) {
+      EXPECT_EQ(r_on.cases[i].degraded, r_off.cases[i].degraded) << i;
+      EXPECT_EQ(r_on.cases[i].violations.size(), r_off.cases[i].violations.size()) << i;
+    }
+    // Every case fell back, so every distinct pin set (one per SEL) was
+    // resolved, once.
+    EXPECT_EQ(v_on.resolved_cones(), on.sels.size()) << "jobs=" << jobs;
   }
 }
 

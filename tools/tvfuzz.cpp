@@ -20,8 +20,9 @@
 // first path with a seed-chosen resource guard armed and fails if
 // degradation hides a violation or leaves the result unmarked. The memo
 // audit column runs the first path and one path drawn from the seed and
-// fails if a memo entry differs from a fresh evaluation of its key or a
-// converged fixpoint is not one. PAIR (batch, compile, incr, snapshot,
+// fails if a memo entry differs from a fresh evaluation of its key, a
+// converged fixpoint is not one, or a batch lane writes outside its case's
+// cone. PAIR (batch, compile, incr, snapshot,
 // random, degrade or memo) runs only that entry.
 //
 // --parser-fuzz mutates valid SHDL sources (byte- and token-level, seeded)
