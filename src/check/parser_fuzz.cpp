@@ -162,4 +162,9 @@ std::string seed_design(std::size_t index) {
   return std::string(kSeedDesigns[index % std::size(kSeedDesigns)]);
 }
 
+std::string mutate_source(std::string src, std::uint64_t seed) {
+  std::mt19937_64 rng(seed * 0x9E3779B97F4A7C15ull + 1);
+  return mutate(std::move(src), rng);
+}
+
 }  // namespace tv::check

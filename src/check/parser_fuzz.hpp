@@ -35,4 +35,9 @@ std::optional<ParserFuzzFailure> check_parser_robustness(std::uint64_t seed);
 std::size_t seed_design_count();
 std::string seed_design(std::size_t index);
 
+/// The mutator alone: 1-8 seeded byte- and token-level edits of `src`. The
+/// diagnostics digest (tests/test_diagnostics.cpp) runs the front end over
+/// its mutants.
+std::string mutate_source(std::string src, std::uint64_t seed);
+
 }  // namespace tv::check

@@ -1,6 +1,5 @@
 #include "core/assertion.hpp"
 
-#include <cctype>
 #include <stdexcept>
 
 #include "util/strings.hpp"
@@ -27,7 +26,7 @@ class SpecParser {
     size_t start = pos_;
     if (peek() == '-') ++pos_;
     while (pos_ < spec_.size() &&
-           (std::isdigit(static_cast<unsigned char>(spec_[pos_])) || spec_[pos_] == '.')) {
+           (is_digit(spec_[pos_]) || spec_[pos_] == '.')) {
       ++pos_;
     }
     double out;
@@ -48,12 +47,12 @@ Assertion parse_spec(Assertion::Kind kind, std::string_view spec_text, std::stri
   a.kind = kind;
   std::string spec;
   for (char c : spec_text) {
-    if (!std::isspace(static_cast<unsigned char>(c))) spec += c;
+    if (!is_space(c)) spec += c;
   }
   SpecParser p(std::move(spec), original);
 
   // <value specification>: comma-separated time ranges.
-  while (!p.done() && (std::isdigit(static_cast<unsigned char>(p.peek())) || p.peek() == '.')) {
+  while (!p.done() && (is_digit(p.peek()) || p.peek() == '.')) {
     Assertion::Range r;
     r.begin = p.number();
     if (p.peek() == '-') {
@@ -109,7 +108,7 @@ SignalText split_signal_text(std::string_view text) {
 
   // Leading "-": complement of the signal (Fig 3-5's "- WE").
   if (!rest.empty() && rest[0] == '-' &&
-      (rest.size() == 1 || rest[1] == ' ' || std::isalpha(static_cast<unsigned char>(rest[1])))) {
+      (rest.size() == 1 || rest[1] == ' ' || is_alpha(rest[1]))) {
     t.complemented = true;
     rest = trim(rest.substr(1));
   }
@@ -125,7 +124,7 @@ SignalText split_signal_text(std::string_view text) {
   // Scope markers "/M" (macro-local) and "/P" (parameter), sec. 3.1. They
   // follow the name proper.
   if (rest.size() >= 2 && rest[rest.size() - 2] == '/') {
-    char m = static_cast<char>(std::toupper(static_cast<unsigned char>(rest.back())));
+    char m = to_upper(rest.back());
     if (m == 'M' || m == 'P') {
       t.scope = (m == 'M') ? SignalScope::Local : SignalScope::Parameter;
       rest = trim(rest.substr(0, rest.size() - 2));
@@ -139,10 +138,10 @@ SignalText split_signal_text(std::string_view text) {
   for (size_t i = 0; i + 1 < rest.size(); ++i) {
     if (rest[i] != '.') continue;
     if (i > 0 && rest[i - 1] != ' ') continue;  // must start a token
-    char k = static_cast<char>(std::toupper(static_cast<unsigned char>(rest[i + 1])));
+    char k = to_upper(rest[i + 1]);
     if (k != 'P' && k != 'C' && k != 'S') continue;
     char next = (i + 2 < rest.size()) ? rest[i + 2] : ' ';
-    if (next == ' ' || std::isdigit(static_cast<unsigned char>(next)) || next == '.') {
+    if (next == ' ' || is_digit(next) || next == '.') {
       t.assertion = rest.substr(i);
       t.base = trim(rest.substr(0, i));
       break;
@@ -166,7 +165,7 @@ SignalText split_signal_text(std::string_view text) {
 std::string parse_directives(const SignalText& t) {
   std::string out;
   for (char c : t.directives) {
-    char u = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    char u = to_upper(c);
     if (u != 'E' && u != 'W' && u != 'Z' && u != 'A' && u != 'H') {
       fail(t.text, std::string("unknown evaluation directive letter '") + c + "'");
     }
@@ -177,7 +176,7 @@ std::string parse_directives(const SignalText& t) {
 
 Assertion parse_assertion(const SignalText& t) {
   if (t.assertion.empty()) return Assertion{};
-  char k = static_cast<char>(std::toupper(static_cast<unsigned char>(t.assertion[1])));
+  char k = to_upper(t.assertion[1]);
   Assertion::Kind kind = k == 'P'   ? Assertion::Kind::PrecisionClock
                          : k == 'C' ? Assertion::Kind::Clock
                                     : Assertion::Kind::Stable;

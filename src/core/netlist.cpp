@@ -34,10 +34,10 @@ bool prim_is_checker(PrimKind k) {
 }
 
 SignalId Netlist::add_signal(const SignalText& text, int width) {
-  auto it = by_name_.find(text.name);
-  if (it != by_name_.end()) {
-    widen(it->second, width);
-    return it->second;
+  const NameIndex::Probe found = by_name_.probe(text.name);
+  if (found.id != NameIndex::kAbsent) {
+    widen(found.id, width);
+    return found.id;
   }
   // Sec. 2.5.1: the assertion is *part of the name*, so all references to
   // one signal are consistent by definition -- and the same base name with
@@ -50,7 +50,7 @@ SignalId Netlist::add_signal(const SignalText& text, int width) {
   s.base_name = std::string(text.base);
   s.scope = text.scope;
   s.width = width;
-  by_name_.emplace(s.full_name, id);
+  by_name_.insert(found, s.full_name, id);
   signals_.push_back(std::move(s));
   return id;
 }
@@ -65,7 +65,7 @@ SignalId Netlist::push_signal(Signal s) {
   s.fanout.clear();
   s.wave = Waveform();
   s.eval_str.clear();
-  by_name_.emplace(s.full_name, id);  // no-op when the name is already taken
+  by_name_.insert_if_absent(s.full_name, id);
   signals_.push_back(std::move(s));
   finalized_ = false;
   return id;
@@ -83,10 +83,7 @@ Ref Netlist::ref(const SignalText& text, int width) {
   return r;
 }
 
-SignalId Netlist::find(std::string_view full_name) const {
-  auto it = by_name_.find(full_name);
-  return it == by_name_.end() ? kNoSignal : it->second;
-}
+SignalId Netlist::find(std::string_view full_name) const { return by_name_.find(full_name); }
 
 void Netlist::set_wire_delay(SignalId id, Time dmin, Time dmax) {
   if (dmin < 0 || dmax < dmin) throw std::invalid_argument("invalid wire delay range");
@@ -111,19 +108,18 @@ void Netlist::set_assertion(SignalId id, const Assertion& assertion, std::string
                             std::string full_name) {
   if (id >= signals_.size()) throw std::invalid_argument("set_assertion: id out of range");
   Signal& s = signals_[id];
-  auto taken = by_name_.find(full_name);
-  if (taken != by_name_.end() && taken->second != id) {
+  SignalId taken = by_name_.find(full_name);
+  if (taken != NameIndex::kAbsent && taken != id) {
     throw std::invalid_argument("set_assertion: \"" + full_name +
                                 "\" already names another signal");
   }
   // Drop the old name only when it still points at this signal (a synonym
   // merge may have redirected it to the surviving entry).
-  auto old_it = by_name_.find(s.full_name);
-  if (old_it != by_name_.end() && old_it->second == id) by_name_.erase(old_it);
+  if (by_name_.find(s.full_name) == id) by_name_.erase(s.full_name);
   s.assertion = assertion;
   s.base_name = std::move(base_name);
   s.full_name = std::move(full_name);
-  by_name_.emplace(s.full_name, id);
+  by_name_.assign(s.full_name, id);
 }
 
 void Netlist::set_rise_fall(PrimId id, RiseFallDelay rf) {
@@ -152,7 +148,7 @@ void Netlist::merge_signals(SignalId keep, SignalId drop) {
     }
     if (p.output == drop) p.output = keep;
   }
-  by_name_[d.full_name] = keep;
+  by_name_.assign(d.full_name, keep);
   d.fanout.clear();
   d.driver = kNoPrim;
   finalized_ = false;
@@ -170,6 +166,15 @@ PrimId Netlist::add_prim(Primitive p) {
 
 namespace {
 Pin to_pin(const Ref& r) { return Pin{r.id, r.invert, r.directives}; }
+
+/// Appends `pid` to a call list once per primitive. A fresh list starts with
+/// room for six ids, all that the smallest heap block holds anyway, so a
+/// typical fanout is allocated once instead of regrowing from one.
+void add_fanout(std::vector<PrimId>& fo, PrimId pid) {
+  if (!fo.empty() && fo.back() == pid) return;
+  if (fo.capacity() == 0) fo.reserve(6);
+  fo.push_back(pid);
+}
 }  // namespace
 
 PrimId Netlist::gate(PrimKind kind, std::string name, Time dmin, Time dmax,
@@ -335,8 +340,7 @@ void Netlist::finalize() {
       if (pin.sig == kNoSignal || pin.sig >= signals_.size()) {
         throw std::logic_error("primitive \"" + p.name + "\" has an unconnected input");
       }
-      std::vector<PrimId>& fo = signals_[pin.sig].fanout;
-      if (fo.empty() || fo.back() != pid) fo.push_back(pid);
+      add_fanout(signals_[pin.sig].fanout, pid);
     }
     if (p.output != kNoSignal) {
       Signal& out = signals_[p.output];
@@ -394,8 +398,7 @@ bool Netlist::finalize(diag::DiagnosticEngine& diags,
               "primitive \"" + p.name + "\" has an unconnected input");
         continue;
       }
-      std::vector<PrimId>& fo = signals_[pin.sig].fanout;
-      if (fo.empty() || fo.back() != pid) fo.push_back(pid);
+      add_fanout(signals_[pin.sig].fanout, pid);
     }
     if (p.output != kNoSignal && p.output < signals_.size()) {
       Signal& out = signals_[p.output];

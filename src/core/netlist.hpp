@@ -18,16 +18,15 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/assertion.hpp"
+#include "core/name_index.hpp"
 #include "core/waveform.hpp"
 #include "diag/diagnostic.hpp"
 
 namespace tv {
 
-using SignalId = std::uint32_t;
 using PrimId = std::uint32_t;
 inline constexpr SignalId kNoSignal = static_cast<SignalId>(-1);
 inline constexpr PrimId kNoPrim = static_cast<PrimId>(-1);
@@ -143,6 +142,8 @@ class Netlist {
   /// reset and recomputed by finalize()/initialize().
   SignalId push_signal(Signal s);
   SignalId find(std::string_view full_name) const;
+  /// The full-name index find() reads (exposed for its size accounting).
+  const NameIndex& name_index() const { return by_name_; }
 
   Signal& signal(SignalId id) { return signals_[id]; }
   const Signal& signal(SignalId id) const { return signals_[id]; }
@@ -180,6 +181,12 @@ class Netlist {
   void merge_signals(SignalId keep, SignalId drop);
 
   // --- builders -----------------------------------------------------------
+  /// Room for `signals` signals and `prims` primitives in all, so a builder
+  /// that can bound its counts up front adds them without regrowth.
+  void reserve(std::size_t signals, std::size_t prims) {
+    signals_.reserve(signals);
+    prims_.reserve(prims);
+  }
   PrimId add_prim(Primitive p);
   PrimId gate(PrimKind kind, std::string name, Time dmin, Time dmax,
               std::vector<Ref> ins, Ref out, int width = 1);
@@ -241,12 +248,7 @@ class Netlist {
  private:
   std::vector<Signal> signals_;
   std::vector<Primitive> prims_;
-  /// Hashes by string_view so lookups by view allocate nothing.
-  struct NameHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const { return std::hash<std::string_view>{}(s); }
-  };
-  std::unordered_map<std::string, SignalId, NameHash, std::equal_to<>> by_name_;
+  NameIndex by_name_;
   bool finalized_ = false;
   std::uint64_t structure_version_ = 0;
 };

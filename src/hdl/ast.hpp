@@ -28,9 +28,15 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace tv::hdl {
+
+/// The numeric parameters of one macro instantiation, by name. A macro has
+/// few formals, so lookup is a scan.
+using ParamEnv = std::vector<std::pair<std::string_view, double>>;
 
 /// Arithmetic expression over numbers and named macro parameters.
 struct Expr {
@@ -40,14 +46,22 @@ struct Expr {
   std::string param;         // Param
   std::unique_ptr<Expr> lhs, rhs;
 
-  double eval(const std::map<std::string, double>& env, int line) const;
+  double eval(const ParamEnv& env, int line) const;
 };
 using ExprPtr = std::unique_ptr<Expr>;
 
+/// An attribute or delay operand: a plain (optionally negated) number is
+/// held inline; anything else is an expression tree.
+struct Operand {
+  double value = 0;  // when expr is null
+  ExprPtr expr;
+};
+
 struct Attr {
   std::string name;
-  ExprPtr lo;            // single value or range low
-  ExprPtr hi;            // range high (null for single values)
+  Operand lo;            // single value or range low
+  Operand hi;            // range high (when has_hi)
+  bool has_hi = false;
   int line = 0;
   int column = 0;
 };
@@ -69,7 +83,7 @@ struct ParamDecl {
 
 struct WireDelayDecl {
   std::string signal;
-  ExprPtr dmin, dmax;
+  Operand dmin, dmax;
   int line = 0;
   int column = 0;
 };

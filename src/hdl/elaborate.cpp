@@ -1,11 +1,14 @@
 #include "hdl/elaborate.hpp"
 
-#include <cctype>
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <deque>
 #include <stdexcept>
+#include <unordered_map>
 #include <unordered_set>
 
+#include "hdl/lexer.hpp"
 #include "hdl/parser.hpp"
 #include "util/strings.hpp"
 #include "util/time.hpp"
@@ -63,12 +66,12 @@ struct DiagScope {
                               why);
 }
 
-/// Evaluates an attribute/wire-delay expression; an unknown macro parameter
+/// Evaluates an attribute/wire-delay operand; an unknown macro parameter
 /// becomes a located SHDL-E021 in diagnostic mode.
-double eval_expr(const Expr& e, const std::map<std::string, double>& env, int line,
-                 int column) {
+double eval_operand(const Operand& o, const ParamEnv& env, int line, int column) {
+  if (!o.expr) return o.value;
   try {
-    return e.eval(env, line);
+    return o.expr->eval(env, line);
   } catch (const std::invalid_argument& ex) {
     if (!t_diag) throw;
     std::string msg = ex.what();
@@ -81,7 +84,7 @@ double eval_expr(const Expr& e, const std::map<std::string, double>& env, int li
 
 class RangeExpr {
  public:
-  RangeExpr(std::string_view s, const std::map<std::string, double>& env, int line)
+  RangeExpr(std::string_view s, const ParamEnv& env, int line)
       : s_(s), env_(env), line_(line) {}
 
   double eval() {
@@ -95,7 +98,7 @@ class RangeExpr {
 
  private:
   void skip_ws() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_]))) ++pos_;
+    while (pos_ < s_.size() && is_space(s_[pos_])) ++pos_;
   }
   char peek() {
     skip_ws();
@@ -134,37 +137,31 @@ class RangeExpr {
       ++pos_;
       return -atom();
     }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      std::size_t start = pos_;
-      while (pos_ < s_.size() &&
-             (std::isdigit(static_cast<unsigned char>(s_[pos_])) || s_[pos_] == '.')) {
-        ++pos_;
-      }
-      std::string text(s_.substr(start, pos_ - start));
-      try {
-        return std::stod(text);
-      } catch (const std::exception&) {
-        fail(line_, 0, diag::kErrBadRange, "bad number \"" + text + "\" in range expression");
-      }
+    if (is_digit(c)) {
+      std::string_view text = s_.substr(pos_, number_length(s_.substr(pos_)));
+      pos_ += text.size();
+      if (std::optional<double> v = read_number(text)) return *v;
+      fail(line_, 0, diag::kErrBadRange,
+           "bad number \"" + std::string(text) + "\" in range expression");
     }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
+    if (is_alpha(c) || c == '_') {
       std::size_t start = pos_;
       while (pos_ < s_.size() &&
-             (std::isalnum(static_cast<unsigned char>(s_[pos_])) || s_[pos_] == '_')) {
+             (is_alnum(s_[pos_]) || s_[pos_] == '_')) {
         ++pos_;
       }
-      std::string name(s_.substr(start, pos_ - start));
-      auto it = env_.find(name);
-      if (it == env_.end()) {
-        fail(line_, 0, diag::kErrUnknownParam, "unknown parameter \"" + name + "\" in range");
+      std::string_view name = s_.substr(start, pos_ - start);
+      for (const auto& [formal, v] : env_) {
+        if (formal == name) return v;
       }
-      return it->second;
+      fail(line_, 0, diag::kErrUnknownParam,
+           "unknown parameter \"" + std::string(name) + "\" in range");
     }
     fail(line_, 0, diag::kErrBadRange, "bad range expression \"" + std::string(s_) + "\"");
   }
 
   std::string_view s_;
-  const std::map<std::string, double>& env_;
+  const ParamEnv& env_;
   int line_;
   std::size_t pos_ = 0;
 };
@@ -172,15 +169,17 @@ class RangeExpr {
 // --- signal references ------------------------------------------------------
 
 /// One resolved signal reference: its text split with the name rebuilt for
-/// this scope. A reference to a macro formal that adds no assertion
-/// forwards to the actual's Resolved, which lives in an enclosing Scope's
-/// signal map: every reference to one actual shares its name and, in pass
-/// 2, its id. A forward's own `sig` carries only its complement and
+/// this scope, and its directive letters, checked and upper-cased. A
+/// reference to a macro formal that adds no assertion forwards to the
+/// actual's Resolved, which lives in an enclosing Scope's signal map: every
+/// reference to one actual shares its name and, in pass 2, its id. A
+/// forward's own `sig` and `directives` carry only its complement and
 /// directives. The views point into the syntax tree or a NameStore, both of
 /// which outlive the elaboration.
 struct Resolved {
   SignalText sig;
-  mutable SignalId id = kNoSignal;    // set by the first make_ref
+  std::string directives;
+  mutable SignalId id = kNoSignal;    // set by the first make_pin
   const Resolved* forward = nullptr;  // the actual a pass-through formal reuses
   int width = 1;
 };
@@ -194,13 +193,15 @@ Resolved own(const Resolved& r) {
   Resolved o = *r.forward;
   o.sig.complemented = r.sig.complemented;
   o.sig.directives = r.sig.directives;
+  o.directives = r.directives;
   o.width = r.width;
   return o;
 }
 
 /// Keeps the names the elaborator rebuilds ("/M" locals, evaluated ranges)
-/// alive for the whole elaboration. A name that comes out spelled as
-/// written is not copied: the view into the syntax tree serves.
+/// alive for the whole elaboration, packed into large blocks. A name that
+/// comes out spelled as written is not copied: the view into the syntax tree
+/// serves.
 class NameStore {
  public:
   /// A cleared buffer to build one name in.
@@ -211,12 +212,20 @@ class NameStore {
   /// The name just built in buffer(): `written` when it spells the same.
   std::string_view keep(std::string_view written) {
     if (buffer_ == written) return written;
-    return stored_.emplace_back(buffer_);
+    if (blocks_.empty() || blocks_.back().capacity() - blocks_.back().size() < buffer_.size()) {
+      // A block never reallocates, so the views into it stay valid.
+      blocks_.emplace_back().reserve(std::max<std::size_t>(kBlock, buffer_.size()));
+    }
+    std::string& block = blocks_.back();
+    const std::size_t at = block.size();
+    block += buffer_;
+    return std::string_view(block).substr(at);
   }
 
  private:
+  static constexpr std::size_t kBlock = 16 * 1024;
   std::string buffer_;
-  std::deque<std::string> stored_;  // never relocates its strings
+  std::deque<std::string> blocks_;
 };
 
 /// Appends " assertion" to a name, as written in a full SCALD name.
@@ -227,8 +236,7 @@ void append_assertion(std::string& name, std::string_view assertion) {
 }
 
 /// Evaluates "lo:hi" (or a single index, lo == hi) in `env`; returns lo.
-double eval_range(std::string_view range, const std::map<std::string, double>& env, int line,
-                  double* hi) {
+double eval_range(std::string_view range, const ParamEnv& env, int line, double* hi) {
   auto colon = range.find(':');
   double lo = RangeExpr(range.substr(0, colon), env, line).eval();
   *hi = colon == std::string_view::npos ? lo
@@ -238,7 +246,7 @@ double eval_range(std::string_view range, const std::map<std::string, double>& e
 
 // Environment of one macro instantiation.
 struct Scope {
-  std::map<std::string, double> env;  // numeric parameters
+  ParamEnv env;  // numeric parameters
   /// Formal base name -> actual, in declaration order (formals are few).
   std::vector<std::pair<std::string_view, Resolved>> signal_map;
   std::string path;  // instance path for "/M" locals
@@ -251,20 +259,21 @@ const Resolved* find_formal(const Scope& scope, std::string_view head) {
   return nullptr;
 }
 
-/// Resolves one signal string in `scope`. Malformed directives and ranges
-/// are reported at (line, column).
-Resolved resolve_signal(NameStore& names, std::string_view raw, const Scope& scope, int line,
-                        int column) {
-  Resolved r;
+/// Resolves one signal string in `scope` into `r`. Malformed directives and
+/// ranges are reported at (line, column).
+void resolve_signal(NameStore& names, std::string_view raw, const Scope& scope, int line,
+                    int column, Resolved& r) {
   SignalText& t = r.sig;
   t = split_signal_text(raw);
   if (t.has_range && !t.range_closed) {
     fail(line, 0, diag::kErrBadRange, "unterminated vector range");
   }
-  try {
-    parse_directives(t);
-  } catch (const std::invalid_argument& e) {
-    fail(line, column, diag::kErrElab, e.what());
+  if (!t.directives.empty()) {
+    try {
+      r.directives = parse_directives(t);
+    } catch (const std::invalid_argument& e) {
+      fail(line, column, diag::kErrElab, e.what());
+    }
   }
   double lo = 0, hi = 0;
   if (!t.range.empty()) {
@@ -278,10 +287,13 @@ Resolved resolve_signal(NameStore& names, std::string_view raw, const Scope& sco
     const Resolved& a = target(*formal);
     r.width = std::max(r.width, formal->width);
     t.complemented ^= formal->sig.complemented;
-    if (t.directives.empty()) t.directives = formal->sig.directives;
+    if (t.directives.empty()) {
+      t.directives = formal->sig.directives;
+      r.directives = formal->directives;
+    }
     if (t.assertion.empty() || !a.sig.assertion.empty()) {
       r.forward = &a;
-      return r;
+      return;
     }
     std::string& name = names.buffer();
     name += a.sig.name;
@@ -289,7 +301,7 @@ Resolved resolve_signal(NameStore& names, std::string_view raw, const Scope& sco
     t.name = names.keep(t.name);
     t.base = a.sig.name;
     t.scope = a.sig.scope;
-    return r;
+    return;
   }
   if (t.scope == SignalScope::Parameter) {
     fail(line, 0, diag::kErrNotAParameter,
@@ -313,6 +325,12 @@ Resolved resolve_signal(NameStore& names, std::string_view raw, const Scope& sco
   append_assertion(name, t.assertion);
   t.name = names.keep(t.name);
   t.base = t.name.substr(0, base_len);
+}
+
+Resolved resolve_signal(NameStore& names, std::string_view raw, const Scope& scope, int line,
+                        int column) {
+  Resolved r;
+  resolve_signal(names, raw, scope, line, column, r);
   return r;
 }
 
@@ -325,7 +343,29 @@ struct SynonymPair {
   std::string file;  // source attribution at resolution time
 };
 
+/// How much one expansion of a body adds to the netlist: primitives, and
+/// signal references, which bound the signals it can create. The counts
+/// only size a reservation: they saturate at 2^18, and a recursive macro
+/// counts as empty below the cycle.
+struct ExpansionSize {
+  std::size_t prims = 0;
+  std::size_t refs = 0;
+};
+
+/// What elaboration needs of a macro definition, worked out once per
+/// elaboration instead of once per instantiation.
+struct MacroPlan {
+  /// The split text of each signal formal, in declaration order.
+  std::vector<SignalText> formals;
+  ExpansionSize size;
+  bool sizing = false;
+  bool sized = false;
+};
+
 struct ExpandCtx {
+  ExpandCtx(const File& f, Netlist* n, std::vector<diag::SourceLoc>* locs)
+      : file(f), nl(n), prim_locs(locs) {}
+
   const File& file;
   Netlist* nl = nullptr;  // null during pass 1
   std::vector<diag::SourceLoc>* prim_locs = nullptr;  // PrimId -> site
@@ -341,20 +381,82 @@ struct ExpandCtx {
   std::vector<SynonymPair> synonyms;
   std::size_t inst_counter = 0;
   int depth = 0;
+  std::unordered_map<const MacroDef*, MacroPlan> plans;
+  /// ExpandSummary::prims_by_kind, tallied by view (kinds are few).
+  std::vector<std::pair<std::string_view, std::size_t>> kind_counts;
+  /// A primitive's resolved pins; primitives do not nest, so one buffer
+  /// serves them all.
+  std::vector<Resolved> prim_pins;
 };
 
-/// "PATH/KIND#N", the name of the next instance under `path`.
-std::string instance_name(ExpandCtx& ctx, const std::string& path, const std::string& kind) {
-  return (path.empty() ? "" : path + "/") + kind + "#" + std::to_string(ctx.inst_counter++);
+const MacroDef* find_macro(const ExpandCtx& ctx, const std::string& name) {
+  auto it = ctx.file.macros.find(name);
+  return it == ctx.file.macros.end() ? nullptr : &it->second;
 }
 
-double attr_value(const Instance& inst, const char* name, const Scope& scope, double dflt,
+/// The plan of `def`, splitting its formals' text on first use.
+MacroPlan& plan_of(ExpandCtx& ctx, const MacroDef& def) {
+  auto [it, fresh] = ctx.plans.try_emplace(&def);
+  if (fresh) {
+    for (const ParamDecl& d : def.body.params) {
+      for (const std::string& n : d.names) it->second.formals.push_back(split_signal_text(n));
+    }
+  }
+  return it->second;
+}
+
+/// The size of one expansion of `body`, `depth` macros down; as deep as the
+/// expansion itself goes, and no deeper.
+ExpansionSize expansion_size(ExpandCtx& ctx, const Body& body, int depth = 0) {
+  constexpr std::size_t kCap = std::size_t{1} << 18;
+  ExpansionSize n;
+  if (depth > 65) return n;
+  auto add = [&](std::size_t prims, std::size_t refs) {
+    n.prims = std::min(kCap, n.prims + prims);
+    n.refs = std::min(kCap, n.refs + refs);
+  };
+  for (const Instance& inst : body.instances) {
+    if (const MacroDef* def = find_macro(ctx, inst.kind)) {
+      MacroPlan& plan = plan_of(ctx, *def);
+      if (!plan.sized && !plan.sizing) {
+        plan.sizing = true;
+        plan.size = expansion_size(ctx, def->body, depth + 1);
+        plan.sizing = false;
+        plan.sized = true;
+      }
+      add(plan.size.prims, plan.size.refs);
+    } else if (!inst.is_macro) {
+      add(1, inst.pins.size() + !inst.output.empty());
+    }
+  }
+  add(0, body.wire_delays.size() + 2 * body.synonyms.size());
+  for (const CaseDecl& c : body.cases) add(0, c.pins.size());
+  return n;
+}
+
+/// "PATH/KIND#N", the name of the next instance under `path`.
+std::string instance_name(ExpandCtx& ctx, std::string_view path, std::string_view kind) {
+  char counter[24];
+  char* end = std::to_chars(counter, counter + sizeof counter, ctx.inst_counter++).ptr;
+  std::string name;
+  name.reserve(path.size() + kind.size() + 2 + static_cast<std::size_t>(end - counter));
+  if (!path.empty()) {
+    name += path;
+    name += '/';
+  }
+  name += kind;
+  name += '#';
+  name.append(counter, end);
+  return name;
+}
+
+double attr_value(const Instance& inst, std::string_view name, const Scope& scope, double dflt,
                   bool* found = nullptr, double* hi = nullptr) {
   for (const Attr& a : inst.attrs) {
     if (a.name == name) {
       if (found) *found = true;
-      double lo = eval_expr(*a.lo, scope.env, a.line, a.column);
-      if (hi) *hi = a.hi ? eval_expr(*a.hi, scope.env, a.line, a.column) : lo;
+      double lo = eval_operand(a.lo, scope.env, a.line, a.column);
+      if (hi) *hi = a.has_hi ? eval_operand(a.hi, scope.env, a.line, a.column) : lo;
       return lo;
     }
   }
@@ -370,14 +472,15 @@ void note_name(ExpandCtx& ctx, const Resolved& r) {
   ctx.names.insert(name);
 }
 
-Ref make_ref(ExpandCtx& ctx, const Resolved& r) {
+/// The pin `r` connects, creating its signal on first use.
+Pin make_pin(ExpandCtx& ctx, const Resolved& r) {
   const Resolved& s = target(r);
   if (s.id == kNoSignal) {
     s.id = ctx.nl->add_signal(s.sig, r.width);
   } else {
     ctx.nl->widen(s.id, r.width);
   }
-  return Ref{s.id, r.sig.complemented, parse_directives(r.sig)};
+  return Pin{s.id, r.sig.complemented, r.directives};
 }
 
 /// Parses the assertion of a reference the netlist creates only after
@@ -390,106 +493,115 @@ void check_assertion(const Resolved& r, int line, int column) {
   }
 }
 
+/// A primitive as SHDL spells it. Its pins are `leading` fixed ones, then
+/// `tail` more (kVariadic: one or more).
+struct PrimSpec {
+  std::string_view kind;
+  PrimKind prim;
+  std::uint8_t leading;
+  std::uint8_t tail;
+  bool rise_fall;  // takes [rise=..., fall=...] (combinational elements)
+};
+constexpr std::uint8_t kVariadic = 0xff;
+
+constexpr PrimSpec kPrimSpecs[] = {
+    {"buf", PrimKind::Buf, 1, 0, true},
+    {"wire", PrimKind::Buf, 1, 0, true},
+    {"not", PrimKind::Not, 1, 0, true},
+    {"or", PrimKind::Or, 0, kVariadic, true},
+    {"and", PrimKind::And, 0, kVariadic, true},
+    {"xor", PrimKind::Xor, 0, kVariadic, true},
+    {"chg", PrimKind::Chg, 0, kVariadic, true},
+    {"mux2", PrimKind::Mux2, 3, 0, true},
+    {"mux4", PrimKind::Mux4, 2, 4, true},
+    {"mux8", PrimKind::Mux8, 3, 8, true},
+    {"reg", PrimKind::Reg, 2, 0, false},
+    {"reg_sr", PrimKind::RegSR, 4, 0, false},
+    {"latch", PrimKind::Latch, 2, 0, false},
+    {"latch_sr", PrimKind::LatchSR, 4, 0, false},
+    {"setup_hold", PrimKind::SetupHoldChk, 2, 0, false},
+    {"setup_rise_hold_fall", PrimKind::SetupRiseHoldFallChk, 2, 0, false},
+    {"min_pulse_width", PrimKind::MinPulseWidthChk, 1, 0, false},
+};
+
+const PrimSpec* find_prim_spec(std::string_view kind) {
+  for (const PrimSpec& spec : kPrimSpecs) {
+    if (spec.kind == kind) return &spec;
+  }
+  return nullptr;
+}
+
 void build_primitive(ExpandCtx& ctx, const Instance& inst, const Scope& scope,
-                     const std::vector<Resolved>& pins, const Resolved* out,
-                     const std::string& name) {
+                     const std::vector<Resolved>& pins, const Resolved* out, std::string name,
+                     int width) {
   const std::string& k = inst.kind;
   double dmax_ns = 0;
   double dmin_ns = attr_value(inst, "delay", scope, 0, nullptr, &dmax_ns);
   if (t_diag && (dmin_ns < 0 || dmax_ns < dmin_ns)) {
-    // Legacy mode leaves this to the Netlist builders (same condition, but a
+    // Legacy mode leaves this to Netlist::add_prim (same condition, but a
     // location-free exception); here we can name the instantiation site.
     fail(inst.line, inst.column, diag::kErrBadDelay,
          "\"" + k + "\": invalid delay range " + format_ns(from_ns(dmin_ns)) + ":" +
              format_ns(from_ns(dmax_ns)) + " (need 0 <= min <= max)");
   }
-  Time dmin = from_ns(dmin_ns), dmax = from_ns(dmax_ns);
-  int width = static_cast<int>(attr_value(inst, "width", scope, 1));
-
-  auto need = [&](std::size_t n) {
-    if (pins.size() != n) {
-      fail(inst.line, inst.column, diag::kErrPinCount,
-           "\"" + k + "\" needs " + std::to_string(n) + " inputs, got " +
-               std::to_string(pins.size()));
-    }
-  };
-  auto need_out = [&]() -> Ref {
-    if (!out) {
-      fail(inst.line, inst.column, diag::kErrPinCount,
-           "\"" + k + "\" needs an output ('-> \"SIG\"')");
-    }
-    return make_ref(ctx, *out);
-  };
-  auto refs = [&](std::size_t from, std::size_t to) {
-    std::vector<Ref> v;
-    for (std::size_t i = from; i < to; ++i) v.push_back(make_ref(ctx, pins[i]));
-    return v;
-  };
-
-  Netlist& nl = *ctx.nl;
-  PrimId made = kNoPrim;
-  if (k == "buf" || k == "wire") {
-    need(1);
-    made = nl.buf(name, dmin, dmax, make_ref(ctx, pins[0]), need_out(), width);
-  } else if (k == "not") {
-    need(1);
-    made = nl.not_gate(name, dmin, dmax, make_ref(ctx, pins[0]), need_out(), width);
-  } else if (k == "or" || k == "and" || k == "xor" || k == "chg") {
+  const PrimSpec* spec = find_prim_spec(k);
+  if (!spec) {
+    fail(inst.line, inst.column, diag::kErrUnknownPrimitive,
+         "unknown primitive \"" + k + "\" (and no such macro)");
+  }
+  if (spec->tail == kVariadic) {
     if (pins.empty()) {
       fail(inst.line, inst.column, diag::kErrPinCount,
            "\"" + k + "\" needs at least one input");
     }
-    PrimKind kind = k == "or"    ? PrimKind::Or
-                    : k == "and" ? PrimKind::And
-                    : k == "xor" ? PrimKind::Xor
-                                 : PrimKind::Chg;
-    made = nl.gate(kind, name, dmin, dmax, refs(0, pins.size()), need_out(), width);
-  } else if (k == "mux2") {
-    need(3);
-    made = nl.mux2(name, dmin, dmax, make_ref(ctx, pins[0]), make_ref(ctx, pins[1]),
-            make_ref(ctx, pins[2]), need_out(), width);
-  } else if (k == "mux4") {
-    need(6);
-    made = nl.mux4(name, dmin, dmax, make_ref(ctx, pins[0]), make_ref(ctx, pins[1]), refs(2, 6),
-            need_out(), width);
-  } else if (k == "mux8") {
-    need(11);
-    made = nl.mux8(name, dmin, dmax, make_ref(ctx, pins[0]), make_ref(ctx, pins[1]),
-            make_ref(ctx, pins[2]), refs(3, 11), need_out(), width);
-  } else if (k == "reg") {
-    need(2);
-    nl.reg(name, dmin, dmax, make_ref(ctx, pins[0]), make_ref(ctx, pins[1]), need_out(), width);
-  } else if (k == "reg_sr") {
-    need(4);
-    nl.reg_sr(name, dmin, dmax, make_ref(ctx, pins[0]), make_ref(ctx, pins[1]),
-              make_ref(ctx, pins[2]), make_ref(ctx, pins[3]), need_out(), width);
-  } else if (k == "latch") {
-    need(2);
-    nl.latch(name, dmin, dmax, make_ref(ctx, pins[0]), make_ref(ctx, pins[1]), need_out(),
-             width);
-  } else if (k == "latch_sr") {
-    need(4);
-    nl.latch_sr(name, dmin, dmax, make_ref(ctx, pins[0]), make_ref(ctx, pins[1]),
-                make_ref(ctx, pins[2]), make_ref(ctx, pins[3]), need_out(), width);
-  } else if (k == "setup_hold") {
-    need(2);
-    nl.setup_hold_chk(name, from_ns(attr_value(inst, "setup", scope, 0)),
-                      from_ns(attr_value(inst, "hold", scope, 0)), make_ref(ctx, pins[0]),
-                      make_ref(ctx, pins[1]), width);
-  } else if (k == "setup_rise_hold_fall") {
-    need(2);
-    nl.setup_rise_hold_fall_chk(name, from_ns(attr_value(inst, "setup", scope, 0)),
-                                from_ns(attr_value(inst, "hold", scope, 0)),
-                                make_ref(ctx, pins[0]), make_ref(ctx, pins[1]), width);
-  } else if (k == "min_pulse_width") {
-    need(1);
-    nl.min_pulse_width_chk(name, from_ns(attr_value(inst, "min_high", scope, 0)),
-                           from_ns(attr_value(inst, "min_low", scope, 0)),
-                           make_ref(ctx, pins[0]));
-  } else {
-    fail(inst.line, inst.column, diag::kErrUnknownPrimitive,
-         "unknown primitive \"" + k + "\" (and no such macro)");
+  } else if (std::size_t n = spec->leading + spec->tail; pins.size() != n) {
+    fail(inst.line, inst.column, diag::kErrPinCount,
+         "\"" + k + "\" needs " + std::to_string(n) + " inputs, got " +
+             std::to_string(pins.size()));
   }
+
+  // Signals are created in the order that fixes their ids (and the .tvc
+  // bytes): the output, the tail pins first to last, then the leading pins
+  // last to first.
+  Primitive p;
+  p.kind = spec->prim;
+  p.name = std::move(name);
+  bool out_inverted = false;
+  if (!prim_is_checker(spec->prim)) {
+    if (!out) {
+      fail(inst.line, inst.column, diag::kErrPinCount,
+           "\"" + k + "\" needs an output ('-> \"SIG\"')");
+    }
+    Pin o = make_pin(ctx, *out);
+    p.output = o.sig;
+    out_inverted = o.invert;
+  }
+  p.inputs.resize(pins.size());
+  for (std::size_t i = spec->leading; i < pins.size(); ++i) p.inputs[i] = make_pin(ctx, pins[i]);
+  for (std::size_t i = spec->leading; i-- > 0;) p.inputs[i] = make_pin(ctx, pins[i]);
+
+  switch (spec->prim) {
+    case PrimKind::SetupHoldChk:
+    case PrimKind::SetupRiseHoldFallChk:
+      p.hold = from_ns(attr_value(inst, "hold", scope, 0));
+      p.setup = from_ns(attr_value(inst, "setup", scope, 0));
+      p.width = width;
+      break;
+    case PrimKind::MinPulseWidthChk:
+      p.min_low = from_ns(attr_value(inst, "min_low", scope, 0));
+      p.min_high = from_ns(attr_value(inst, "min_high", scope, 0));
+      break;
+    default:
+      p.dmin = from_ns(dmin_ns);
+      p.dmax = from_ns(dmax_ns);
+      p.width = width;
+      if (out_inverted) {
+        throw std::invalid_argument("primitive \"" + p.name +
+                                    "\": output connection cannot be complemented");
+      }
+  }
+  Netlist& nl = *ctx.nl;
+  PrimId made = nl.add_prim(std::move(p));
 
   // Optional polarity-dependent delays (sec. 4.2.2 extension):
   // [rise=min:max, fall=min:max] on any combinational primitive.
@@ -501,7 +613,7 @@ void build_primitive(ExpandCtx& ctx, const Instance& inst, const Scope& scope,
     fail(inst.line, inst.column, diag::kErrRiseFallPair,
          "\"" + k + "\": rise and fall delays must be given together");
   }
-  if (has_rise && made != kNoPrim) {
+  if (has_rise && spec->rise_fall) {
     nl.set_rise_fall(made, RiseFallDelay{from_ns(rise_lo), from_ns(rise_hi), from_ns(fall_lo),
                                          from_ns(fall_hi)});
   }
@@ -510,19 +622,21 @@ void build_primitive(ExpandCtx& ctx, const Instance& inst, const Scope& scope,
 void expand_body(ExpandCtx& ctx, const Body& body, const Scope& scope);
 
 void expand_instance(ExpandCtx& ctx, const Instance& inst, const Scope& scope) {
-  std::vector<Resolved> pins;
-  pins.reserve(inst.pins.size());
-  for (const std::string& p : inst.pins) {
-    pins.push_back(resolve_signal(ctx.store, p, scope, inst.line, inst.column));
+  const MacroDef* def = find_macro(ctx, inst.kind);
+  const bool macro = inst.is_macro || def;
+  std::vector<Resolved> macro_pins;
+  std::vector<Resolved>& pins = macro ? macro_pins : ctx.prim_pins;
+  pins.clear();
+  pins.resize(inst.pins.size());
+  for (std::size_t i = 0; i < inst.pins.size(); ++i) {
+    resolve_signal(ctx.store, inst.pins[i], scope, inst.line, inst.column, pins[i]);
   }
 
-  auto it = ctx.file.macros.find(inst.kind);
-  if (inst.is_macro || it != ctx.file.macros.end()) {
-    if (it == ctx.file.macros.end()) {
+  if (macro) {
+    if (!def) {
       fail(inst.line, inst.column, diag::kErrUnknownMacro,
            "unknown macro \"" + inst.kind + "\"");
     }
-    const MacroDef& def = it->second;
     if (ctx.depth > 64) {
       fail(inst.line, inst.column, diag::kErrMacroRecursion,
            "macro recursion too deep (cycle?)");
@@ -557,52 +671,49 @@ void expand_instance(ExpandCtx& ctx, const Instance& inst, const Scope& scope) {
     inner.path = instance_name(ctx, scope.path, inst.kind);
     // Numeric parameters from attributes (evaluated at the *call* site,
     // before entering the macro's source scope).
-    for (const std::string& formal : def.formals) {
+    inner.env.reserve(def->formals.size());
+    for (const std::string& formal : def->formals) {
       bool found = false;
-      double v = attr_value(inst, formal.c_str(), scope, 0, &found);
+      double v = attr_value(inst, formal, scope, 0, &found);
       if (!found) {
         fail(inst.line, inst.column, diag::kErrMacroParams,
-             "macro \"" + def.name + "\": parameter " + formal + " not given");
+             "macro \"" + def->name + "\": parameter " + formal + " not given");
       }
-      inner.env[formal] = v;
+      inner.env.emplace_back(formal, v);
     }
     // Signal parameters: declaration order (ins and outs as declared) maps
     // positionally to the instance pins. Widths evaluate in the macro's
     // source scope (they reference the definition's lines).
-    std::vector<std::pair<std::string_view, int>> formals;  // base name, decl width
+    const std::vector<SignalText>& formals = plan_of(ctx, *def).formals;
     {
-      FrameGuard frame(def, inst);
-      for (const ParamDecl& d : def.body.params) {
-        for (const std::string& n : d.names) {
-          SignalText t = split_signal_text(n);
-          if (t.has_range && !t.range_closed) {
-            fail(def.line, 0, diag::kErrBadRange, "unterminated vector range");
-          }
-          int w = 1;
-          if (t.range.find(':') != std::string_view::npos) {
-            double hi = 0;
-            double lo = eval_range(t.range, inner.env, def.line, &hi);
-            w = static_cast<int>(std::llround(std::abs(hi - lo))) + 1;
-          }
-          formals.emplace_back(t.head, w);
+      FrameGuard frame(*def, inst);
+      for (std::size_t i = 0; i < formals.size(); ++i) {
+        const SignalText& t = formals[i];
+        if (t.has_range && !t.range_closed) {
+          fail(def->line, 0, diag::kErrBadRange, "unterminated vector range");
+        }
+        if (t.range.find(':') != std::string_view::npos) {
+          double hi = 0;
+          double lo = eval_range(t.range, inner.env, def->line, &hi);
+          int w = static_cast<int>(std::llround(std::abs(hi - lo))) + 1;
+          if (i < pins.size()) pins[i].width = std::max(pins[i].width, w);
         }
       }
     }
     if (formals.size() != pins.size()) {
       fail(inst.line, inst.column, diag::kErrMacroParams,
-           "macro \"" + def.name + "\" declares " + std::to_string(formals.size()) +
+           "macro \"" + def->name + "\" declares " + std::to_string(formals.size()) +
                " parameters but " + std::to_string(pins.size()) + " were connected");
     }
     inner.signal_map.reserve(formals.size());
     for (std::size_t i = 0; i < formals.size(); ++i) {
-      pins[i].width = std::max(pins[i].width, formals[i].second);
-      inner.signal_map.emplace_back(formals[i].first, std::move(pins[i]));
+      inner.signal_map.emplace_back(formals[i].head, std::move(pins[i]));
     }
     ++ctx.sum.macro_instances;
     {
       DepthGuard depth(ctx.depth);
-      FrameGuard frame(def, inst);
-      expand_body(ctx, def.body, inner);
+      FrameGuard frame(*def, inst);
+      expand_body(ctx, def->body, inner);
     }
     return;
   }
@@ -611,18 +722,24 @@ void expand_instance(ExpandCtx& ctx, const Instance& inst, const Scope& scope) {
   ++ctx.sum.primitives;
   int width = static_cast<int>(attr_value(inst, "width", scope, 1));
   ctx.sum.total_bits += static_cast<std::size_t>(width);
-  ++ctx.sum.prims_by_kind[inst.kind];
+  auto kind = std::find_if(ctx.kind_counts.begin(), ctx.kind_counts.end(),
+                           [&](const auto& kc) { return kc.first == inst.kind; });
+  if (kind == ctx.kind_counts.end()) {
+    ctx.kind_counts.emplace_back(inst.kind, 1);
+  } else {
+    ++kind->second;
+  }
   Resolved out;
   bool has_out = !inst.output.empty();
-  if (has_out) out = resolve_signal(ctx.store, inst.output, scope, inst.line, inst.column);
+  if (has_out) resolve_signal(ctx.store, inst.output, scope, inst.line, inst.column, out);
   if (!ctx.nl) {
     for (const Resolved& r : pins) note_name(ctx, r);
     if (has_out) note_name(ctx, out);
   } else {
-    std::string name = instance_name(ctx, scope.path, inst.kind);
     std::size_t before = ctx.nl->num_prims();
     try {
-      build_primitive(ctx, inst, scope, pins, has_out ? &out : nullptr, name);
+      build_primitive(ctx, inst, scope, pins, has_out ? &out : nullptr,
+                      instance_name(ctx, scope.path, inst.kind), width);
     } catch (const ElabBail&) {
       throw;
     } catch (const std::exception& e) {
@@ -663,8 +780,8 @@ void expand_body(ExpandCtx& ctx, const Body& body, const Scope& scope) {
     Resolved r = resolve_signal(ctx.store, d.signal, scope, d.line, d.column);
     check_assertion(r, d.line, d.column);
     note_name(ctx, r);
-    Time lo = from_ns(eval_expr(*d.dmin, scope.env, d.line, d.column));
-    Time hi = from_ns(eval_expr(*d.dmax, scope.env, d.line, d.column));
+    Time lo = from_ns(eval_operand(d.dmin, scope.env, d.line, d.column));
+    Time hi = from_ns(eval_operand(d.dmax, scope.env, d.line, d.column));
     if (lo < 0 || hi < lo) {
       fail(d.line, d.column, diag::kErrBadDelay,
            "wire_delay \"" + d.signal + "\": invalid delay range " + format_ns(lo) + ":" +
@@ -697,9 +814,16 @@ ExpandCtx run_expansion(const File& file, Netlist* nl,
     }
     throw std::invalid_argument("SHDL file has no design block");
   }
-  ExpandCtx ctx{file, nl, prim_locs, {}, {}, {}, {}, {}, {}};
+  ExpandCtx ctx(file, nl, prim_locs);
+  if (nl) {
+    ExpansionSize size = expansion_size(ctx, file.design);
+    nl->reserve(size.refs, size.prims);
+  }
   Scope top;
   expand_body(ctx, file.design, top);
+  for (const auto& [kind, count] : ctx.kind_counts) {
+    ctx.sum.prims_by_kind.emplace(std::string(kind), count);
+  }
   if (nl) {
     std::erase_if(ctx.names, [&](std::string_view n) { return nl->find(n) != kNoSignal; });
     ctx.sum.unique_signals = nl->num_signals() + ctx.names.size();

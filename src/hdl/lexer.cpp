@@ -1,7 +1,10 @@
 #include "hdl/lexer.hpp"
 
-#include <cctype>
+#include <charconv>
+#include <limits>
 #include <stdexcept>
+
+#include "util/strings.hpp"
 
 namespace tv::hdl {
 
@@ -30,6 +33,23 @@ std::string_view tok_name(Tok t) {
   return "?";
 }
 
+std::size_t number_length(std::string_view s) {
+  std::size_t n = 0;
+  while (n < s.size() && (is_digit(s[n]) || s[n] == '.')) ++n;
+  return n;
+}
+
+std::optional<double> read_number(std::string_view spelling) {
+  double v = 0;
+  const char* end = spelling.data() + spelling.size();
+  auto [used, ec] = std::from_chars(spelling.data(), end, v, std::chars_format::fixed);
+  // from_chars reports overflow, and underflow to zero, as out of range; a
+  // subnormal result is out of range too, as strtod's ERANGE has it.
+  if (ec != std::errc() || used != end) return std::nullopt;
+  if (v != 0 && v < std::numeric_limits<double>::min()) return std::nullopt;
+  return v;
+}
+
 namespace {
 
 // One implementation for both entry points: with a DiagnosticEngine errors
@@ -37,9 +57,9 @@ namespace {
 // legacy std::invalid_argument.
 std::vector<Token> lex_impl(std::string_view src, diag::DiagnosticEngine* diags) {
   std::vector<Token> out;
-  // SHDL runs about one token per 9 bytes; reserving skips the regrowth
+  // SHDL runs about one token per 5 bytes; reserving skips the regrowth
   // copies, and the pages a short source leaves unused are never touched.
-  out.reserve(src.size() / 8 + 1);
+  out.reserve(src.size() / 4 + 1);
   int line = 1;
   std::size_t i = 0;
   std::size_t line_start = 0;
@@ -51,8 +71,15 @@ std::vector<Token> lex_impl(std::string_view src, diag::DiagnosticEngine* diags)
     }
     throw std::invalid_argument("SHDL lex error at line " + std::to_string(line) + ": " + why);
   };
-  auto push = [&](Tok k, std::string text = {}) {
-    out.push_back(Token{k, std::move(text), 0, line, column_of(i)});
+  // A token spelled by src[start, start + size), reported at `at`.
+  auto push = [&](Tok k, std::size_t start, std::size_t size, std::size_t at) -> Token& {
+    Token& t = out.emplace_back();
+    t.kind = k;
+    t.data = src.data() + start;
+    t.size = static_cast<std::uint32_t>(size);
+    t.line = line;
+    t.column = column_of(at);
+    return t;
   };
 
   while (i < src.size()) {
@@ -63,7 +90,7 @@ std::vector<Token> lex_impl(std::string_view src, diag::DiagnosticEngine* diags)
       line_start = i;
       continue;
     }
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (is_space(c)) {
       ++i;
       continue;
     }
@@ -72,7 +99,7 @@ std::vector<Token> lex_impl(std::string_view src, diag::DiagnosticEngine* diags)
       continue;
     }
     if (c == '-' && i + 1 < src.size() && src[i + 1] == '>') {
-      push(Tok::Arrow);
+      push(Tok::Arrow, i, 0, i);
       i += 2;
       continue;
     }
@@ -83,77 +110,60 @@ std::vector<Token> lex_impl(std::string_view src, diag::DiagnosticEngine* diags)
       if (i >= src.size() || src[i] != '"') {
         error(open, diag::kErrUnterminatedString, "unterminated string");
         // Recovery: use the rest of the line as the string contents.
-        out.push_back(
-            Token{Tok::String, std::string(src.substr(start, i - start)), 0, line,
-                  column_of(open)});
+        push(Tok::String, start, i - start, open);
         continue;
       }
-      out.push_back(Token{Tok::String, std::string(src.substr(start, i - start)), 0, line,
-                          column_of(open)});
+      push(Tok::String, start, i - start, open);
       ++i;
       continue;
     }
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '.' && i + 1 < src.size() && std::isdigit(static_cast<unsigned char>(src[i + 1])))) {
+    if (is_digit(c) ||
+        (c == '.' && i + 1 < src.size() && is_digit(src[i + 1]))) {
       std::size_t start = i;
-      while (i < src.size() &&
-             (std::isdigit(static_cast<unsigned char>(src[i])) || src[i] == '.')) {
-        ++i;
+      i += number_length(src.substr(i));
+      Token& t = push(Tok::Number, start, i - start, start);
+      if (std::optional<double> v = read_number(t.text())) {
+        t.number = *v;
+      } else {
+        error(start, diag::kErrMalformedNumber,
+              "malformed number \"" + std::string(t.text()) + "\"");
       }
-      Token t;
-      t.kind = Tok::Number;
-      t.text = std::string(src.substr(start, i - start));
-      t.line = line;
-      t.column = column_of(start);
-      // std::stod rejects multi-dot spellings ("1.2.3" parses the prefix but
-      // we require the whole token) and throws on out-of-range magnitudes.
-      try {
-        std::size_t used = 0;
-        t.number = std::stod(t.text, &used);
-        if (used != t.text.size()) {
-          error(start, diag::kErrMalformedNumber, "malformed number \"" + t.text + "\"");
-          t.number = 0;
-        }
-      } catch (const std::exception&) {
-        error(start, diag::kErrMalformedNumber, "malformed number \"" + t.text + "\"");
-        t.number = 0;
-      }
-      out.push_back(std::move(t));
       continue;
     }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
+    if (is_alpha(c) || c == '_') {
       std::size_t start = i;
-      while (i < src.size() && (std::isalnum(static_cast<unsigned char>(src[i])) ||
+      while (i < src.size() && (is_alnum(src[i]) ||
                                 src[i] == '_')) {
         ++i;
       }
-      out.push_back(Token{Tok::Ident, std::string(src.substr(start, i - start)), 0, line,
-                          column_of(start)});
+      push(Tok::Ident, start, i - start, start);
       continue;
     }
+    Tok k = Tok::End;
     switch (c) {
-      case '{': push(Tok::LBrace); break;
-      case '}': push(Tok::RBrace); break;
-      case '(': push(Tok::LParen); break;
-      case ')': push(Tok::RParen); break;
-      case '[': push(Tok::LBracket); break;
-      case ']': push(Tok::RBracket); break;
-      case ',': push(Tok::Comma); break;
-      case ';': push(Tok::Semi); break;
-      case ':': push(Tok::Colon); break;
-      case '=': push(Tok::Equal); break;
-      case '+': push(Tok::Plus); break;
-      case '-': push(Tok::Minus); break;
-      case '*': push(Tok::Star); break;
-      case '/': push(Tok::Slash); break;
+      case '{': k = Tok::LBrace; break;
+      case '}': k = Tok::RBrace; break;
+      case '(': k = Tok::LParen; break;
+      case ')': k = Tok::RParen; break;
+      case '[': k = Tok::LBracket; break;
+      case ']': k = Tok::RBracket; break;
+      case ',': k = Tok::Comma; break;
+      case ';': k = Tok::Semi; break;
+      case ':': k = Tok::Colon; break;
+      case '=': k = Tok::Equal; break;
+      case '+': k = Tok::Plus; break;
+      case '-': k = Tok::Minus; break;
+      case '*': k = Tok::Star; break;
+      case '/': k = Tok::Slash; break;
       default:
         error(i, diag::kErrUnexpectedChar,
               std::string("unexpected character '") + c + "'");
         // Recovery: drop the character.
     }
+    if (k != Tok::End) push(k, i, 0, i);
     ++i;
   }
-  push(Tok::End);
+  push(Tok::End, i, 0, i);
   return out;
 }
 

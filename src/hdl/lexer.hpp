@@ -4,9 +4,15 @@
 // scope markers) are written as double-quoted strings; everything else is a
 // conventional identifier/number/punctuation token stream. Comments run
 // from "--" to end of line.
+//
+// Tokens are spans: a token's text points into the source it was lexed
+// from, so the source must outlive the token vector. The parser copies the
+// text it keeps into the syntax tree.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,11 +32,14 @@ enum class Tok : std::uint8_t {
 };
 
 struct Token {
-  Tok kind = Tok::End;
-  std::string text;   // identifier/string contents, number spelling
-  double number = 0;  // valid when kind == Number
+  double number = 0;            // valid when kind == Number
+  const char* data = nullptr;   // identifier/string contents, number spelling
+  std::uint32_t size = 0;
   int line = 0;
-  int column = 0;     // 1-based column of the token's first character
+  int column = 0;               // 1-based column of the token's first character
+  Tok kind = Tok::End;
+
+  std::string_view text() const { return {data, size}; }
 };
 
 /// Tokenizes the whole input. Throws std::invalid_argument (with a line
@@ -45,5 +54,15 @@ std::vector<Token> lex(std::string_view src);
 std::vector<Token> lex(std::string_view src, diag::DiagnosticEngine& diags);
 
 std::string_view tok_name(Tok t);
+
+/// Length of the number spelling that starts `s`: its run of digits and
+/// '.'s. The lexer and the vector-range evaluator both scan numbers so.
+std::size_t number_length(std::string_view s);
+
+/// The one reader of SHDL number spellings: the value of `spelling`, or
+/// nothing when it is malformed (not digits with at most one '.') or out of
+/// range. Out of range is a magnitude that overflows, or a nonzero spelling
+/// that would read as 0 or as a subnormal.
+std::optional<double> read_number(std::string_view spelling);
 
 }  // namespace tv::hdl

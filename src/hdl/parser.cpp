@@ -6,16 +6,15 @@
 
 namespace tv::hdl {
 
-double Expr::eval(const std::map<std::string, double>& env, int line) const {
+double Expr::eval(const ParamEnv& env, int line) const {
   switch (op) {
     case Op::Const: return value;
     case Op::Param: {
-      auto it = env.find(param);
-      if (it == env.end()) {
-        throw std::invalid_argument("SHDL error at line " + std::to_string(line) +
-                                    ": unknown parameter \"" + param + "\"");
+      for (const auto& [name, v] : env) {
+        if (name == param) return v;
       }
-      return it->second;
+      throw std::invalid_argument("SHDL error at line " + std::to_string(line) +
+                                  ": unknown parameter \"" + param + "\"");
     }
     case Op::Add: return lhs->eval(env, line) + rhs->eval(env, line);
     case Op::Sub: return lhs->eval(env, line) - rhs->eval(env, line);
@@ -64,7 +63,7 @@ class Parser {
  private:
   void parse_top_level(File& f) {
     const Token& t = expect(Tok::Ident, "'macro' or 'design'");
-    if (t.text == "macro") {
+    if (t.text() == "macro") {
       MacroDef m = parse_macro();
       if (f.macros.count(m.name)) {
         // Recovery (via the bail/sync path) keeps the first definition.
@@ -73,20 +72,20 @@ class Parser {
              Note{f.macros[m.name].line, "previous definition is here"});
       }
       f.macros.emplace(m.name, std::move(m));
-    } else if (t.text == "design") {
+    } else if (t.text() == "design") {
       if (f.has_design) {
         // Recovery (via the bail/sync path) skips the extra design body.
         fail(t.line, t.column, diag::kErrMultipleDesigns, "multiple design blocks",
              Note{f.design_line, "previous design block is here"});
       }
       int design_line = t.line;
-      f.design_name = expect(Tok::Ident, "design name").text;
+      f.design_name = expect(Tok::Ident, "design name").text();
       f.design = parse_body();
       f.has_design = true;
       f.design_line = design_line;
     } else {
       fail(t.line, t.column, diag::kErrExpectedToken,
-           "expected 'macro' or 'design', got \"" + t.text + "\"");
+           "expected 'macro' or 'design', got \"" + std::string(t.text()) + "\"");
     }
   }
 
@@ -103,20 +102,18 @@ class Parser {
     return false;
   }
   const Token& expect(Tok k, const char* what) {
-    if (peek().kind != k) {
-      fail(peek().line, peek().column, diag::kErrExpectedToken,
-           std::string("expected ") + what + ", got " +
-               std::string(tok_name(peek().kind)) +
-               (peek().text.empty() ? "" : " \"" + peek().text + "\""));
-    }
+    if (peek().kind != k) expected(what);
     return take();
   }
+  [[noreturn]] void expected(const char* what) {
+    fail(peek().line, peek().column, diag::kErrExpectedToken,
+         std::string("expected ") + what + ", got " + std::string(tok_name(peek().kind)) +
+             (peek().size == 0 ? "" : " \"" + std::string(peek().text()) + "\""));
+  }
 
-  /// expect() for a string token, moving its contents out: the parser
-  /// takes each token once.
+  /// expect() for a string token, copied out of the source.
   std::string take_string(const char* what) {
-    expect(Tok::String, what);
-    return std::move(toks_[pos_ - 1].text);
+    return std::string(expect(Tok::String, what).text());
   }
 
   struct Note {
@@ -161,7 +158,7 @@ class Parser {
           return;
         }
       } else if (depth == 0 && t.kind == Tok::Ident &&
-                 (t.text == "macro" || t.text == "design")) {
+                 (t.text() == "macro" || t.text() == "design")) {
         return;
       }
       take();
@@ -192,11 +189,11 @@ class Parser {
     MacroDef m;
     m.line = peek().line;
     m.column = peek().column;
-    m.name = expect(Tok::Ident, "macro name").text;
+    m.name = expect(Tok::Ident, "macro name").text();
     expect(Tok::LParen, "'('");
     if (peek().kind == Tok::Ident) {
-      m.formals.push_back(take().text);
-      while (accept(Tok::Comma)) m.formals.push_back(expect(Tok::Ident, "parameter").text);
+      m.formals.emplace_back(take().text());
+      while (accept(Tok::Comma)) m.formals.emplace_back(expect(Tok::Ident, "parameter").text());
     }
     expect(Tok::RParen, "')'");
     m.body = parse_body();
@@ -243,7 +240,7 @@ class Parser {
     }
     if (peek().kind == Tok::Ident) {
       n->op = Expr::Op::Param;
-      n->param = take().text;
+      n->param = take().text();
       return n;
     }
     if (accept(Tok::LParen)) {
@@ -254,24 +251,57 @@ class Parser {
     fail(peek().line, peek().column, diag::kErrExpectedToken, "expected an expression");
   }
 
+  /// An operand: a number, or a negated one, that no operator follows is
+  /// held inline; anything else parses as an expression.
+  Operand parse_operand() {
+    const bool neg = peek().kind == Tok::Minus;
+    const Tok next = peek(neg ? 2 : 1).kind;
+    if (peek(neg ? 1 : 0).kind != Tok::Number || next == Tok::Plus || next == Tok::Minus ||
+        next == Tok::Star || next == Tok::Slash) {
+      return Operand{0, parse_expr()};
+    }
+    if (neg) take();
+    const double v = take().number;
+    return Operand{neg ? -v : v, nullptr};
+  }
+
   double signed_number(const char* what) {
     bool neg = accept(Tok::Minus);
     double v = expect(Tok::Number, what).number;
     return neg ? -v : v;
   }
 
+  /// Items in the comma-separated list that starts at the next token and
+  /// ends at `close`, counted ahead to size its vector. Stops early, and so
+  /// only undercounts, at a statement or block boundary.
+  std::size_t list_length(Tok close) const {
+    std::size_t n = 1;
+    for (std::size_t i = pos_; i < toks_.size(); ++i) {
+      const Tok k = toks_[i].kind;
+      if (k == Tok::Comma) {
+        ++n;
+      } else if (k == close || k == Tok::Semi || k == Tok::LBrace || k == Tok::RBrace ||
+                 k == Tok::End) {
+        break;
+      }
+    }
+    return n;
+  }
+
   std::vector<Attr> parse_attrs() {
     std::vector<Attr> attrs;
     if (!accept(Tok::LBracket)) return attrs;
     if (accept(Tok::RBracket)) return attrs;  // "[]": no attributes
+    attrs.reserve(list_length(Tok::RBracket));
     do {
       Attr a;
       a.line = peek().line;
       a.column = peek().column;
-      a.name = expect(Tok::Ident, "attribute name").text;
+      a.name = expect(Tok::Ident, "attribute name").text();
       expect(Tok::Equal, "'='");
-      a.lo = parse_expr();
-      if (accept(Tok::Colon)) a.hi = parse_expr();
+      a.lo = parse_operand();
+      a.has_hi = accept(Tok::Colon);
+      if (a.has_hi) a.hi = parse_operand();
       attrs.push_back(std::move(a));
     } while (accept(Tok::Comma));
     expect(Tok::RBracket, "']'");
@@ -282,6 +312,7 @@ class Parser {
     std::vector<std::string> pins;
     expect(Tok::LParen, "'('");
     if (peek().kind == Tok::String) {
+      pins.reserve(list_length(Tok::RParen));
       pins.push_back(take_string("signal string"));
       while (accept(Tok::Comma)) pins.push_back(take_string("signal string"));
     }
@@ -315,31 +346,32 @@ class Parser {
 
   void parse_statement(Body& b) {
     const Token& t = expect(Tok::Ident, "statement");
-    if (t.text == "period") {
+    const std::string_view word = t.text();
+    if (word == "period") {
       b.period_line = t.line;
       b.period_column = t.column;
       b.period_ns = expect(Tok::Number, "period in ns").number;
       expect(Tok::Semi, "';'");
-    } else if (t.text == "clock_unit") {
+    } else if (word == "clock_unit") {
       b.clock_unit_ns = expect(Tok::Number, "clock unit in ns").number;
       expect(Tok::Semi, "';'");
-    } else if (t.text == "default_wire") {
+    } else if (word == "default_wire") {
       b.wire_min_ns = expect(Tok::Number, "min wire delay").number;
       expect(Tok::Colon, "':'");
       b.wire_max_ns = expect(Tok::Number, "max wire delay").number;
       expect(Tok::Semi, "';'");
-    } else if (t.text == "precision_skew" || t.text == "clock_skew") {
-      double* dst = t.text == "precision_skew" ? b.precision_skew : b.clock_skew;
+    } else if (word == "precision_skew" || word == "clock_skew") {
+      double* dst = word == "precision_skew" ? b.precision_skew : b.clock_skew;
       dst[0] = signed_number("skew minus");
       expect(Tok::Colon, "':'");
       dst[1] = signed_number("skew plus");
       expect(Tok::Semi, "';'");
-    } else if (t.text == "param") {
+    } else if (word == "param") {
       ParamDecl d;
       const Token& dir = expect(Tok::Ident, "'in' or 'out'");
-      if (dir.text == "out") {
+      if (dir.text() == "out") {
         d.is_output = true;
-      } else if (dir.text != "in") {
+      } else if (dir.text() != "in") {
         fail(dir.line, dir.column, diag::kErrExpectedToken, "expected 'in' or 'out'");
       }
       d.names.push_back(take_string("parameter signal"));
@@ -348,7 +380,7 @@ class Parser {
       }
       expect(Tok::Semi, "';'");
       b.params.push_back(std::move(d));
-    } else if (t.text == "synonym") {
+    } else if (word == "synonym") {
       SynonymDecl d;
       d.line = t.line;
       d.column = t.column;
@@ -357,17 +389,17 @@ class Parser {
       d.b = take_string("signal string");
       expect(Tok::Semi, "';'");
       b.synonyms.push_back(std::move(d));
-    } else if (t.text == "wire_delay") {
+    } else if (word == "wire_delay") {
       WireDelayDecl d;
       d.line = t.line;
       d.column = t.column;
       d.signal = take_string("signal string");
-      d.dmin = parse_expr();
+      d.dmin = parse_operand();
       expect(Tok::Colon, "':'");
-      d.dmax = parse_expr();
+      d.dmax = parse_operand();
       expect(Tok::Semi, "';'");
       b.wire_delays.push_back(std::move(d));
-    } else if (t.text == "case") {
+    } else if (word == "case") {
       CaseDecl c;
       c.line = t.line;
       c.column = t.column;
@@ -385,12 +417,12 @@ class Parser {
         c.pins.emplace_back(std::move(sig), static_cast<int>(v));
       }
       b.cases.push_back(std::move(c));
-    } else if (t.text == "use") {
+    } else if (word == "use") {
       Instance inst;
       inst.is_macro = true;
       inst.line = t.line;
       inst.column = t.column;
-      inst.kind = expect(Tok::Ident, "macro name").text;
+      inst.kind = expect(Tok::Ident, "macro name").text();
       inst.attrs = parse_attrs();
       inst.pins = parse_pins();
       expect(Tok::Semi, "';'");
@@ -400,7 +432,7 @@ class Parser {
       Instance inst;
       inst.line = t.line;
       inst.column = t.column;
-      inst.kind = t.text;
+      inst.kind = word;
       inst.attrs = parse_attrs();
       inst.pins = parse_pins();
       if (accept(Tok::Arrow)) inst.output = take_string("output signal");

@@ -1,6 +1,5 @@
 #include "util/strings.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cstdlib>
 
@@ -8,8 +7,8 @@ namespace tv {
 
 std::string_view trim(std::string_view s) {
   size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
+  while (b < e && is_space(s[b])) ++b;
+  while (e > b && is_space(s[e - 1])) --e;
   return s.substr(b, e - b);
 }
 
@@ -41,7 +40,7 @@ bool parse_double(std::string_view s, double& out) {
 
 std::string upper(std::string_view s) {
   std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  for (char& c : out) c = to_upper(c);
   return out;
 }
 

@@ -7,6 +7,15 @@
 
 namespace tv {
 
+// Character classes of the "C" locale, the only one the program runs in.
+// They are inline tests because the front end classifies every source
+// character, and each <cctype> function is a library call.
+constexpr bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+constexpr bool is_digit(char c) { return c >= '0' && c <= '9'; }
+constexpr bool is_alpha(char c) { return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'); }
+constexpr bool is_alnum(char c) { return is_alpha(c) || is_digit(c); }
+constexpr char to_upper(char c) { return c >= 'a' && c <= 'z' ? static_cast<char>(c - 'a' + 'A') : c; }
+
 /// Removes leading and trailing ASCII whitespace.
 std::string_view trim(std::string_view s);
 

@@ -17,13 +17,16 @@
 
 #include <gtest/gtest.h>
 
+#include "check/parser_fuzz.hpp"
 #include "check/rand_netlist.hpp"
 #include "core/export.hpp"
 #include "core/verifier.hpp"
 #include "diag/diagnostic.hpp"
 #include "diag/render.hpp"
 #include "hdl/elaborate.hpp"
+#include "hdl/parser.hpp"
 #include "util/atomic_file.hpp"
+#include "util/hash.hpp"
 #include "hdl/stdlib.hpp"
 
 namespace {
@@ -297,6 +300,81 @@ TEST(DiagnosticsJson, CarriesCodesAndSpans) {
   EXPECT_NE(json.find("\"code\": \"SHDL-E010\""), std::string::npos);
   EXPECT_NE(json.find("\"file\": \"three_errors.shdl\""), std::string::npos);
   EXPECT_NE(json.find("\"errors\": 3"), std::string::npos);
+}
+
+// A malformed number in a vector range is the same error the lexer reports
+// for it outside a string: before, "1.2.3" read as 1.2 and "1..5" as 1.
+TEST(GoldenDiagnostics, MalformedRangeNumberIsReportedAtTheReference) {
+  for (const char* bound : {"1.2.3", "1..5"}) {
+    SCOPED_TRACE(bound);
+    const std::string src = std::string("design D {\n  period 50.0;\n") +
+                            "  buf [delay=1.0:2.0] (\"A<0:" + bound + "> .S0-6\") -> \"B\";\n}\n";
+    diag::DiagnosticEngine diags;
+    diags.set_current_file("range.shdl");
+    EXPECT_FALSE(hdl::elaborate_source(src, diags).has_value());
+    ASSERT_EQ(diags.diagnostics().size(), 1u);
+    const diag::Diagnostic& d = diags.diagnostics()[0];
+    EXPECT_EQ(d.code, diag::kErrBadRange);
+    EXPECT_EQ(d.message, "bad number \"" + std::string(bound) + "\" in range expression");
+    EXPECT_EQ(d.loc.file, "range.shdl");
+    EXPECT_EQ(d.loc.line, 3);
+    EXPECT_THROW(hdl::elaborate_source(src), std::invalid_argument);
+  }
+}
+
+// --- diagnostics digest over seeded mutants ---------------------------------
+
+/// Folds every diagnostic the front end reports for `src` -- code, location,
+/// message, notes -- plus the parse's end line and the verdict into `h`.
+std::uint64_t digest_front_end(const std::string& src, std::uint64_t h) {
+  auto mix_text = [&](std::string_view s) {
+    h = fnv1a(s.data(), s.size(), h);
+    h = fnv1a("", 1, h);  // the terminating NUL separates fields
+  };
+  auto mix_int = [&](long long v) { h = fnv1a(&v, sizeof v, h); };
+  diag::DiagnosticEngine parse_diags;
+  mix_int(hdl::parse(src, parse_diags).end_line);
+
+  diag::DiagnosticEngine diags;
+  diags.set_current_file("mutant.shdl");
+  std::optional<hdl::ElaboratedDesign> d = hdl::elaborate_source(src, diags);
+  mix_int(d.has_value());
+  if (d) {
+    mix_int(static_cast<long long>(d->netlist.num_signals()));
+    mix_int(static_cast<long long>(d->netlist.num_prims()));
+  }
+  for (const diag::Diagnostic& x : diags.diagnostics()) {
+    mix_int(static_cast<int>(x.severity));
+    mix_text(x.code);
+    mix_text(x.loc.file);
+    mix_int(x.loc.line);
+    mix_int(x.loc.column);
+    mix_text(x.message);
+    for (const diag::Note& n : x.notes) {
+      mix_text(n.loc.file);
+      mix_int(n.loc.line);
+      mix_int(n.loc.column);
+      mix_text(n.message);
+    }
+  }
+  return h;
+}
+
+// A lexer or parser rewrite must move no diagnostic: the front end's output
+// over 6 500 seeded mutants of the --parser-fuzz corpus is pinned by one
+// digest. Re-record only for an intended diagnostic change, and say why.
+TEST(DiagnosticsDigest, SeededMutantsMatchRecordedDigest) {
+  std::uint64_t h = kFnv1aBasis;
+  for (std::size_t i = 0; i < check::seed_design_count(); ++i) {
+    for (std::uint64_t seed = 0; seed < 2000; ++seed) {
+      h = digest_front_end(check::mutate_source(check::seed_design(i), seed), h);
+    }
+  }
+  const std::string with_stdlib = std::string(hdl::std_chip_library()) + check::seed_design(0);
+  for (std::uint64_t seed = 0; seed < 500; ++seed) {
+    h = digest_front_end(check::mutate_source(with_stdlib, seed), h);
+  }
+  EXPECT_EQ(h, 0x9bcb1d145b546719ull) << "digest 0x" << hex64(h);
 }
 
 // --- scaldtv exit-code matrix (subprocess) ----------------------------------

@@ -23,13 +23,13 @@ TEST(HdlLexer, TokensAndComments) {
   auto toks = lex("macro M(SIZE) { -- comment\n reg [delay=1.5:4.5] (\"A B .S0-6\") -> \"Q\"; }");
   ASSERT_GE(toks.size(), 10u);
   EXPECT_EQ(toks[0].kind, Tok::Ident);
-  EXPECT_EQ(toks[0].text, "macro");
-  EXPECT_EQ(toks[1].text, "M");
+  EXPECT_EQ(toks[0].text(), "macro");
+  EXPECT_EQ(toks[1].text(), "M");
   // The comment is skipped; "reg" follows the '{'.
   bool found_string = false;
   for (const auto& t : toks) {
     if (t.kind == Tok::String) {
-      EXPECT_EQ(t.text, "A B .S0-6");
+      EXPECT_EQ(t.text(), "A B .S0-6");
       found_string = true;
       break;
     }
@@ -51,6 +51,58 @@ TEST(HdlLexer, ErrorsCarryLineNumbers) {
     FAIL() << "expected throw";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
+  }
+}
+
+/// One number spelling and what the lexer makes of it: its value, or a
+/// malformed-number error (overflow and underflow included).
+struct NumberSpelling {
+  std::string text;
+  double value;
+  bool malformed;
+};
+
+std::vector<NumberSpelling> number_spellings() {
+  return {
+      {"1", 1, false},
+      {"1.", 1, false},
+      {".5", 0.5, false},
+      {"007", 7, false},
+      {"4.5", 4.5, false},
+      {"1.2.3", 0, true},
+      {"1..5", 0, true},
+      {"1" + std::string(399, '0'), 0, true},         // 1e399 overflows
+      {"0." + std::string(400, '0') + "1", 0, true},  // 1e-401 underflows
+  };
+}
+
+TEST(HdlLexer, NumberSpellingsKeepTheirValuesAndErrors) {
+  for (const NumberSpelling& c : number_spellings()) {
+    SCOPED_TRACE(c.text.substr(0, 12));
+    EXPECT_EQ(number_length(c.text + ":"), c.text.size());
+    std::optional<double> read = read_number(c.text);
+    EXPECT_EQ(read.has_value(), !c.malformed);
+    if (read) {
+      EXPECT_EQ(*read, c.value);
+    }
+    diag::DiagnosticEngine diags;
+    std::vector<Token> toks = lex(c.text, diags);
+    ASSERT_EQ(toks.size(), 2u);
+    EXPECT_EQ(toks[0].kind, Tok::Number);
+    EXPECT_EQ(toks[0].number, c.value);
+    EXPECT_EQ(toks[0].column, 1);
+    if (c.malformed) {
+      ASSERT_EQ(diags.diagnostics().size(), 1u);
+      const diag::Diagnostic& d = diags.diagnostics()[0];
+      EXPECT_EQ(d.code, diag::kErrMalformedNumber);
+      EXPECT_EQ(d.message, "malformed number \"" + c.text + "\"");
+      EXPECT_EQ(d.loc.line, 1);
+      EXPECT_EQ(d.loc.column, 1);
+      EXPECT_THROW(lex(c.text), std::invalid_argument);
+    } else {
+      EXPECT_TRUE(diags.diagnostics().empty());
+      EXPECT_EQ(lex(c.text)[0].number, c.value);
+    }
   }
 }
 

@@ -3,6 +3,8 @@
 // statistics the netlist carries.
 #include "core/netlist.hpp"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace tv {
@@ -139,6 +141,87 @@ TEST(Netlist, PrimKindNames) {
   EXPECT_EQ(prim_kind_name(PrimKind::SetupHoldChk), "SETUP HOLD CHK");
   EXPECT_TRUE(prim_is_checker(PrimKind::MinPulseWidthChk));
   EXPECT_FALSE(prim_is_checker(PrimKind::Latch));
+}
+
+// --- the name index ---------------------------------------------------------
+
+TEST(NameIndex, FindsEveryNameAcrossSeveralRehashes) {
+  Netlist nl;
+  std::size_t rehashes = 0;
+  std::size_t slots = nl.name_index().slot_count();
+  for (int i = 0; i < 5000; ++i) {
+    EXPECT_EQ(nl.ref("NET " + std::to_string(i)).id, static_cast<SignalId>(i));
+    if (nl.name_index().slot_count() != slots) {
+      slots = nl.name_index().slot_count();
+      ++rehashes;
+    }
+  }
+  EXPECT_GE(rehashes, 5u);
+  EXPECT_EQ(nl.name_index().size(), 5000u);
+  for (int i = 0; i < 5000; ++i) {
+    EXPECT_EQ(nl.find("NET " + std::to_string(i)), static_cast<SignalId>(i));
+  }
+  EXPECT_EQ(nl.find("NET 5000"), kNoSignal);
+  EXPECT_EQ(nl.find("NET"), kNoSignal);
+  EXPECT_EQ(nl.find(""), kNoSignal);
+}
+
+TEST(NameIndex, MergedNameFollowsTheKeeperAfterTheDroppedSignalIsRenamed) {
+  Netlist nl;
+  SignalId keep = nl.ref("KEEP").id;
+  SignalId drop = nl.ref("DROP").id;
+  nl.merge_signals(keep, drop);
+  EXPECT_EQ(nl.find("DROP"), keep);
+  // Renaming the orphan leaves its old name with the keeper.
+  ParsedSignal renamed = parse_signal_name("DROP2 .S0-6");
+  nl.set_assertion(drop, renamed.assertion, renamed.base_name, renamed.full_name);
+  EXPECT_EQ(nl.find("KEEP"), keep);
+  EXPECT_EQ(nl.find("DROP"), keep);
+  EXPECT_EQ(nl.find("DROP2 .S0-6"), drop);
+  // Renaming the keeper moves only the name that was its own.
+  ParsedSignal kept = parse_signal_name("KEEP .S0-6");
+  nl.set_assertion(keep, kept.assertion, kept.base_name, kept.full_name);
+  EXPECT_EQ(nl.find("KEEP"), kNoSignal);
+  EXPECT_EQ(nl.find("KEEP .S0-6"), keep);
+  EXPECT_EQ(nl.find("DROP"), keep);
+  EXPECT_THROW(nl.set_assertion(drop, kept.assertion, kept.base_name, kept.full_name),
+               std::invalid_argument);
+}
+
+TEST(NameIndex, PushSignalOfATakenNameKeepsTheFirstOwner) {
+  Netlist nl;
+  SignalId first = nl.ref("SYN").id;
+  Signal orphan;
+  orphan.full_name = "SYN";
+  orphan.base_name = "SYN";
+  SignalId pushed = nl.push_signal(orphan);
+  EXPECT_EQ(pushed, first + 1);
+  EXPECT_EQ(nl.num_signals(), 2u);
+  EXPECT_EQ(nl.find("SYN"), first);
+  EXPECT_EQ(nl.name_index().size(), 1u);
+}
+
+TEST(NameIndex, RenameAndInverseStayBounded) {
+  Netlist nl;
+  for (int i = 0; i < 100; ++i) nl.ref("N" + std::to_string(i));
+  const SignalId id = nl.find("N7");
+  ParsedSignal plain = parse_signal_name("N7");
+  ParsedSignal asserted = parse_signal_name("N7 .S0-6");
+  auto pair = [&] {
+    nl.set_assertion(id, asserted.assertion, asserted.base_name, asserted.full_name);
+    nl.set_assertion(id, plain.assertion, plain.base_name, plain.full_name);
+  };
+  const std::size_t live_bytes = nl.name_index().arena_bytes();
+  for (int i = 0; i < 10000; ++i) pair();
+  // Tombstones and dead entries are dropped on rehash: the table stays sized
+  // by its 100 live names, and the arena holds at most as many dead bytes as
+  // live ones (past a 4 KiB floor), give or take the entry being renamed.
+  EXPECT_LE(nl.name_index().slot_count(), 8 * nl.name_index().size());
+  EXPECT_LE(nl.name_index().arena_bytes(), 2 * live_bytes + 4096 + 64);
+  EXPECT_EQ(nl.name_index().size(), 100u);
+  EXPECT_EQ(nl.find("N7"), id);
+  EXPECT_EQ(nl.find("N7 .S0-6"), kNoSignal);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(nl.find("N" + std::to_string(i)), SignalId(i));
 }
 
 }  // namespace
