@@ -3,6 +3,7 @@
 #include <array>
 #include <random>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "diag/diagnostic.hpp"
@@ -115,6 +116,56 @@ std::string mutate(std::string src, std::mt19937_64& rng) {
   return src;
 }
 
+/// The bounds of every vector range ("<lo:hi>" inside a quoted signal
+/// name) in `src`, as (offset, length) spans. Each seed design expands
+/// every macro it defines, so every bound is evaluated.
+std::vector<std::pair<std::size_t, std::size_t>> range_bounds(std::string_view src) {
+  std::vector<std::pair<std::size_t, std::size_t>> bounds;
+  bool quoted = false;
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    if (src[i] == '"') quoted = !quoted;
+    if (!quoted || src[i] != '<') continue;
+    const std::size_t close = src.find('>', i);
+    const std::size_t colon = src.find(':', i);
+    if (close == std::string_view::npos || colon > close) continue;
+    bounds.emplace_back(i + 1, colon - i - 1);
+    bounds.emplace_back(colon + 1, close - colon - 1);
+    i = close;
+  }
+  return bounds;
+}
+
+// Malformed range numbers: the lexer's number scan takes all of each.
+constexpr std::string_view kBadRangeNumbers[] = {"1.2.3", "1..5", "1.5"};
+
+/// Replaces one seeded range bound of a seed design with a malformed
+/// number; the front end must reject it with a located SHDL-E022. The
+/// mutator rarely writes such a bound, and an input accepted silently
+/// breaks no robustness contract, so this targets the case directly.
+std::optional<ParserFuzzFailure> check_bad_range_number(std::uint64_t seed) {
+  std::mt19937_64 rng(seed * 0xC2B2AE3D27D4EB4Full + 7);
+  std::vector<std::size_t> ranged;
+  for (std::size_t i = 0; i < std::size(kSeedDesigns); ++i) {
+    if (!range_bounds(kSeedDesigns[i]).empty()) ranged.push_back(i);
+  }
+  std::string src(kSeedDesigns[ranged[rng() % ranged.size()]]);
+  const auto bounds = range_bounds(src);
+  const auto [at, len] = bounds[rng() % bounds.size()];
+  src.replace(at, len, kBadRangeNumbers[rng() % std::size(kBadRangeNumbers)]);
+
+  diag::DiagnosticEngine diags;
+  diags.set_current_file("<fuzz>");
+  std::optional<hdl::ElaboratedDesign> d = hdl::elaborate_source(src, diags);
+  for (const diag::Diagnostic& diag : diags.diagnostics()) {
+    if (diag.code == diag::kErrBadRange && diag.loc.line > 0) return std::nullopt;
+  }
+  return ParserFuzzFailure{seed, "silent-acceptance",
+                           std::string(d ? "front end accepted" : "front end rejected") +
+                               " a malformed range number without a located " +
+                               diag::kErrBadRange,
+                           src};
+}
+
 }  // namespace
 
 std::optional<ParserFuzzFailure> check_parser_robustness(std::uint64_t seed) {
@@ -148,6 +199,7 @@ std::optional<ParserFuzzFailure> check_parser_robustness(std::uint64_t seed) {
     for (const diag::Diagnostic& diag : diags.diagnostics()) {
       if (diag.code == diag::kErrInternal) return fail("internal-error", diag.message);
     }
+    if (std::optional<ParserFuzzFailure> f = check_bad_range_number(seed)) return f;
   } catch (const std::exception& e) {
     return fail("uncaught-exception", e.what());
   } catch (...) {

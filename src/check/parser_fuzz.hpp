@@ -10,7 +10,11 @@
 //     at least one error diagnostic explaining why, and none of them is the
 //     internal-error code SHDL-E099;
 //   * when it accepts an input, the resulting design is finalized and
-//     usable.
+//     usable;
+//   * a seed design with one vector-range bound replaced by a malformed
+//     number ("1.2.3", "1..5", the fraction "1.5") is rejected with a
+//     located SHDL-E022 -- an input accepted silently would pass the
+//     contracts above ("silent-acceptance").
 #pragma once
 
 #include <cstdint>
@@ -21,13 +25,14 @@ namespace tv::check {
 
 struct ParserFuzzFailure {
   std::uint64_t seed = 0;
-  std::string kind;    // "uncaught-exception" | "silent-rejection" | "internal-error" | ...
+  std::string kind;    // "uncaught-exception" | "silent-rejection" | "silent-acceptance" | ...
   std::string detail;  // what() text or invariant description
   std::string input;   // the mutated source that triggered it
 };
 
-/// Runs one seeded mutation + front-end round trip. Returns the failure if
-/// any contract above was broken, std::nullopt otherwise.
+/// Runs one seeded mutation + front-end round trip and one seeded
+/// malformed-range check. Returns the failure if any contract above was
+/// broken, std::nullopt otherwise.
 std::optional<ParserFuzzFailure> check_parser_robustness(std::uint64_t seed);
 
 /// The valid-SHDL seed corpus the mutator starts from. Exposed so other

@@ -368,7 +368,7 @@ const Violation* hidden_violation(const std::vector<Violation>& clean,
 /// A fresh evaluate_primitive of the inputs `key` describes: the key's kind
 /// and delays, each input prepared from a pin with the key's inversion and
 /// resolved directive string, on a signal with the key's wire delay.
-PrimEvalResult evaluate_key(const MemoKey& key, const WaveformTable& table,
+PrimEvalResult evaluate_key(const MemoKeyFields& key, const WaveformTable& table,
                             const VerifierOptions& opts) {
   Primitive p;
   p.kind = static_cast<PrimKind>(key.kind);
@@ -391,7 +391,7 @@ PrimEvalResult evaluate_key(const MemoKey& key, const WaveformTable& table,
   return r;
 }
 
-std::string describe_key(const MemoKey& key) {
+std::string describe_key(const MemoKeyFields& key) {
   std::ostringstream os;
   os << prim_kind_name(static_cast<PrimKind>(key.kind)) << " delay " << to_ns(key.dmin)
      << "-" << to_ns(key.dmax) << (key.has_rise_fall ? " rise/fall" : "");
@@ -581,7 +581,7 @@ std::optional<Failure> audit_memo(const Verifier& v, const VerifyResult& r) {
   const Evaluator& ev = v.evaluator();
   const InternContext& ctx = *ev.intern_context();
   std::optional<Failure> stale;
-  ctx.memo.for_each([&](const MemoKey& key, const MemoResult& stored) {
+  ctx.memo.for_each([&](const MemoKeyFields& key, const MemoResult& stored) {
     if (stale) return;
     PrimEvalResult fresh = evaluate_key(key, ctx.table, ev.options());
     const Waveform& cached = ctx.table.get(stored.wave);

@@ -172,7 +172,7 @@ class BlockSweep {
   bool seed_lanes() {
     Waveform unknown(opts_.period, Value::Unknown);
     unknown.canonicalize();
-    unknown_ref_ = ctx_.table.intern(std::move(unknown));
+    unknown_ref_ = ctx_.table.intern(unknown);
     if (unknown_ref_ == kNoWaveform) return false;
     for (std::size_t l = 0; l < lanes_; ++l) {
       for (const auto& [sig, val] : cases_[first_ + l].pins) {
@@ -200,7 +200,7 @@ class BlockSweep {
         if (seeded[v] == kNoWaveform) {
           Waveform w = base_seed.replaced(Value::Stable, static_cast<Value>(v));
           w.canonicalize();
-          seeded[v] = ctx_.table.intern(std::move(w));
+          seeded[v] = ctx_.table.intern(w);
           if (seeded[v] == kNoWaveform) return false;
         }
         if (seeded[v] == br) continue;
@@ -302,21 +302,16 @@ class BlockSweep {
       return false;
     }
 
-    // Memo-key skeleton built once from the baseline; dirty lanes patch
-    // refs (and the rare diverged directive string) in place instead of
-    // re-running key construction per evaluation.
-    MemoKey key;
-    if (!build_memo_key(
-            p, nl_, opts_,
-            [this](SignalId s) { return s < base_refs_.size() ? base_refs_[s] : kNoWaveform; },
-            [this](SignalId s) -> const std::string& { return nl_.signal(s).eval_str; },
-            key)) {
-      abort_ = true;  // uninterned baseline input: defer to per-case
-      return false;
+    // Lane keys are built over interned refs: an uninterned baseline input
+    // defers the block to the per-case path.
+    for (const Pin& pin : p.inputs) {
+      if (pin.sig >= base_refs_.size() || base_refs_[pin.sig] == kNoWaveform) {
+        abort_ = true;
+        return false;
+      }
     }
     in_base_ref_.clear();
     in_base_str_.clear();
-    cur_str_.clear();
     for (std::size_t i = 0; i < nin; ++i) {
       std::int32_t row = in_row_[i];
       WaveformRef br = row >= 0 ? base_ref_[static_cast<std::size_t>(row)]
@@ -325,7 +320,6 @@ class BlockSweep {
                                   : pool_.intern(nl_.signal(p.inputs[i].sig).eval_str);
       in_base_ref_.push_back(br);
       in_base_str_.push_back(bs);
-      cur_str_.push_back(bs);  // the key currently holds the base string
     }
     lane_ref_.assign(nin, kNoWaveform);
     lane_str_.assign(nin, 0);
@@ -380,16 +374,15 @@ class BlockSweep {
       // previous lane's result outright when they match.
       if (!(have_prev && mv == prev_map && lane_ref_ == prev_ref_ &&
             lane_str_ == prev_str_)) {
+        key_.start(p);
         for (std::size_t i = 0; i < nin; ++i) {
-          key.pins[i].wave = lane_ref_[i];
-          if (p.inputs[i].directives.empty() && lane_str_[i] != cur_str_[i]) {
-            key.pins[i].dirs = pool_.str(lane_str_[i]);
-            cur_str_[i] = lane_str_[i];
-          }
+          const Pin& pin = p.inputs[i];
+          add_memo_pin(key_, lane_ref_[i], pin, nl_.signal(pin.sig), opts_,
+                       pool_.str(lane_str_[i]));
         }
         WaveformRef raw;
         std::uint32_t raw_str;
-        if (std::optional<MemoResult> hit = ctx_.memo.lookup(key)) {
+        if (std::optional<MemoResult> hit = ctx_.memo.lookup(key_)) {
           raw = hit->wave;
           raw_str = pool_.intern(hit->eval_str);
         } else {
@@ -401,12 +394,12 @@ class BlockSweep {
                                          pool_.str(lane_str_[i]), opts_));
           }
           PrimEvalResult r = evaluate_primitive(p, ins_, opts_.period);
-          raw = ctx_.table.intern(std::move(r.wave));
+          raw = ctx_.table.intern(r.wave);
           if (raw == kNoWaveform) {
             abort_ = true;
             return any;
           }
-          ctx_.memo.store(key, MemoResult{raw, r.eval_str});
+          ctx_.memo.store(key_, MemoResult{raw, r.eval_str});
           raw_str = pool_.intern(r.eval_str);
         }
         // Case map and segment cap, mirroring the engine's commit step.
@@ -414,7 +407,7 @@ class BlockSweep {
         if (mv >= 0) {
           Waveform w = ctx_.table.get(raw).replaced(Value::Stable, static_cast<Value>(mv));
           w.canonicalize();
-          final_ref = ctx_.table.intern(std::move(w));
+          final_ref = ctx_.table.intern(w);
           if (final_ref == kNoWaveform) {
             abort_ = true;
             return any;
@@ -513,7 +506,7 @@ class BlockSweep {
   std::vector<std::int32_t> in_row_;
   std::vector<WaveformRef> in_base_ref_;
   std::vector<std::uint32_t> in_base_str_;
-  std::vector<std::uint32_t> cur_str_;
+  MemoKey key_;
   std::vector<WaveformRef> lane_ref_;
   std::vector<std::uint32_t> lane_str_;
   std::vector<WaveformRef> prev_ref_;

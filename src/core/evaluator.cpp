@@ -1,29 +1,64 @@
 #include "core/evaluator.hpp"
 
+#include <bit>
+#include <optional>
+#include <unordered_map>
+
 #include "core/propagate.hpp"
 #include "core/scc.hpp"
 #include "util/fault.hpp"
 
 namespace tv {
 
-Waveform seed_waveform(const Signal& s, const VerifierOptions& opts) {
-  if (s.assertion.kind != Assertion::Kind::None) {
-    if (s.assertion.kind == Assertion::Kind::Stable && s.driver != kNoPrim) {
-      // A stable assertion on a *generated* signal is a check, not a seed
-      // (sec. 2.5.2): evaluation will overwrite this and the checker will
-      // compare. Seed UNKNOWN so the driver's value wins deterministically.
-      return Waveform(opts.period, Value::Unknown);
+namespace {
+
+/// The assertion a signal's seed materializes, or null when it seeds a
+/// constant: a stable assertion on a *generated* signal is a check, not a
+/// seed (sec. 2.5.2) -- evaluation will overwrite it and the checker will
+/// compare, so it seeds UNKNOWN and the driver's value wins
+/// deterministically.
+const Assertion* seeding_assertion(const Signal& s) {
+  if (s.assertion.kind == Assertion::Kind::None) return nullptr;
+  if (s.assertion.kind == Assertion::Kind::Stable && s.driver != kNoPrim) return nullptr;
+  return &s.assertion;
+}
+
+/// The constant seed of a signal without a seeding assertion. "Undefined
+/// signals with no assertions are taken to be always stable, to prevent
+/// them from giving rise to numerous spurious timing errors" (sec. 2.5);
+/// they appear on the cross-reference listing instead. Generated signals
+/// start UNKNOWN.
+Value constant_seed(const Signal& s) {
+  return s.driver == kNoPrim ? Value::Stable : Value::Unknown;
+}
+
+struct AssertionHash {
+  std::size_t operator()(const Assertion& a) const {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 0x100000001b3ull; };
+    auto mix_double = [&mix](double d) { mix(std::bit_cast<std::uint64_t>(d)); };
+    mix(static_cast<std::uint64_t>(a.kind));
+    mix(a.active_low);
+    for (const Assertion::Range& r : a.ranges) {
+      mix_double(r.begin);
+      mix_double(r.end);
+      mix_double(r.width_ns.value_or(-1.0));
     }
-    return assertion_waveform(s.assertion, opts.period, opts.units,
-                              opts.assertion_defaults);
+    if (a.skew_ns) {
+      mix_double(a.skew_ns->first);
+      mix_double(a.skew_ns->second);
+    }
+    return static_cast<std::size_t>(h);
   }
-  if (s.driver == kNoPrim) {
-    // "Undefined signals with no assertions are taken to be always stable,
-    // to prevent them from giving rise to numerous spurious timing errors"
-    // (sec. 2.5); they appear on the cross-reference listing instead.
-    return Waveform(opts.period, Value::Stable);
+};
+
+}  // namespace
+
+Waveform seed_waveform(const Signal& s, const VerifierOptions& opts) {
+  if (const Assertion* a = seeding_assertion(s)) {
+    return assertion_waveform(*a, opts.period, opts.units, opts.assertion_defaults);
   }
-  return Waveform(opts.period, Value::Unknown);
+  return Waveform(opts.period, constant_seed(s));
 }
 
 PreparedInput prepare_input(const Pin& pin, const Signal& s, const Waveform& wave,
@@ -58,6 +93,7 @@ struct Evaluator::Store {
   WaveformRef wave_ref(SignalId id) const { return ev.wave_ref(id); }
   static std::int32_t prim_slot(PrimId pid) { return static_cast<std::int32_t>(pid); }
   static std::int32_t signal_slot(SignalId id) { return static_cast<std::int32_t>(id); }
+  static bool adjusts(SignalId) { return false; }
   static void adjust(SignalId, Waveform&) {}
   void write(SignalId id, WaveformRef ref, Waveform w, std::string eval_str) {
     Signal& s = ev.nl_.signal(id);
@@ -93,8 +129,23 @@ void Evaluator::initialize() {
   state_.reset(nl_.num_prims(), nl_.num_signals());
   wave_refs_.assign(nl_.num_signals(), kNoWaveform);
   Propagator<Store> e = engine();
+  // Seeds repeat -- the UNKNOWN and STABLE constants and a few distinct
+  // assertions -- so each is materialized and interned by the first
+  // signal it seeds and written as a ref thereafter. A seed the full
+  // table refused goes through put() every time, as it always did.
+  std::optional<WaveformRef> constants[2];
+  std::unordered_map<Assertion, std::optional<WaveformRef>, AssertionHash> asserted;
   for (SignalId id = 0; id < nl_.num_signals(); ++id) {
-    e.put(id, seed_waveform(nl_.signal(id), opts_), std::string());
+    const Signal& s = nl_.signal(id);
+    const Assertion* a = seeding_assertion(s);
+    std::optional<WaveformRef>& ref =
+        a ? asserted[*a] : constants[constant_seed(s) == Value::Stable];
+    if (ref && *ref != kNoWaveform) {
+      e.put_ref(id, *ref, std::string());
+    } else {
+      e.put(id, seed_waveform(s, opts_), std::string());
+      ref = wave_refs_[id];
+    }
   }
   for (PrimId pid = 0; pid < nl_.num_prims(); ++pid) e.enqueue(pid);
 }

@@ -145,42 +145,34 @@ Waveform seed_waveform(const Signal& s, const VerifierOptions& opts);
 PreparedInput prepare_input(const Pin& pin, const Signal& s, const Waveform& wave,
                             const std::string& eval_str, const VerifierOptions& opts);
 
+/// Appends one input's memo-key component: its driving waveform `wave`,
+/// the pin's inversion, the signal's wire delay, and the resolved directive
+/// string (the pin's own, else the driving signal's `eval_str`).
+inline void add_memo_pin(MemoKey& key, WaveformRef wave, const Pin& pin, const Signal& s,
+                         const VerifierOptions& opts, const std::string& eval_str) {
+  const WireDelay wd = s.wire_delay.value_or(opts.default_wire);
+  key.add_pin(wave, pin.invert, wd.dmin, wd.dmax,
+              !pin.directives.empty() ? pin.directives : eval_str);
+}
+
 /// Builds the memo-cache key for one primitive evaluation. `ref_of(sig)`
 /// yields the interned ref of the signal's current waveform (kNoWaveform if
 /// it has none -- the call then returns false and the caller must evaluate
 /// uncached); `str_of(sig)` yields its current evaluation string. The key
 /// captures everything evaluate_primitive and prepare_input consume beyond
 /// the fixed per-run options: kind, delay parameters, and per-pin (waveform
-/// ref, inversion, wire delay, resolved directive string). Shared by the
-/// propagation engine and the batch sweep so both populate one cache.
+/// ref, inversion, wire delay, resolved directive string). The batch sweep
+/// builds its per-lane keys from the same MemoKey::start and add_memo_pin,
+/// so both engines populate one cache.
 template <class RefOf, class StrOf>
 bool build_memo_key(const Primitive& p, const Netlist& nl,
                     const VerifierOptions& opts, RefOf&& ref_of, StrOf&& str_of,
                     MemoKey& key) {
-  key.kind = static_cast<std::uint8_t>(p.kind);
-  key.dmin = p.dmin;
-  key.dmax = p.dmax;
-  key.has_rise_fall = p.rise_fall.has_value();
-  if (p.rise_fall) {
-    key.rise_fall = {p.rise_fall->rise_min, p.rise_fall->rise_max,
-                     p.rise_fall->fall_min, p.rise_fall->fall_max};
-  } else {
-    key.rise_fall = {};
-  }
-  key.pins.clear();
-  key.pins.reserve(p.inputs.size());
+  key.start(p);
   for (const Pin& pin : p.inputs) {
     WaveformRef r = ref_of(pin.sig);
     if (r == kNoWaveform) return false;
-    const Signal& s = nl.signal(pin.sig);
-    WireDelay wd = s.wire_delay.value_or(opts.default_wire);
-    MemoPin mp;
-    mp.wave = r;
-    mp.invert = pin.invert;
-    mp.wire_min = wd.dmin;
-    mp.wire_max = wd.dmax;
-    mp.dirs = !pin.directives.empty() ? pin.directives : str_of(pin.sig);
-    key.pins.push_back(std::move(mp));
+    add_memo_pin(key, r, pin, nl.signal(pin.sig), opts, str_of(pin.sig));
   }
   return true;
 }

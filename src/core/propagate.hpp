@@ -13,12 +13,16 @@
 //   WaveformRef wave_ref(SignalId) const;        // kNoWaveform if uninterned
 //   std::int32_t prim_slot(PrimId) const;        // dense slot, -1 outside
 //   std::int32_t signal_slot(SignalId) const;
+//   bool adjusts(SignalId) const;                // adjust() may change it
 //   void adjust(SignalId, Waveform&) const;      // per-write hook (case map)
 //   void write(SignalId, WaveformRef, Waveform, std::string);
 //   void on_pop();                               // per-evaluation hook
 //
 // `write` stores the table's copy of the ref, or the waveform itself when
-// the ref is kNoWaveform (the table is full). Run state -- worklist,
+// the ref is kNoWaveform (the table is full). An evaluation whose result
+// is interned -- every memo hit -- commits the ref itself: the change test
+// and the write never touch a waveform unless the store adjusts the signal
+// or the segment cap trips. Run state -- worklist,
 // oscillation counts, effort counters, degradations -- lives in a
 // PropagationState the caller owns, sized to the store's slots.
 #pragma once
@@ -62,6 +66,11 @@ class Propagator {
     w.canonicalize();
     WaveformRef ref = intern(id, w);
     store_.write(id, ref, std::move(w), std::move(eval_str));
+  }
+
+  /// put() of a waveform interned already as `ref` (not kNoWaveform).
+  void put_ref(SignalId id, WaveformRef ref, std::string eval_str) {
+    store_.write(id, ref, Waveform(), std::move(eval_str));
   }
 
   /// A signal whose seed changed (an edited assertion, a case pin): a
@@ -119,13 +128,12 @@ class Propagator {
   }
 
   void evaluate(const Primitive& p) {
-    MemoKey key;
     const bool keyed = build_memo_key(
         p, nl_, opts_, [this](SignalId id) { return store_.wave_ref(id); },
-        [this](SignalId id) -> const std::string& { return store_.eval_str(id); }, key);
+        [this](SignalId id) -> const std::string& { return store_.eval_str(id); }, key_);
     if (keyed) {
-      if (std::optional<MemoResult> hit = ctx_.memo.lookup(key)) {
-        commit(p.output, ctx_.table.get(hit->wave), std::move(hit->eval_str), true);
+      if (std::optional<MemoResult> hit = ctx_.memo.lookup(key_)) {
+        commit_ref(p.output, hit->wave, std::move(hit->eval_str));
         return;
       }
     }
@@ -138,9 +146,28 @@ class Propagator {
     PrimEvalResult r = evaluate_primitive(p, ins, opts_.period);
     if (keyed) {
       WaveformRef out = ctx_.table.intern(r.wave);
-      if (out != kNoWaveform) ctx_.memo.store(key, MemoResult{out, r.eval_str});
+      if (out != kNoWaveform) {
+        ctx_.memo.store(key_, MemoResult{out, r.eval_str});
+        commit_ref(p.output, out, std::move(r.eval_str));
+        return;
+      }
     }
     commit(p.output, std::move(r.wave), std::move(r.eval_str), true);
+  }
+
+  /// The commit step for a computed result already interned as `ref`: the
+  /// change test compares refs and eval strings, and a change writes the
+  /// ref alone. A signal the store adjusts, or a waveform over the segment
+  /// cap, takes the full commit instead.
+  void commit_ref(SignalId id, WaveformRef ref, std::string eval_str) {
+    if (store_.adjusts(id) || over_cap(ctx_.table.get(ref))) {
+      commit(id, ctx_.table.get(ref), std::move(eval_str), true);
+      return;
+    }
+    if (ref == store_.wave_ref(id) && eval_str == store_.eval_str(id)) return;
+    put_ref(id, ref, std::move(eval_str));
+    ++st_.events;
+    enqueue_fanout(id);
   }
 
   /// The commit step: store hook, canonical form, segment cap (computed
@@ -161,9 +188,12 @@ class Propagator {
 
   /// Segment cap (VerifierOptions::max_segments_per_signal): an oversized
   /// waveform becomes all-UNKNOWN, recorded once per signal.
+  bool over_cap(const Waveform& w) const {
+    return opts_.max_segments_per_signal != 0 &&
+           w.segments().size() > opts_.max_segments_per_signal;
+  }
   void cap_segments(SignalId id, Waveform& w) {
-    if (opts_.max_segments_per_signal == 0) return;
-    if (w.segments().size() <= opts_.max_segments_per_signal) return;
+    if (!over_cap(w)) return;
     std::int32_t slot = store_.signal_slot(id);
     if (slot >= 0 && !st_.seg_capped[slot]) {
       st_.seg_capped[slot] = 1;
@@ -228,6 +258,7 @@ class Propagator {
   const VerifierOptions& opts_;
   InternContext& ctx_;
   PropagationState& st_;
+  MemoKey key_;  // reused by every evaluation of this run
 };
 
 }  // namespace tv

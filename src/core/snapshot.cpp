@@ -86,10 +86,13 @@ class CaseStore {
   WaveformRef wave_ref(SignalId id) const { return snap_.wave_ref(id); }
   std::int32_t prim_slot(PrimId pid) const { return cone_.prim_slot[pid]; }
   std::int32_t signal_slot(SignalId id) const { return cone_.signal_slot[id]; }
-  void adjust(SignalId id, Waveform& w) const {
+  bool adjusts(SignalId id) const {
     std::int32_t slot = cone_.signal_slot[id];
-    if (slot >= 0 && case_map_[slot] >= 0) {
-      w = w.replaced(Value::Stable, static_cast<Value>(case_map_[slot]));
+    return slot >= 0 && case_map_[slot] >= 0;
+  }
+  void adjust(SignalId id, Waveform& w) const {
+    if (adjusts(id)) {
+      w = w.replaced(Value::Stable, static_cast<Value>(case_map_[cone_.signal_slot[id]]));
     }
   }
   void write(SignalId id, WaveformRef ref, Waveform w, std::string eval_str) {

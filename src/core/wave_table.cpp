@@ -1,5 +1,7 @@
 #include "core/wave_table.hpp"
 
+#include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
 #include "util/fault.hpp"
@@ -17,11 +19,10 @@ WaveformTable::~WaveformTable() {
   }
 }
 
-WaveformRef WaveformTable::intern(Waveform w) {
+WaveformRef WaveformTable::intern(const Waveform& w) {
   // Simulated allocation failure (docs/serving.md): `fail` throws
   // InjectedFault here, which drivers map to the transient exit code 5.
   fault::check("wave_table.intern");
-  w.canonicalize();
   std::uint64_t h = w.canonical_hash();
   Shard& sh = shards_[h & kShardMask];
   std::lock_guard<std::mutex> lock(sh.mu);
@@ -29,7 +30,7 @@ WaveformRef WaveformTable::intern(Waveform w) {
   std::vector<std::uint32_t>& bucket = sh.buckets[h];
   for (std::uint32_t slot : bucket) {
     const Waveform* chunk = sh.chunks[slot >> kChunkBits].load(std::memory_order_relaxed);
-    if (chunk[slot & (kChunkSize - 1)] == w) {
+    if (chunk[slot & (kChunkSize - 1)].equivalent(w)) {
       return (slot << kShardBits) | static_cast<WaveformRef>(h & kShardMask);
     }
   }
@@ -50,7 +51,9 @@ WaveformRef WaveformTable::intern(Waveform w) {
     sh.chunks[slot >> kChunkBits].store(chunk, std::memory_order_release);
   }
   sh.paper_bytes += w.paper_storage_bytes();
-  chunk[slot & (kChunkSize - 1)] = std::move(w);
+  Waveform& copy = chunk[slot & (kChunkSize - 1)];
+  copy = w;
+  copy.canonicalize();
   bucket.push_back(slot);
   ++sh.count;
   return (slot << kShardBits) | static_cast<WaveformRef>(h & kShardMask);
@@ -83,57 +86,98 @@ std::size_t WaveformTable::unique_paper_bytes() const {
   return n;
 }
 
-std::size_t EvalMemo::KeyHash::operator()(const MemoKey& k) const {
-  constexpr std::uint64_t kPrime = 0x100000001b3ull;
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= kPrime;
-    h ^= h >> 29;
+MemoKeyFields MemoKey::decode(const std::uint64_t* words, std::size_t n) {
+  MemoKeyFields k;
+  std::size_t i = 0;
+  auto next = [&]() {
+    if (i >= n) throw std::logic_error("memo key: truncated word sequence");
+    return words[i++];
   };
-  mix(k.kind);
-  mix(static_cast<std::uint64_t>(k.dmin));
-  mix(static_cast<std::uint64_t>(k.dmax));
-  mix(k.has_rise_fall);
-  for (Time t : k.rise_fall) mix(static_cast<std::uint64_t>(t));
-  for (const MemoPin& p : k.pins) {
-    mix(p.wave);
-    mix(p.invert);
-    mix(static_cast<std::uint64_t>(p.wire_min));
-    mix(static_cast<std::uint64_t>(p.wire_max));
-    for (char c : p.dirs) mix(static_cast<unsigned char>(c));
-    mix(0x9e3779b97f4a7c15ull);  // pin separator
+  const std::uint64_t head = next();
+  k.kind = static_cast<std::uint8_t>(head & 0xFF);
+  k.has_rise_fall = (head >> 8) & 1;
+  k.dmin = static_cast<Time>(next());
+  k.dmax = static_cast<Time>(next());
+  if (k.has_rise_fall) {
+    for (Time& t : k.rise_fall) t = static_cast<Time>(next());
   }
-  return static_cast<std::size_t>(h);
+  k.pins.resize(head >> 32);
+  for (MemoPin& mp : k.pins) {
+    const std::uint64_t pin = next();
+    mp.wave = static_cast<WaveformRef>(pin & 0xFFFFFFFFu);
+    mp.invert = (pin >> 32) & 1;
+    mp.wire_min = static_cast<Time>(next());
+    mp.wire_max = static_cast<Time>(next());
+    mp.dirs.resize(pin >> 33);
+    for (std::size_t c = 0; c < mp.dirs.size(); c += 8) {
+      const std::uint64_t w = next();
+      std::memcpy(mp.dirs.data() + c, &w, std::min<std::size_t>(8, mp.dirs.size() - c));
+    }
+  }
+  if (i != n) throw std::logic_error("memo key: trailing words");
+  return k;
 }
 
-std::size_t EvalMemo::shard_of(const MemoKey& key) {
-  return KeyHash{}(key) % kShardCount;
+std::size_t EvalMemo::Shard::probe(const MemoKey& key) const {
+  const std::uint32_t h = static_cast<std::uint32_t>(key.hash());
+  const std::size_t mask = slots.size() - 1;
+  for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+    const Slot& s = slots[i];
+    if (s.entry == kEmpty) return i;
+    if (s.hash != h) continue;
+    const std::uint64_t* e = &arena[s.entry];
+    if ((e[0] & 0xFFFFFFFFu) == key.size() &&
+        std::equal(key.data(), key.data() + key.size(), e + 1)) {
+      return i;
+    }
+  }
 }
 
 std::optional<MemoResult> EvalMemo::lookup(const MemoKey& key) const {
   const Shard& sh = shards_[shard_of(key)];
   std::lock_guard<std::mutex> lock(sh.mu);
-  auto it = sh.map.find(key);
-  if (it == sh.map.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
+  if (!sh.slots.empty()) {
+    const Slot& s = sh.slots[sh.probe(key)];
+    if (s.entry != kEmpty) {
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      return sh.results[sh.arena[s.entry] >> 32];
+    }
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second;
+  misses_.fetch_add(1, std::memory_order_relaxed);
+  return std::nullopt;
 }
 
 void EvalMemo::store(const MemoKey& key, MemoResult result) {
   Shard& sh = shards_[shard_of(key)];
   std::lock_guard<std::mutex> lock(sh.mu);
-  sh.map.emplace(key, std::move(result));
+  // Keep at least half the slots empty, so every probe ends.
+  if (2 * (sh.results.size() + 1) > sh.slots.size()) {
+    std::vector<Slot> old = std::move(sh.slots);
+    sh.slots.assign(std::max<std::size_t>(16, 2 * old.size()), Slot{});
+    const std::size_t mask = sh.slots.size() - 1;
+    for (const Slot& s : old) {
+      if (s.entry == kEmpty) continue;
+      std::size_t i = s.hash & mask;
+      while (sh.slots[i].entry != kEmpty) i = (i + 1) & mask;
+      sh.slots[i] = s;
+    }
+  }
+  Slot& s = sh.slots[sh.probe(key)];
+  if (s.entry != kEmpty) return;
+  if (sh.arena.size() + 1 + key.size() >= kEmpty) {
+    throw std::length_error("memo: key arena exceeds 4 Gi words");
+  }
+  s = Slot{static_cast<std::uint32_t>(key.hash()), static_cast<std::uint32_t>(sh.arena.size())};
+  sh.arena.push_back(key.size() | static_cast<std::uint64_t>(sh.results.size()) << 32);
+  sh.arena.insert(sh.arena.end(), key.data(), key.data() + key.size());
+  sh.results.push_back(std::move(result));
 }
 
 std::size_t EvalMemo::entries() const {
   std::size_t n = 0;
   for (const Shard& sh : shards_) {
     std::lock_guard<std::mutex> lock(sh.mu);
-    n += sh.map.size();
+    n += sh.results.size();
   }
   return n;
 }

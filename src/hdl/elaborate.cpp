@@ -138,9 +138,13 @@ class RangeExpr {
       return -atom();
     }
     if (is_digit(c)) {
+      // Range bounds are bit indices, so a literal's value is a whole
+      // number. (An expression such as SIZE/2 may still yield a fraction;
+      // the width rounds it.)
       std::string_view text = s_.substr(pos_, number_length(s_.substr(pos_)));
       pos_ += text.size();
-      if (std::optional<double> v = read_number(text)) return *v;
+      std::optional<double> v = read_number(text);
+      if (v && *v == std::trunc(*v)) return *v;
       fail(line_, 0, diag::kErrBadRange,
            "bad number \"" + std::string(text) + "\" in range expression");
     }

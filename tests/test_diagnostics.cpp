@@ -322,6 +322,30 @@ TEST(GoldenDiagnostics, MalformedRangeNumberIsReportedAtTheReference) {
   }
 }
 
+// A range bound is a bit index: a literal with a fractional value is the
+// same error. Before, "A<0:1.5>" was accepted silently as a 3-wide bus.
+TEST(GoldenDiagnostics, FractionalRangeBoundIsReportedAtTheReference) {
+  auto source = [](const std::string& bound) {
+    return std::string("design D {\n  period 50.0;\n") + "  buf [delay=1.0:2.0] (\"A<0:" +
+           bound + "> .S0-6\") -> \"B\";\n}\n";
+  };
+  for (const char* bound : {"1.5", "0.25"}) {
+    SCOPED_TRACE(bound);
+    diag::DiagnosticEngine diags;
+    diags.set_current_file("range.shdl");
+    EXPECT_FALSE(hdl::elaborate_source(source(bound), diags).has_value());
+    ASSERT_EQ(diags.diagnostics().size(), 1u);
+    const diag::Diagnostic& d = diags.diagnostics()[0];
+    EXPECT_EQ(d.code, diag::kErrBadRange);
+    EXPECT_EQ(d.message, "bad number \"" + std::string(bound) + "\" in range expression");
+    EXPECT_EQ(d.loc.line, 3);
+  }
+  // A whole number spelled with a fraction part stays a bound.
+  diag::DiagnosticEngine diags;
+  EXPECT_TRUE(hdl::elaborate_source(source("1.0"), diags).has_value());
+  EXPECT_FALSE(diags.has_errors());
+}
+
 // --- diagnostics digest over seeded mutants ---------------------------------
 
 /// Folds every diagnostic the front end reports for `src` -- code, location,
