@@ -2,6 +2,7 @@
 
 #include <array>
 #include <random>
+#include <span>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -116,11 +117,14 @@ std::string mutate(std::string src, std::mt19937_64& rng) {
   return src;
 }
 
+/// (offset, length) spans of a source text.
+using Spans = std::vector<std::pair<std::size_t, std::size_t>>;
+
 /// The bounds of every vector range ("<lo:hi>" inside a quoted signal
 /// name) in `src`, as (offset, length) spans. Each seed design expands
 /// every macro it defines, so every bound is evaluated.
-std::vector<std::pair<std::size_t, std::size_t>> range_bounds(std::string_view src) {
-  std::vector<std::pair<std::size_t, std::size_t>> bounds;
+Spans range_bounds(std::string_view src) {
+  Spans bounds;
   bool quoted = false;
   for (std::size_t i = 0; i < src.size(); ++i) {
     if (src[i] == '"') quoted = !quoted;
@@ -135,35 +139,75 @@ std::vector<std::pair<std::size_t, std::size_t>> range_bounds(std::string_view s
   return bounds;
 }
 
+/// The numeric actuals of every macro instance ("use M [SIZE=4]") in `src`,
+/// as (offset, length) spans. The seed designs use each macro parameter in
+/// a vector-range bound.
+Spans param_actuals(std::string_view src) {
+  Spans actuals;
+  for (std::size_t use = src.find("use "); use != std::string_view::npos;
+       use = src.find("use ", use + 1)) {
+    const std::size_t open = src.find('[', use);
+    const std::size_t close = src.find(']', use);
+    if (open == std::string_view::npos || close < open || src.find('\n', use) < close) continue;
+    for (std::size_t eq = src.find('=', open); eq < close; eq = src.find('=', eq + 1)) {
+      std::size_t end = eq + 1;
+      while (end < close && src[end] != ',') ++end;
+      actuals.emplace_back(eq + 1, end - eq - 1);
+    }
+  }
+  return actuals;
+}
+
 // Malformed range numbers: the lexer's number scan takes all of each.
 constexpr std::string_view kBadRangeNumbers[] = {"1.2.3", "1..5", "1.5"};
+// Fractional parameter actuals: a bound such as SIZE-1 computed from one is
+// fractional too.
+constexpr std::string_view kFractionalActuals[] = {"2.5", "4.5", "0.5", "1.25"};
 
-/// Replaces one seeded range bound of a seed design with a malformed
-/// number; the front end must reject it with a located SHDL-E022. The
-/// mutator rarely writes such a bound, and an input accepted silently
-/// breaks no robustness contract, so this targets the case directly.
+/// Replaces one seeded span of a seed design that has such spans with a
+/// seeded pick of `values`.
+std::string replace_one(std::mt19937_64& rng, Spans (*spans)(std::string_view),
+                        std::span<const std::string_view> values) {
+  std::vector<std::size_t> with;
+  for (std::size_t i = 0; i < std::size(kSeedDesigns); ++i) {
+    if (!spans(kSeedDesigns[i]).empty()) with.push_back(i);
+  }
+  std::string src(kSeedDesigns[with[rng() % with.size()]]);
+  const auto all = spans(src);
+  const auto [at, len] = all[rng() % all.size()];
+  src.replace(at, len, values[rng() % values.size()]);
+  return src;
+}
+
+/// A vector-range bound that is not a whole number, whether written as a
+/// malformed or fractional literal or computed from a fractional macro
+/// parameter, must be rejected with a located SHDL-E022. The mutator rarely
+/// writes such a bound, and an input accepted silently breaks no robustness
+/// contract, so this targets the case directly: one seed design with a
+/// literal bound replaced, and one with a parameter actual replaced.
 std::optional<ParserFuzzFailure> check_bad_range_number(std::uint64_t seed) {
   std::mt19937_64 rng(seed * 0xC2B2AE3D27D4EB4Full + 7);
-  std::vector<std::size_t> ranged;
-  for (std::size_t i = 0; i < std::size(kSeedDesigns); ++i) {
-    if (!range_bounds(kSeedDesigns[i]).empty()) ranged.push_back(i);
+  const std::pair<std::string, const char*> cases[] = {
+      {replace_one(rng, range_bounds, kBadRangeNumbers), "a malformed range number"},
+      {replace_one(rng, param_actuals, kFractionalActuals),
+       "a range bound computed from a fractional parameter"},
+  };
+  for (const auto& [src, what] : cases) {
+    diag::DiagnosticEngine diags;
+    diags.set_current_file("<fuzz>");
+    std::optional<hdl::ElaboratedDesign> d = hdl::elaborate_source(src, diags);
+    bool located = false;
+    for (const diag::Diagnostic& diag : diags.diagnostics()) {
+      located = located || (diag.code == diag::kErrBadRange && diag.loc.line > 0);
+    }
+    if (!located) {
+      return ParserFuzzFailure{seed, "silent-acceptance",
+                               std::string(d ? "front end accepted " : "front end rejected ") +
+                                   what + " without a located " + diag::kErrBadRange,
+                               src};
+    }
   }
-  std::string src(kSeedDesigns[ranged[rng() % ranged.size()]]);
-  const auto bounds = range_bounds(src);
-  const auto [at, len] = bounds[rng() % bounds.size()];
-  src.replace(at, len, kBadRangeNumbers[rng() % std::size(kBadRangeNumbers)]);
-
-  diag::DiagnosticEngine diags;
-  diags.set_current_file("<fuzz>");
-  std::optional<hdl::ElaboratedDesign> d = hdl::elaborate_source(src, diags);
-  for (const diag::Diagnostic& diag : diags.diagnostics()) {
-    if (diag.code == diag::kErrBadRange && diag.loc.line > 0) return std::nullopt;
-  }
-  return ParserFuzzFailure{seed, "silent-acceptance",
-                           std::string(d ? "front end accepted" : "front end rejected") +
-                               " a malformed range number without a located " +
-                               diag::kErrBadRange,
-                           src};
+  return std::nullopt;
 }
 
 }  // namespace

@@ -23,6 +23,14 @@ enum : std::uint32_t {
 constexpr std::uint32_t kSectionIds[] = {kSecMeta, kSecSignals, kSecPrims, kSecCases,
                                          kSecWaves};
 
+// The smallest record of each counted kind, for ByteReader::room(): every
+// string empty, every optional field absent.
+constexpr std::size_t kMinRange = 8 + 8 + 1;
+constexpr std::size_t kMinSignal = 4 + 4 + (3 + 4) + 1 + 4 + 1;  // names, assertion, ...
+constexpr std::size_t kMinPrim = 1 + 4 + 8 + 8 + 1 + 4 * 8 + 4 + 4 + 4;
+constexpr std::size_t kMinPin = 4 + 1 + 4;
+constexpr std::size_t kMinRef = 4;
+
 constexpr wire::Format kFormat{
     kCompiledMagic,
     kCompiledFormatVersion,
@@ -161,6 +169,7 @@ bool read_assertion(ByteReader& r, Assertion& a, Loader& L) {
     a.skew_ns = {minus, plus};
   }
   std::uint32_t nranges = r.u32();
+  a.ranges.reserve(r.room(nranges, kMinRange));
   for (std::uint32_t i = 0; i < nranges && !r.truncated(); ++i) {
     Assertion::Range range;
     range.begin = r.f64();
@@ -214,6 +223,9 @@ bool read_meta(ByteReader& r, CompiledDesign& d, Loader& L) {
 
 bool read_signals(ByteReader& r, CompiledDesign& d, Loader& L) {
   std::uint32_t count = r.u32();
+  const std::size_t room = r.room(count, kMinSignal);
+  d.netlist.reserve(room, 0);
+  d.netlist.reserve_names(room);
   for (std::uint32_t i = 0; i < count && !r.truncated(); ++i) {
     Signal s;
     s.full_name = r.str();
@@ -241,6 +253,7 @@ bool read_signals(ByteReader& r, CompiledDesign& d, Loader& L) {
 bool read_prims(ByteReader& r, CompiledDesign& d, Loader& L) {
   const std::uint32_t nsignals = static_cast<std::uint32_t>(d.netlist.num_signals());
   std::uint32_t count = r.u32();
+  d.netlist.reserve(nsignals, r.room(count, kMinPrim));
   for (std::uint32_t i = 0; i < count && !r.truncated(); ++i) {
     Primitive p;
     std::uint8_t kind = r.u8();
@@ -267,6 +280,7 @@ bool read_prims(ByteReader& r, CompiledDesign& d, Loader& L) {
     if (!r.truncated() && p.output != kNoSignal && p.output >= nsignals)
       return L.bad("primitive \"" + p.name + "\": output signal out of range");
     std::uint32_t ninputs = r.u32();
+    p.inputs.reserve(r.room(ninputs, kMinPin));
     for (std::uint32_t j = 0; j < ninputs && !r.truncated(); ++j) {
       Pin pin;
       pin.sig = r.u32();
@@ -289,6 +303,7 @@ bool read_prims(ByteReader& r, CompiledDesign& d, Loader& L) {
 bool read_waves(ByteReader& r, CompiledDesign& d, Loader& L) {
   if (!wire::read_arena(r, d.seed_arena, L)) return false;
   std::uint32_t nrefs = r.u32();
+  d.seed_refs.reserve(r.room(nrefs, kMinRef));
   for (std::uint32_t i = 0; i < nrefs && !r.truncated(); ++i) {
     std::uint32_t ref = r.u32();
     if (!r.truncated() && ref >= d.seed_arena.size())
@@ -333,24 +348,25 @@ std::string serialize_compiled(CompiledDesign& design) {
 std::optional<CompiledDesign> load_compiled(std::string_view bytes, std::string_view origin,
                                             diag::DiagnosticEngine& diags) {
   Loader L{diags, origin, kFormat};
-  std::optional<wire::Container> c = wire::open(bytes, L);
-  if (!c) return std::nullopt;
   CompiledDesign d;
-  d.content_hash = c->content_hash;
-  std::vector<ByteReader>& r = c->sections;
-  if (read_meta(r[0], d, L) && read_signals(r[1], d, L) && read_prims(r[2], d, L) &&
-      wire::read_cases(r[3], static_cast<std::uint32_t>(d.netlist.num_signals()), d.cases,
-                       L) &&
-      read_waves(r[4], d, L) && wire::finish(*c, L)) {
-    // Recompute fanout call lists and re-validate the structure exactly as
-    // the front end did; a corrupt-but-well-formed artifact fails here.
-    try {
-      d.netlist.finalize();
-    } catch (const std::exception& e) {
-      L.bad(e.what());
-    }
+  if (!wire::decode(bytes, L, [&](wire::Container& c) {
+        d.content_hash = c.content_hash;
+        std::vector<ByteReader>& r = c.sections;
+        if (read_meta(r[0], d, L) && read_signals(r[1], d, L) && read_prims(r[2], d, L) &&
+            wire::read_cases(r[3], static_cast<std::uint32_t>(d.netlist.num_signals()),
+                             d.cases, L) &&
+            read_waves(r[4], d, L) && wire::finish(c, L)) {
+          // Recompute fanout call lists and re-validate the structure exactly
+          // as the front end did; a corrupt-but-well-formed artifact fails here.
+          try {
+            d.netlist.finalize();
+          } catch (const std::exception& e) {
+            L.bad(e.what());
+          }
+        }
+      })) {
+    return std::nullopt;
   }
-  if (L.failed) return std::nullopt;
   return d;
 }
 

@@ -27,6 +27,14 @@ enum : std::uint32_t {
 constexpr std::uint32_t kSectionIds[] = {kSecBind, kSecWaves, kSecSigs, kSecResult,
                                          kSecCases};
 
+// The smallest record of each counted kind, for ByteReader::room(): every
+// string and list empty.
+constexpr std::size_t kMinViolation = 1 + 4 + 4 + 8 + 4;
+constexpr std::size_t kMinSig = 4 + 4;
+constexpr std::size_t kMinDegradation = 4 + 4;
+constexpr std::size_t kMinCaseResult = 4 + 8 + 1 + 1 + 4;
+constexpr std::size_t kMinXref = 4;
+
 constexpr wire::Format kFormat{
     kFixpointMagic,
     kFixpointFormatVersion,
@@ -131,6 +139,7 @@ std::string build_result(const VerifyResult& r) {
 bool read_violations(ByteReader& r, std::vector<Violation>& out, std::uint32_t nsignals,
                      std::uint32_t nprims, Loader& L) {
   std::uint32_t count = r.u32();
+  out.reserve(r.room(count, kMinViolation));
   for (std::uint32_t i = 0; i < count && !r.truncated(); ++i) {
     Violation v;
     std::uint8_t type = r.u8();
@@ -167,6 +176,8 @@ bool read_sigs(ByteReader& r, const std::vector<Waveform>& arena, std::uint32_t 
   std::uint32_t count = r.u32();
   if (!r.truncated() && count != nsignals)
     return L.bad("signal table does not match the bound signal count");
+  st.waves.reserve(r.room(count, kMinSig));
+  st.eval_strs.reserve(r.room(count, kMinSig));
   for (std::uint32_t i = 0; i < count && !r.truncated(); ++i) {
     std::uint32_t ref = r.u32();
     std::string eval_str = r.str();
@@ -188,6 +199,7 @@ bool read_result(ByteReader& r, std::uint32_t nsignals, std::uint32_t nprims,
   res.converged = r.u8() != 0;
   res.partial = r.u8() != 0;
   std::uint32_t ndeg = r.u32();
+  res.degradations.reserve(r.room(ndeg, kMinDegradation));
   for (std::uint32_t i = 0; i < ndeg && !r.truncated(); ++i) {
     std::string code = r.str();
     std::string message = r.str();
@@ -198,6 +210,7 @@ bool read_result(ByteReader& r, std::uint32_t nsignals, std::uint32_t nprims,
     res.degradations.push_back(Degradation{interned, std::move(message)});
   }
   std::uint32_t ncases = r.u32();
+  res.cases.reserve(r.room(ncases, kMinCaseResult));
   for (std::uint32_t i = 0; i < ncases && !r.truncated(); ++i) {
     VerifyResult::CaseResult c;
     c.name = r.str();
@@ -209,6 +222,7 @@ bool read_result(ByteReader& r, std::uint32_t nsignals, std::uint32_t nprims,
     res.cases.push_back(std::move(c));
   }
   std::uint32_t nxref = r.u32();
+  res.cross_reference.reserve(r.room(nxref, kMinXref));
   for (std::uint32_t i = 0; i < nxref && !r.truncated(); ++i) {
     std::uint32_t id = r.u32();
     if (!r.truncated() && id >= nsignals)
@@ -303,21 +317,22 @@ std::string serialize_fixpoint(const Verifier& v, const std::string& design,
 std::optional<FixpointState> load_fixpoint(std::string_view bytes, std::string_view origin,
                                            diag::DiagnosticEngine& diags) {
   Loader L{diags, origin, kFormat};
-  std::optional<wire::Container> c = wire::open(bytes, L);
-  if (!c) return std::nullopt;
   FixpointState st;
-  std::uint32_t nsignals = 0;
-  std::vector<Waveform> arena;
-  std::vector<ByteReader>& r = c->sections;
-  const std::string_view result_sec = r[3].bytes();
-  if (read_bind(r[0], st, nsignals) && wire::read_arena(r[1], arena, L) &&
-      read_sigs(r[2], arena, nsignals, st, L) &&
-      read_result(r[3], nsignals, st.num_prims, st, L) &&
-      wire::read_cases(r[4], nsignals, st.cases, L) && wire::finish(*c, L) &&
-      st.report_digest != fnv1a(result_sec.data(), result_sec.size())) {
-    L.bad("report digest mismatch");
+  if (!wire::decode(bytes, L, [&](wire::Container& c) {
+        std::uint32_t nsignals = 0;
+        std::vector<Waveform> arena;
+        std::vector<ByteReader>& r = c.sections;
+        const std::string_view result_sec = r[3].bytes();
+        if (read_bind(r[0], st, nsignals) && wire::read_arena(r[1], arena, L) &&
+            read_sigs(r[2], arena, nsignals, st, L) &&
+            read_result(r[3], nsignals, st.num_prims, st, L) &&
+            wire::read_cases(r[4], nsignals, st.cases, L) && wire::finish(c, L) &&
+            st.report_digest != fnv1a(result_sec.data(), result_sec.size())) {
+          L.bad("report digest mismatch");
+        }
+      })) {
+    return std::nullopt;
   }
-  if (L.failed) return std::nullopt;
   return st;
 }
 

@@ -102,6 +102,10 @@ void NameIndex::erase(std::string_view name) {
   --live_;
 }
 
+void NameIndex::reserve(std::size_t names) {
+  if ((used_ + names) * 2 > slots_.size()) rehash(live_ + names);
+}
+
 void NameIndex::rehash(std::size_t live) {
   // At most a third full afterwards: growth doubles the table, and a
   // compaction leaves room for tombstones before the next one.

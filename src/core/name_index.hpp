@@ -47,6 +47,8 @@ class NameIndex {
   void assign(std::string_view name, SignalId id);
   /// Removes `name`; a no-op when absent.
   void erase(std::string_view name);
+  /// Room for `names` more names, so that adding them rehashes nothing.
+  void reserve(std::size_t names);
 
   std::size_t size() const { return live_; }
   /// Slots allocated, live, tombstoned and empty together.

@@ -59,7 +59,7 @@ void Netlist::widen(SignalId id, int width) {
   if (width > signals_[id].width) signals_[id].width = width;
 }
 
-SignalId Netlist::push_signal(Signal s) {
+SignalId Netlist::push_signal(Signal&& s) {
   SignalId id = static_cast<SignalId>(signals_.size());
   s.driver = kNoPrim;
   s.fanout.clear();
@@ -154,7 +154,7 @@ void Netlist::merge_signals(SignalId keep, SignalId drop) {
   finalized_ = false;
 }
 
-PrimId Netlist::add_prim(Primitive p) {
+PrimId Netlist::add_prim(Primitive&& p) {
   if (p.dmin < 0 || p.dmax < p.dmin) {
     throw std::invalid_argument("primitive \"" + p.name + "\": invalid delay range");
   }

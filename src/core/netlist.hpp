@@ -140,7 +140,7 @@ class Netlist {
   /// resolve to another id. The name is registered for find() only when not
   /// already taken; evaluation state (wave, eval_str, driver, fanout) is
   /// reset and recomputed by finalize()/initialize().
-  SignalId push_signal(Signal s);
+  SignalId push_signal(Signal&& s);
   SignalId find(std::string_view full_name) const;
   /// The full-name index find() reads (exposed for its size accounting).
   const NameIndex& name_index() const { return by_name_; }
@@ -187,7 +187,11 @@ class Netlist {
     signals_.reserve(signals);
     prims_.reserve(prims);
   }
-  PrimId add_prim(Primitive p);
+  /// Room in the name index for `names` more names. Only a builder that
+  /// knows its count exactly should ask: the index is sized at three slots
+  /// per name.
+  void reserve_names(std::size_t names) { by_name_.reserve(names); }
+  PrimId add_prim(Primitive&& p);
   PrimId gate(PrimKind kind, std::string name, Time dmin, Time dmax,
               std::vector<Ref> ins, Ref out, int width = 1);
   PrimId buf(std::string name, Time dmin, Time dmax, Ref in, Ref out, int width = 1);

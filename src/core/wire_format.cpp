@@ -7,7 +7,9 @@
 
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <thread>
 
 #include "util/hash.hpp"
 
@@ -19,6 +21,12 @@ constexpr std::uint32_t kEndianTag = 0x01020304u;
 constexpr std::uint32_t kEndianTagSwapped = 0x04030201u;
 constexpr std::size_t kHeaderSize = 40;
 constexpr std::size_t kSectionEntrySize = 24;
+// The smallest record of each counted kind, for ByteReader::room(). A
+// waveform has at least one segment; a case may have no pins.
+constexpr std::size_t kMinSegment = 1 + 8;
+constexpr std::size_t kMinWaveform = 8 + 8 + 4 + kMinSegment;
+constexpr std::size_t kMinCase = 4 + 4;
+constexpr std::size_t kMinCasePin = 4 + 1;
 
 void write_waveform(ByteWriter& w, const Waveform& wave) {
   w.i64(wave.period());
@@ -37,6 +45,7 @@ bool read_waveform(ByteReader& r, Waveform& out, Loader& L) {
   if (r.truncated()) return true;  // reported by the section-end check
   if (period <= 0 || nsegs == 0) return L.bad("bad waveform record");
   std::vector<Waveform::Segment> segs;
+  segs.reserve(r.room(nsegs, kMinSegment));
   Time total = 0;
   for (std::uint32_t i = 0; i < nsegs && !r.truncated(); ++i) {
     std::uint8_t v = r.u8();
@@ -84,7 +93,13 @@ std::string assemble(const Format& format, std::span<const std::string> sections
   return header.take() + out;
 }
 
-std::optional<Container> open(std::string_view bytes, Loader& L) {
+namespace {
+
+/// Checks everything the hash does not cover: size, magic, byte order,
+/// version and payload size. Fills the header fields of `c` and returns the
+/// payload, or records the failure and returns nothing.
+std::optional<std::string_view> check_header(std::string_view bytes, Loader& L, Container& c,
+                                             std::uint32_t& nsections) {
   const Format& f = L.format;
   if (bytes.size() < kHeaderSize) {
     L.fail(f.truncated_code, std::string("file too small to hold ") + f.a_noun + " header");
@@ -111,28 +126,25 @@ std::optional<Container> open(std::string_view bytes, Loader& L) {
                                "); " + f.version_hint);
     return std::nullopt;
   }
-  Container c;
   c.content_hash = h.u64();
   std::uint64_t payload_size = h.u64();
-  std::uint32_t nsections = h.u32();
+  nsections = h.u32();
   if (payload_size != bytes.size() - kHeaderSize) {
     L.fail(f.truncated_code, payload_size > bytes.size() - kHeaderSize
                                  ? std::string(f.noun) + " is truncated"
                                  : std::string("trailing bytes after the payload"));
     return std::nullopt;
   }
-  std::string_view payload = bytes.substr(kHeaderSize);
-  if (fnv1a(payload.data(), payload.size()) != c.content_hash) {
-    L.fail(f.hash_code, std::string("content hash mismatch (") + f.noun + " is corrupted)");
-    return std::nullopt;
-  }
+  return bytes.substr(kHeaderSize);
+}
+
+/// The section table: ids in fixed order, ranges inside the payload.
+bool read_table(std::string_view payload, std::uint32_t nsections, Loader& L, Container& c) {
+  const Format& f = L.format;
   const std::size_t count = f.section_ids.size();
   if (nsections != count || payload.size() < count * kSectionEntrySize) {
-    L.bad("bad section table");
-    return std::nullopt;
+    return L.bad("bad section table");
   }
-
-  // Section table: ids in fixed order, ranges inside the payload.
   ByteReader t(payload.substr(0, count * kSectionEntrySize));
   std::string_view data = payload.substr(count * kSectionEntrySize);
   c.sections.reserve(count);
@@ -142,12 +154,47 @@ std::optional<Container> open(std::string_view bytes, Loader& L) {
     std::uint64_t off = t.u64();
     std::uint64_t size = t.u64();
     if (id != f.section_ids[i] || off > data.size() || size > data.size() - off) {
-      L.bad("bad section table");
-      return std::nullopt;
+      return L.bad("bad section table");
     }
     c.sections.emplace_back(data.substr(off, size));
   }
-  return c;
+  return true;
+}
+
+}  // namespace
+
+bool decode(std::string_view bytes, Loader& L, const std::function<void(Container&)>& read) {
+  Container c;
+  std::uint32_t nsections = 0;
+  if (std::optional<std::string_view> payload = check_header(bytes, L, c, nsections)) {
+    // The hash runs beside the decode; its verdict still comes first. A
+    // decode of corrupt bytes is safe, since every read is bounds-checked
+    // and every reservation capped by the bytes left.
+    std::uint64_t hash = 0;
+    bool hashed = false;
+    std::jthread hasher;
+    try {
+      hasher = std::jthread([&hash, p = *payload] { hash = fnv1a(p.data(), p.size()); });
+    } catch (const std::exception&) {  // no thread to be had: hash first
+      hash = fnv1a(payload->data(), payload->size());
+      hashed = true;
+    }
+    if (!hashed || hash == c.content_hash) {
+      if (read_table(*payload, nsections, L, c)) read(c);
+    }
+    if (hasher.joinable()) hasher.join();
+    if (hash != c.content_hash) {
+      L.failed = true;
+      L.first_code = L.format.hash_code;
+      L.first_message =
+          std::string("content hash mismatch (") + L.format.noun + " is corrupted)";
+    }
+  }
+  if (L.failed) {
+    L.diags.report(diag::Severity::Error, L.first_code, diag::SourceLoc{},
+                   std::string(L.origin) + ": " + L.first_message);
+  }
+  return !L.failed;
 }
 
 bool finish(const Container& c, Loader& L) {
@@ -214,6 +261,7 @@ void write_arena(ByteWriter& w, const std::vector<Waveform>& arena) {
 
 bool read_arena(ByteReader& r, std::vector<Waveform>& arena, Loader& L) {
   std::uint32_t count = r.u32();
+  arena.reserve(r.room(count, kMinWaveform));
   for (std::uint32_t i = 0; i < count && !r.truncated(); ++i) {
     Waveform w;
     if (!read_waveform(r, w, L)) return false;
@@ -240,10 +288,12 @@ std::string build_cases(const std::vector<CaseSpec>& cases) {
 bool read_cases(ByteReader& r, std::uint32_t nsignals, std::vector<CaseSpec>& out,
                 Loader& L) {
   std::uint32_t count = r.u32();
+  out.reserve(r.room(count, kMinCase));
   for (std::uint32_t i = 0; i < count && !r.truncated(); ++i) {
     CaseSpec c;
     c.name = r.str();
     std::uint32_t npins = r.u32();
+    c.pins.reserve(r.room(npins, kMinCasePin));
     for (std::uint32_t j = 0; j < npins && !r.truncated(); ++j) {
       std::uint32_t sig = r.u32();
       std::uint8_t value = r.u8();

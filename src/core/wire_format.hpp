@@ -4,18 +4,18 @@
 // little-endian header (magic, endian tag, format version, FNV-1a content
 // hash over the payload, payload size, section count), a table of
 // (id, reserved, offset, size) entries, and the concatenated sections.
-// assemble() writes it, open() validates it and hands back one
-// bounds-checked cursor per section, and load_file() maps a file for
-// open(). Each format supplies a Format descriptor and keeps only its own
-// section builders and readers; every failure reports exactly one
+// assemble() writes it, decode() validates it and hands one bounds-checked
+// cursor per section to the format's reader, and load_file() maps a file
+// for decode(). Each format supplies a Format descriptor and keeps only its
+// own section builders and readers; every failure reports exactly one
 // diagnostic, in the format's own code family. This header is internal to
 // src/core; the public surfaces are compiled.hpp and fixpoint.hpp.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -114,6 +114,13 @@ class ByteReader {
 
   bool truncated() const { return truncated_; }
   bool at_end() const { return pos_ == bytes_.size(); }
+  std::size_t remaining() const { return bytes_.size() - pos_; }
+  /// How many of `count` records of at least `min_record` bytes each the
+  /// rest of the section can hold: the most a reader reserves for a count
+  /// it read, so a corrupt count can never become a large allocation.
+  std::size_t room(std::uint32_t count, std::size_t min_record) const {
+    return std::min<std::size_t>(count, remaining() / min_record);
+  }
   std::string_view bytes() const { return bytes_; }
 
  private:
@@ -130,19 +137,22 @@ class ByteReader {
   bool truncated_ = false;
 };
 
-/// Per-load validation state: reports exactly one diagnostic (the first
-/// failure) and remembers that loading failed.
+/// Per-load validation state: keeps the first failure and remembers that
+/// loading failed. decode() reports it, or the content-hash mismatch that
+/// takes precedence over it, as the load's one diagnostic.
 struct Loader {
   diag::DiagnosticEngine& diags;
   std::string_view origin;
   const Format& format;
   bool failed = false;
+  const char* first_code = nullptr;
+  std::string first_message{};
 
   bool fail(const char* code, const std::string& message) {
     if (!failed) {
       failed = true;
-      diags.report(diag::Severity::Error, code, diag::SourceLoc{},
-                   std::string(origin) + ": " + message);
+      first_code = code;
+      first_message = message;
     }
     return false;
   }
@@ -158,20 +168,25 @@ struct Loader {
 std::string assemble(const Format& format, std::span<const std::string> sections,
                      std::uint64_t* content_hash = nullptr);
 
-/// A validated container: one cursor per section, in table order. The
-/// cursors are views into the bytes passed to open().
+/// A container whose header and section table checked out: one cursor per
+/// section, in table order. The cursors are views into the bytes passed to
+/// decode().
 struct Container {
-  std::uint64_t content_hash = 0;
+  std::uint64_t content_hash = 0;  // as the header carries it
   std::vector<ByteReader> sections;
 };
 
-/// Checks size, magic, endianness, version, payload size, content hash and
-/// the section table of `bytes`; reports the first failure through `L`.
-std::optional<Container> open(std::string_view bytes, Loader& L);
+/// Checks size, magic, endianness, version and payload size of `bytes`,
+/// then the section table, and calls `read` on the sections; `read` records
+/// a bad record through `L`. The content hash of the payload is computed on
+/// a helper thread meanwhile (inline and first when no thread can start),
+/// and a mismatch takes precedence over whatever the decode found. Reports
+/// exactly one diagnostic on failure; true when the load succeeded.
+bool decode(std::string_view bytes, Loader& L, const std::function<void(Container&)>& read);
 
 /// The end-of-load check, run after every section reader succeeded: a
 /// section that ran out mid-record is truncated, one with bytes left over
-/// is malformed. Returns false (reported) on either.
+/// is malformed. Returns false (recorded) on either.
 bool finish(const Container& c, Loader& L);
 
 /// Calls `parse` on the bytes of the file at `path`: a read-only mapping

@@ -93,6 +93,14 @@ class RangeExpr {
     if (pos_ != s_.size()) {
       fail(line_, 0, diag::kErrBadRange, "bad range expression \"" + std::string(s_) + "\"");
     }
+    // A bound is a bit index, so a computed one must be whole as well.
+    if (!std::isfinite(v) || v != std::trunc(v)) {
+      char buf[32];
+      const auto end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+      fail(line_, 0, diag::kErrBadRange,
+           "range bound \"" + std::string(trim(s_)) + "\" evaluates to " +
+               std::string(buf, end) + ", not a whole number");
+    }
     return v;
   }
 
@@ -139,8 +147,7 @@ class RangeExpr {
     }
     if (is_digit(c)) {
       // Range bounds are bit indices, so a literal's value is a whole
-      // number. (An expression such as SIZE/2 may still yield a fraction;
-      // the width rounds it.)
+      // number.
       std::string_view text = s_.substr(pos_, number_length(s_.substr(pos_)));
       pos_ += text.size();
       std::optional<double> v = read_number(text);

@@ -25,6 +25,7 @@
 #include "core/wave_table.hpp"
 #include "diag/diagnostic.hpp"
 #include "example_designs.hpp"
+#include "gen/s1_design.hpp"
 
 namespace {
 
@@ -95,6 +96,83 @@ TEST(CompiledRoundTrip, ReserializingALoadedDesignReproducesTheBytes) {
     EXPECT_EQ(bytes, again)
         << "example " << i << ": serialize(load(bytes)) must equal bytes";
   }
+}
+
+// The netlist a load rebuilds -- the name index, each signal's driver and
+// fanout -- must equal the front end's, field for field, not only in the
+// fields the artifact stores.
+void expect_same_netlist(const Netlist& want, const Netlist& got, const std::string& what) {
+  SCOPED_TRACE(what);
+  ASSERT_EQ(want.num_signals(), got.num_signals());
+  ASSERT_EQ(want.num_prims(), got.num_prims());
+  for (SignalId id = 0; id < want.num_signals() && !::testing::Test::HasFailure(); ++id) {
+    SCOPED_TRACE("signal " + std::to_string(id));
+    const Signal& a = want.signal(id);
+    const Signal& b = got.signal(id);
+    EXPECT_EQ(a.full_name, b.full_name);
+    EXPECT_EQ(a.base_name, b.base_name);
+    EXPECT_TRUE(a.assertion == b.assertion);
+    EXPECT_EQ(a.scope, b.scope);
+    EXPECT_EQ(a.width, b.width);
+    ASSERT_EQ(a.wire_delay.has_value(), b.wire_delay.has_value());
+    if (a.wire_delay) {
+      EXPECT_EQ(a.wire_delay->dmin, b.wire_delay->dmin);
+      EXPECT_EQ(a.wire_delay->dmax, b.wire_delay->dmax);
+    }
+    EXPECT_EQ(a.driver, b.driver);
+    EXPECT_EQ(a.fanout, b.fanout);
+    EXPECT_EQ(want.find(a.full_name), got.find(a.full_name));
+  }
+  for (PrimId id = 0; id < want.num_prims() && !::testing::Test::HasFailure(); ++id) {
+    SCOPED_TRACE("primitive " + std::to_string(id));
+    const Primitive& a = want.prim(id);
+    const Primitive& b = got.prim(id);
+    EXPECT_EQ(a.kind, b.kind);
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.dmin, b.dmin);
+    EXPECT_EQ(a.dmax, b.dmax);
+    ASSERT_EQ(a.rise_fall.has_value(), b.rise_fall.has_value());
+    if (a.rise_fall) {
+      EXPECT_EQ(a.rise_fall->rise_min, b.rise_fall->rise_min);
+      EXPECT_EQ(a.rise_fall->rise_max, b.rise_fall->rise_max);
+      EXPECT_EQ(a.rise_fall->fall_min, b.rise_fall->fall_min);
+      EXPECT_EQ(a.rise_fall->fall_max, b.rise_fall->fall_max);
+    }
+    EXPECT_EQ(a.setup, b.setup);
+    EXPECT_EQ(a.hold, b.hold);
+    EXPECT_EQ(a.min_high, b.min_high);
+    EXPECT_EQ(a.min_low, b.min_low);
+    EXPECT_EQ(a.width, b.width);
+    EXPECT_EQ(a.output, b.output);
+    ASSERT_EQ(a.inputs.size(), b.inputs.size());
+    for (std::size_t i = 0; i < a.inputs.size(); ++i) {
+      EXPECT_EQ(a.inputs[i].sig, b.inputs[i].sig);
+      EXPECT_EQ(a.inputs[i].invert, b.inputs[i].invert);
+      EXPECT_EQ(a.inputs[i].directives, b.inputs[i].directives);
+    }
+  }
+  EXPECT_TRUE(got.finalized());
+}
+
+Netlist load_netlist(const std::string& bytes) {
+  diag::DiagnosticEngine diags;
+  std::optional<CompiledDesign> loaded = load_compiled(bytes, "rt", diags);
+  EXPECT_TRUE(loaded.has_value());
+  EXPECT_FALSE(diags.has_errors());
+  return loaded ? std::move(loaded->netlist) : Netlist();
+}
+
+TEST(CompiledRoundTrip, LoadedNetlistEqualsTheFrontEnds) {
+  for (std::size_t i = 0; i < examples::all_example_designs().size(); ++i) {
+    examples::ExampleDesign d = examples::all_example_designs()[i];
+    expect_same_netlist(*d.netlist, load_netlist(serialize_example(i)), d.name);
+  }
+  gen::S1Params p;
+  p.stages = 3;
+  p.clock_tree_bufs = 4;
+  hdl::ElaboratedDesign s1 = gen::build_s1_design(p);
+  CompiledDesign design = compile_design(s1.name, s1.netlist, s1.options, s1.cases, {});
+  expect_same_netlist(s1.netlist, load_netlist(serialize_compiled(design)), "S-1");
 }
 
 TEST(CompiledRoundTrip, SerializationIsDeterministic) {
@@ -212,6 +290,71 @@ TEST(CompiledReject, CorruptedPayloadFailsTheContentHash) {
   expect_reject(bytes, diag::kErrArtifactHash, "payload bit flip");
 }
 
+// Section layout (wire_format.cpp): a table of (id u32, reserved u32,
+// offset u64, size u64) entries after the header, then the sections.
+constexpr std::size_t kEntrySize = 24;
+constexpr std::size_t kNumSections = 5;  // meta, signals, prims, cases, waves
+
+std::uint64_t u64_at(const std::string& bytes, std::size_t off) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i)
+    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[off + i])) << (8 * i);
+  return v;
+}
+
+// File offset of section `i`'s first byte.
+std::size_t section_start(const std::string& bytes, std::size_t i) {
+  return kHdrSize + kNumSections * kEntrySize +
+         static_cast<std::size_t>(u64_at(bytes, kHdrSize + i * kEntrySize + 8));
+}
+
+void set_count(std::string& bytes, std::size_t off, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) bytes[off + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
+void restamp(std::string& bytes) { patch_u64(bytes, kHdrHashOff, fnv1a(bytes.substr(kHdrSize))); }
+
+// The sections that open with a record count: signals, primitives, cases
+// and the seed-waveform arena.
+constexpr std::size_t kCountedSections[] = {1, 2, 3, 4};
+
+TEST(CompiledReject, HashMismatchOutranksABrokenRecord) {
+  // The records are decoded while the hash is computed; when both fail, the
+  // one diagnostic is still the hash's.
+  const std::string good = serialize_example(0);
+  std::string table = good;
+  table[kHdrSize] ^= 0x40;
+  expect_reject(table, diag::kErrArtifactHash, "bad section id, stale hash");
+  for (std::size_t sec : kCountedSections) {
+    std::string bytes = good;
+    set_count(bytes, section_start(bytes, sec), 0xFFFFFFFFu);
+    expect_reject(bytes, diag::kErrArtifactHash,
+                  ("hostile count in section " + std::to_string(sec) + ", stale hash").c_str());
+  }
+}
+
+TEST(CompiledReject, HostileCountsAllocateNothingLarge) {
+  // A count of 2^32-1 behind a re-stamped hash: the reader reserves no more
+  // records than the section's bytes can hold, so the load fails as an
+  // input error (exactly one diagnostic) instead of with bad_alloc.
+  for (std::size_t i : {0u, 8u}) {
+    const std::string good = serialize_example(i);
+    for (std::size_t sec : kCountedSections) {
+      SCOPED_TRACE("example " + std::to_string(i) + ", section " + std::to_string(sec));
+      std::string bytes = good;
+      set_count(bytes, section_start(bytes, sec), 0xFFFFFFFFu);
+      restamp(bytes);
+      diag::DiagnosticEngine diags;
+      std::optional<CompiledDesign> loaded;
+      ASSERT_NO_THROW(loaded = load_compiled(bytes, "hostile", diags));
+      EXPECT_FALSE(loaded.has_value());
+      ASSERT_EQ(diags.error_count(), 1u);
+      EXPECT_EQ(diags.diagnostics().at(0).code.substr(0, 6), "TV-E30");
+      EXPECT_NE(diags.diagnostics().at(0).code, diag::kErrArtifactHash);
+    }
+  }
+}
+
 TEST(CompiledReject, MalformedSectionTable) {
   // Corrupt the first section id *and* re-stamp a matching content hash: the
   // damage must still be caught, by structural validation, not only by the
@@ -325,6 +468,17 @@ TEST(CompiledExitCodes, VersionSkewExitsTwo) {
   bytes[kHdrVersionOff] = static_cast<char>(kCompiledFormatVersion + 1);
   TempArtifact skewed(bytes);
   EXPECT_EQ(run_scaldtv("--compiled " + skewed.path()), 2);
+}
+
+TEST(CompiledExitCodes, HostileCountsExitTwo) {
+  const std::string good = serialize_example(0);
+  for (std::size_t sec : kCountedSections) {
+    std::string bytes = good;
+    set_count(bytes, section_start(bytes, sec), 0xFFFFFFFFu);
+    restamp(bytes);
+    TempArtifact hostile(bytes);
+    EXPECT_EQ(run_scaldtv("--compiled " + hostile.path()), 2) << "section " << sec;
+  }
 }
 
 TEST(CompiledExitCodes, MissingArtifactExitsTwo) {

@@ -346,6 +346,42 @@ TEST(GoldenDiagnostics, FractionalRangeBoundIsReportedAtTheReference) {
   EXPECT_FALSE(diags.has_errors());
 }
 
+// A bound computed from a macro parameter must come out whole too. Before,
+// SIZE=2.5 made "I<0:SIZE-1>" the range 0:1.5, rounded to a three-bit bus,
+// and the design verified clean.
+TEST(GoldenDiagnostics, ComputedFractionalRangeBoundIsReportedAtTheReference) {
+  auto source = [](const std::string& size, const std::string& bound) {
+    return "macro HALF(SIZE) {\n  param in \"I\", \"CK\";\n  param out \"Q\";\n"
+           "  reg [delay=1.5:4.5] (\"I\", \"CK\") -> \"Q<0:" +
+           bound + ">\";\n}\ndesign D {\n  period 50.0;\n  use HALF [SIZE=" + size +
+           "] (\"D .S0-6\", \"CK .P8-9\", \"Q\");\n}\n";
+  };
+  struct Bad {
+    const char* size;
+    const char* bound;
+    const char* value;
+  };
+  for (const Bad& bad : {Bad{"2.5", "SIZE-1", "1.5"}, Bad{"5", "SIZE/2", "2.5"},
+                         Bad{"0", "1/SIZE", "inf"}}) {
+    SCOPED_TRACE(bad.bound);
+    diag::DiagnosticEngine diags;
+    diags.set_current_file("range.shdl");
+    EXPECT_FALSE(hdl::elaborate_source(source(bad.size, bad.bound), diags).has_value());
+    ASSERT_EQ(diags.diagnostics().size(), 1u);
+    const diag::Diagnostic& d = diags.diagnostics()[0];
+    EXPECT_EQ(d.code, diag::kErrBadRange);
+    EXPECT_EQ(d.message, "range bound \"" + std::string(bad.bound) + "\" evaluates to " +
+                             bad.value + ", not a whole number");
+    EXPECT_EQ(d.loc.line, 4);
+    ASSERT_EQ(d.notes.size(), 1u);
+    EXPECT_EQ(d.notes[0].loc.line, 8);
+  }
+  // A fractional parameter whose bounds come out whole is fine.
+  diag::DiagnosticEngine diags;
+  EXPECT_TRUE(hdl::elaborate_source(source("4.5", "SIZE*2"), diags).has_value());
+  EXPECT_FALSE(diags.has_errors());
+}
+
 // --- diagnostics digest over seeded mutants ---------------------------------
 
 /// Folds every diagnostic the front end reports for `src` -- code, location,

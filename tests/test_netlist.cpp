@@ -194,7 +194,7 @@ TEST(NameIndex, PushSignalOfATakenNameKeepsTheFirstOwner) {
   Signal orphan;
   orphan.full_name = "SYN";
   orphan.base_name = "SYN";
-  SignalId pushed = nl.push_signal(orphan);
+  SignalId pushed = nl.push_signal(std::move(orphan));
   EXPECT_EQ(pushed, first + 1);
   EXPECT_EQ(nl.num_signals(), 2u);
   EXPECT_EQ(nl.find("SYN"), first);

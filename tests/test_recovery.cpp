@@ -286,6 +286,69 @@ TEST(SnapshotReject, BadMagicAndVersionSkew) {
   }
 }
 
+// File offset of section `i`'s first byte in a wire-format container.
+std::size_t section_start(const std::string& bytes, std::size_t i) {
+  constexpr std::size_t kHdr = 40, kEntry = 24;
+  return kHdr + u32_at(bytes, 32) * kEntry +
+         static_cast<std::size_t>(u64_at(bytes, kHdr + i * kEntry + 8));
+}
+
+void set_u32(std::string& bytes, std::size_t off, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) bytes[off + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
+void restamp(std::string& bytes) {
+  constexpr std::size_t kHdr = 40, kHashOff = 16;
+  std::uint64_t h = fnv1a(bytes.data() + kHdr, bytes.size() - kHdr);
+  for (int i = 0; i < 8; ++i) bytes[kHashOff + i] = static_cast<char>((h >> (8 * i)) & 0xff);
+}
+
+// The snapshot sections that open with a record count: the waveform arena,
+// the signal table, the result (its violations) and the cases.
+constexpr std::size_t kCountedSections[] = {1, 2, 3, 4};
+
+TEST(SnapshotReject, HashMismatchOutranksABrokenRecord) {
+  // The records are decoded while the hash is computed; when both fail, the
+  // one diagnostic is still the hash's.
+  const std::string good = snapshot_example(0);
+  auto expect_hash = [](const std::string& bytes, const std::string& how) {
+    diag::DiagnosticEngine diags;
+    EXPECT_FALSE(load_fixpoint(bytes, "stale", diags).has_value()) << how;
+    ASSERT_EQ(diags.error_count(), 1u) << how;
+    EXPECT_EQ(diags.diagnostics().at(0).code, diag::kErrSnapshotHash) << how;
+  };
+  std::string table = good;
+  table[40] ^= 0x40;
+  expect_hash(table, "bad section id, stale hash");
+  for (std::size_t sec : kCountedSections) {
+    std::string bytes = good;
+    set_u32(bytes, section_start(bytes, sec), 0xFFFFFFFFu);
+    expect_hash(bytes, "hostile count in section " + std::to_string(sec) + ", stale hash");
+  }
+}
+
+TEST(SnapshotReject, HostileCountsAllocateNothingLarge) {
+  // A count of 2^32-1 behind a re-stamped hash: the reader reserves no more
+  // records than the section's bytes can hold, so the load fails as an
+  // input error (exactly one diagnostic) instead of with bad_alloc.
+  for (std::size_t i : {0u, 8u}) {
+    const std::string good = snapshot_example(i);
+    for (std::size_t sec : kCountedSections) {
+      SCOPED_TRACE("example " + std::to_string(i) + ", section " + std::to_string(sec));
+      std::string bytes = good;
+      set_u32(bytes, section_start(bytes, sec), 0xFFFFFFFFu);
+      restamp(bytes);
+      diag::DiagnosticEngine diags;
+      std::optional<FixpointState> st;
+      ASSERT_NO_THROW(st = load_fixpoint(bytes, "hostile", diags));
+      EXPECT_FALSE(st.has_value());
+      ASSERT_EQ(diags.error_count(), 1u);
+      EXPECT_EQ(diags.diagnostics().at(0).code.substr(0, 6), "TV-E31");
+      EXPECT_NE(diags.diagnostics().at(0).code, diag::kErrSnapshotHash);
+    }
+  }
+}
+
 // --------------------------------------------------- corruption sweeps
 
 TEST(CorruptionSweep, SnapshotAlwaysRejectsCleanly) {
@@ -769,6 +832,25 @@ TEST(SnapshotExitCodes, DamagedSnapshotsExitTwoGoodOnesVerify) {
   EXPECT_EQ(run_scaldtv("--compiled " + artifact.path() +
                         " --from-snapshot /nonexistent/baseline.tvf"),
             2);
+}
+
+TEST(SnapshotExitCodes, HostileCountsExitTwo) {
+  CompiledDesign design;
+  TempPath artifact;
+  artifact.write(serialize_example_artifact(0, &design));
+  Verifier v(design.netlist, design.options);
+  v.verify(design.cases);
+  const std::string good = v.snapshot("quickstart", design.content_hash);
+  for (std::size_t sec : kCountedSections) {
+    std::string bytes = good;
+    set_u32(bytes, section_start(bytes, sec), 0xFFFFFFFFu);
+    restamp(bytes);
+    TempPath snap;
+    snap.write(bytes);
+    EXPECT_EQ(run_scaldtv("--compiled " + artifact.path() + " --from-snapshot " + snap.path()),
+              2)
+        << "section " << sec;
+  }
 }
 
 // ------------------------------------- disk pressure (ENOSPC) exit codes
