@@ -19,30 +19,33 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "core/wave_table.hpp"
+#include "util/intern_index.hpp"
 
 namespace tv {
 
 /// Run-local intern pool for evaluation strings. Dense u32 ids make string
 /// equality an integer compare inside the lane loops; id 0 is always the
 /// empty string (the overwhelmingly common case -- only hazard-directive
-/// propagation produces non-empty strings). Not thread-safe: each case
+/// propagation produces non-empty strings). Each string is held once, in
+/// `strs_`; the index maps its hash to its id. Not thread-safe: each case
 /// block owns one pool.
 class EvalStrPool {
  public:
-  EvalStrPool() {
-    strs_.emplace_back();  // id 0 = ""
-    ids_.emplace(std::string(), 0);
-  }
+  EvalStrPool() { strs_.emplace_back(); }  // id 0 = "", never indexed
 
   std::uint32_t intern(const std::string& s) {
     if (s.empty()) return 0;
-    auto [it, inserted] = ids_.emplace(s, static_cast<std::uint32_t>(strs_.size()));
-    if (inserted) strs_.push_back(s);
-    return it->second;
+    const InternIndex::Probe p =
+        ids_.probe(static_cast<std::uint32_t>(std::hash<std::string_view>{}(s)),
+                   [&](std::uint32_t id) { return strs_[id] == s; });
+    if (p.id != InternIndex::kAbsent) return p.id;
+    ids_.insert(p, strs_.size());
+    strs_.push_back(s);
+    return static_cast<std::uint32_t>(strs_.size() - 1);
   }
 
   const std::string& str(std::uint32_t id) const { return strs_[id]; }
@@ -50,7 +53,7 @@ class EvalStrPool {
 
  private:
   std::vector<std::string> strs_;
-  std::unordered_map<std::string, std::uint32_t> ids_;
+  InternIndex ids_;
 };
 
 /// The SoA lane state of one case block: one row per signal some lane has

@@ -1,6 +1,5 @@
 #include "core/snapshot.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "core/propagate.hpp"
@@ -38,20 +37,12 @@ void EvalSnapshot::set_ref(SignalId id, WaveformRef ref, std::string eval_str, W
   if (cone_ && !cone_->contains_signal(id)) {
     throw std::logic_error("EvalSnapshot::set_ref outside the cone");
   }
+  const InternIndex::Probe p = probe(id);
   Entry* e = nullptr;
-  if (!written_.empty()) {
-    std::uint32_t k = index_[probe(id)];
-    if (k) e = &entries_[k - 1];
-  }
-  if (!e) {
-    // Keep the index at most half full: grow (and rehash) before adding.
-    if (2 * (written_.size() + 1) > index_.size()) {
-      index_.assign(std::max<std::size_t>(16, 2 * index_.size()), 0);
-      for (std::size_t i = 0; i < written_.size(); ++i) {
-        index_[probe(written_[i])] = static_cast<std::uint32_t>(i + 1);
-      }
-    }
-    index_[probe(id)] = static_cast<std::uint32_t>(written_.size() + 1);
+  if (p.id != InternIndex::kAbsent) {
+    e = &entries_[p.id];
+  } else {
+    index_.insert(p, written_.size());
     written_.push_back(id);
     e = &entries_.emplace_back();
   }

@@ -18,6 +18,7 @@
 
 #include "core/cone.hpp"
 #include "core/evaluator.hpp"
+#include "util/intern_index.hpp"
 
 namespace tv {
 
@@ -99,19 +100,16 @@ class EvalSnapshot {
     Waveform owned;  // set only when ref == kNoWaveform
   };
 
-  /// Index slot of `id`: linear probing over a power-of-two table of
-  /// entry numbers plus one (0 = empty).
-  std::size_t probe(SignalId id) const {
-    const std::size_t mask = index_.size() - 1;
-    std::size_t h = (static_cast<std::size_t>(id) * 0x9E3779B97F4A7C15ull) >> 32;
-    for (h &= mask; index_[h] != 0 && written_[index_[h] - 1] != id; h = (h + 1) & mask) {
-    }
-    return h;
+  /// Entry number of `id` (kAbsent when unwritten) and where it goes.
+  InternIndex::Probe probe(SignalId id) const {
+    return index_.probe(
+        static_cast<std::uint32_t>((static_cast<std::uint64_t>(id) * 0x9E3779B97F4A7C15ull) >> 32),
+        [&](std::uint32_t e) { return written_[e] == id; });
   }
   const Entry* find(SignalId id) const {
     if (written_.empty()) return nullptr;
-    std::uint32_t e = index_[probe(id)];
-    return e ? &entries_[e - 1] : nullptr;
+    const std::uint32_t e = probe(id).id;
+    return e != InternIndex::kAbsent ? &entries_[e] : nullptr;
   }
 
   const Netlist& nl_;
@@ -120,7 +118,7 @@ class EvalSnapshot {
   const std::vector<WaveformRef>* base_refs_ = nullptr;
   std::vector<SignalId> written_;      // entry i's signal
   std::vector<Entry> entries_;
-  std::vector<std::uint32_t> index_;   // open addressing, at most half full
+  InternIndex index_;                  // signal -> entry number
 };
 
 /// Read-only view of an evaluation state for checking and reporting: the

@@ -27,12 +27,16 @@ WaveformRef WaveformTable::intern(const Waveform& w) {
   Shard& sh = shards_[h & kShardMask];
   std::lock_guard<std::mutex> lock(sh.mu);
   ++sh.lookups;
-  std::vector<std::uint32_t>& bucket = sh.buckets[h];
-  for (std::uint32_t slot : bucket) {
-    const Waveform* chunk = sh.chunks[slot >> kChunkBits].load(std::memory_order_relaxed);
-    if (chunk[slot & (kChunkSize - 1)].equivalent(w)) {
-      return (slot << kShardBits) | static_cast<WaveformRef>(h & kShardMask);
-    }
+  // Every waveform of the shard shares h & kShardMask, so the index hashes
+  // on the bits above it.
+  const InternIndex::Probe p =
+      sh.index.probe(static_cast<std::uint32_t>(h >> kShardBits), [&](std::uint32_t slot) {
+        return sh.chunks[slot >> kChunkBits]
+            .load(std::memory_order_relaxed)[slot & (kChunkSize - 1)]
+            .equivalent(w);
+      });
+  if (p.id != InternIndex::kAbsent) {
+    return (p.id << kShardBits) | static_cast<WaveformRef>(h & kShardMask);
   }
   std::uint32_t slot = sh.count;
   std::uint32_t cap = kMaxChunks * kChunkSize;
@@ -54,7 +58,7 @@ WaveformRef WaveformTable::intern(const Waveform& w) {
   Waveform& copy = chunk[slot & (kChunkSize - 1)];
   copy = w;
   copy.canonicalize();
-  bucket.push_back(slot);
+  sh.index.insert(p, slot);
   ++sh.count;
   return (slot << kShardBits) | static_cast<WaveformRef>(h & kShardMask);
 }
@@ -118,30 +122,21 @@ MemoKeyFields MemoKey::decode(const std::uint64_t* words, std::size_t n) {
   return k;
 }
 
-std::size_t EvalMemo::Shard::probe(const MemoKey& key) const {
-  const std::uint32_t h = static_cast<std::uint32_t>(key.hash());
-  const std::size_t mask = slots.size() - 1;
-  for (std::size_t i = h & mask;; i = (i + 1) & mask) {
-    const Slot& s = slots[i];
-    if (s.entry == kEmpty) return i;
-    if (s.hash != h) continue;
-    const std::uint64_t* e = &arena[s.entry];
-    if ((e[0] & 0xFFFFFFFFu) == key.size() &&
-        std::equal(key.data(), key.data() + key.size(), e + 1)) {
-      return i;
-    }
-  }
+InternIndex::Probe EvalMemo::Shard::probe(const MemoKey& key) const {
+  return index.probe(static_cast<std::uint32_t>(key.hash()), [&](std::uint32_t entry) {
+    const std::uint64_t* e = &arena[entry];
+    return (e[0] & 0xFFFFFFFFu) == key.size() &&
+           std::equal(key.data(), key.data() + key.size(), e + 1);
+  });
 }
 
 std::optional<MemoResult> EvalMemo::lookup(const MemoKey& key) const {
   const Shard& sh = shards_[shard_of(key)];
   std::lock_guard<std::mutex> lock(sh.mu);
-  if (!sh.slots.empty()) {
-    const Slot& s = sh.slots[sh.probe(key)];
-    if (s.entry != kEmpty) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return sh.results[sh.arena[s.entry] >> 32];
-    }
+  const InternIndex::Probe p = sh.probe(key);
+  if (p.id != InternIndex::kAbsent) {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    return sh.results[sh.arena[p.id] >> 32];
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   return std::nullopt;
@@ -150,24 +145,9 @@ std::optional<MemoResult> EvalMemo::lookup(const MemoKey& key) const {
 void EvalMemo::store(const MemoKey& key, MemoResult result) {
   Shard& sh = shards_[shard_of(key)];
   std::lock_guard<std::mutex> lock(sh.mu);
-  // Keep at least half the slots empty, so every probe ends.
-  if (2 * (sh.results.size() + 1) > sh.slots.size()) {
-    std::vector<Slot> old = std::move(sh.slots);
-    sh.slots.assign(std::max<std::size_t>(16, 2 * old.size()), Slot{});
-    const std::size_t mask = sh.slots.size() - 1;
-    for (const Slot& s : old) {
-      if (s.entry == kEmpty) continue;
-      std::size_t i = s.hash & mask;
-      while (sh.slots[i].entry != kEmpty) i = (i + 1) & mask;
-      sh.slots[i] = s;
-    }
-  }
-  Slot& s = sh.slots[sh.probe(key)];
-  if (s.entry != kEmpty) return;
-  if (sh.arena.size() + 1 + key.size() >= kEmpty) {
-    throw std::length_error("memo: key arena exceeds 4 Gi words");
-  }
-  s = Slot{static_cast<std::uint32_t>(key.hash()), static_cast<std::uint32_t>(sh.arena.size())};
+  const InternIndex::Probe p = sh.probe(key);
+  if (p.id != InternIndex::kAbsent) return;
+  sh.index.insert(p, sh.arena.size());
   sh.arena.push_back(key.size() | static_cast<std::uint64_t>(sh.results.size()) << 32);
   sh.arena.insert(sh.arena.end(), key.data(), key.data() + key.size());
   sh.results.push_back(std::move(result));

@@ -244,14 +244,13 @@ void load_file(const Format& format, const std::string& path, diag::DiagnosticEn
 }
 
 std::uint32_t WaveArena::add(Waveform w) {
-  std::vector<std::uint32_t>& bucket = buckets_[w.canonical_hash()];
-  for (std::uint32_t cand : bucket) {
-    if (waves_[cand].equivalent(w)) return cand;
-  }
-  const auto ref = static_cast<std::uint32_t>(waves_.size());
-  bucket.push_back(ref);
+  const InternIndex::Probe p =
+      index_.probe(static_cast<std::uint32_t>(w.canonical_hash()),
+                   [&](std::uint32_t id) { return waves_[id].equivalent(w); });
+  if (p.id != InternIndex::kAbsent) return p.id;
+  index_.insert(p, waves_.size());
   waves_.push_back(std::move(w));
-  return ref;
+  return static_cast<std::uint32_t>(waves_.size() - 1);
 }
 
 void write_arena(ByteWriter& w, const std::vector<Waveform>& arena) {

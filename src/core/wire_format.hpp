@@ -19,12 +19,12 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/evaluator.hpp"
 #include "core/waveform.hpp"
 #include "diag/diagnostic.hpp"
+#include "util/intern_index.hpp"
 
 namespace tv::wire {
 
@@ -220,7 +220,7 @@ class WaveArena {
 
  private:
   std::vector<Waveform> waves_;
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets_;
+  InternIndex index_;  // hashes on the low 32 bits of the canonical hash
 };
 
 /// An arena record: the waveform count, then each waveform.
