@@ -98,9 +98,12 @@ std::string build_meta(const CompiledDesign& d) {
 
 std::string build_signals(const Netlist& nl) {
   ByteWriter w;
+  std::vector<std::pair<std::string_view, SignalId>> aliases;  // a synonym's name -> keeper
   w.u32(static_cast<std::uint32_t>(nl.num_signals()));
   for (SignalId id = 0; id < nl.num_signals(); ++id) {
     const Signal& s = nl.signal(id);
+    const SignalId owner = nl.find(s.full_name);
+    if (owner != id && owner != kNoSignal) aliases.emplace_back(s.full_name, owner);
     w.str(s.full_name);
     w.str(s.base_name);
     write_assertion(w, s.assertion);
@@ -111,6 +114,11 @@ std::string build_signals(const Netlist& nl) {
       w.i64(s.wire_delay->dmin);
       w.i64(s.wire_delay->dmax);
     }
+  }
+  w.u32(static_cast<std::uint32_t>(aliases.size()));
+  for (const auto& [name, keeper] : aliases) {
+    w.str(name);
+    w.u32(keeper);
   }
   return w.take();
 }
@@ -246,6 +254,15 @@ bool read_signals(ByteReader& r, CompiledDesign& d, Loader& L) {
     }
     if (r.truncated()) break;
     d.netlist.push_signal(std::move(s));
+  }
+  const std::uint32_t naliases = r.u32();
+  for (std::uint32_t i = 0; i < naliases && !r.truncated(); ++i) {
+    const std::string name = r.str();
+    const SignalId keeper = r.u32();
+    if (r.truncated()) break;
+    if (keeper >= d.netlist.num_signals())
+      return L.bad("synonym \"" + name + "\": keeper signal out of range");
+    d.netlist.alias(name, keeper);
   }
   return true;
 }

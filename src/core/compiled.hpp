@@ -19,7 +19,9 @@
 //              FNV-1a content hash over the payload, payload size,
 //              section count
 //   sections : table of (id, offset, size), then the concatenated payload
-//              META / SIGNALS / PRIMS / CASES / WAVES sections
+//              META / SIGNALS / PRIMS / CASES / WAVES sections; SIGNALS
+//              ends with the synonyms (version 2): each name that
+//              merge_signals pointed at another signal, and that keeper
 //
 // The format is deterministic -- no timestamps, no pointers, map-ordered
 // tables -- so two compiles of the same source are byte-identical (CI
@@ -44,7 +46,7 @@
 
 namespace tv {
 
-inline constexpr std::uint32_t kCompiledFormatVersion = 1;
+inline constexpr std::uint32_t kCompiledFormatVersion = 2;
 inline constexpr char kCompiledMagic[8] = {'S', 'C', 'A', 'L', 'D', 'T', 'V', 'C'};
 
 /// The front end's expansion statistics, carried through the artifact so

@@ -141,6 +141,9 @@ class Netlist {
   /// already taken; evaluation state (wave, eval_str, driver, fanout) is
   /// reset and recomputed by finalize()/initialize().
   SignalId push_signal(Signal&& s);
+  /// Points `full_name` at signal `id`: the loader restores a synonym that
+  /// merge_signals redirected to its keeper.
+  void alias(std::string_view full_name, SignalId id) { by_name_.assign(full_name, id); }
   SignalId find(std::string_view full_name) const;
   /// The full-name index find() reads (exposed for its size accounting).
   const NameIndex& name_index() const { return by_name_; }

@@ -489,18 +489,18 @@ TEST(HdlFrontEndPins, CompiledBytesMatchRecordedDigests) {
   std::optional<ElaboratedDesign> regfile =
       elaborate_source(read_design("regfile_example.shdl"), diags);
   ASSERT_TRUE(regfile.has_value());
-  EXPECT_EQ(artifact_digest(*regfile), 0x69cc433b08614ac6ull);
+  EXPECT_EQ(artifact_digest(*regfile), 0x4157b469331b96eeull);
 
   std::string pipeline_src = read_design("stdlib_pipeline.shdl");
   std::optional<ElaboratedDesign> pipeline = elaborate_sources(
       {{"<stdlib>", std_chip_library()}, {"designs/stdlib_pipeline.shdl", pipeline_src}},
       diags);
   ASSERT_TRUE(pipeline.has_value());
-  EXPECT_EQ(artifact_digest(*pipeline), 0xdd245cfbcfc23093ull);
+  EXPECT_EQ(artifact_digest(*pipeline), 0xb82b306b3db871e2ull);
   EXPECT_FALSE(diags.has_errors());
 
   ElaboratedDesign s1 = gen::build_s1_design(s1_16());
-  EXPECT_EQ(artifact_digest(s1), 0xfd239e12469a9b50ull);
+  EXPECT_EQ(artifact_digest(s1), 0xbc2c17232bb64df2ull);
 }
 
 // A wire_delay-only signal, one a macro's wire_delay names before a later pin
